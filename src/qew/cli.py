@@ -43,17 +43,9 @@ from .witnesses import (
     BatteryReport,
     Exact,
     WitnessReport,
-    battery_epr,
-    battery_ghz,
-    battery_qudit_2,
-    battery_qudit_n,
-    battery_w,
     critical_visibility,
     evaluate_battery,
-    witness_epr,
-    witness_ghz,
-    witness_qudit,
-    witness_w,
+    witness_family,
 )
 from .zkp import (
     FixedOutcomesStrategy,
@@ -193,22 +185,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
         family = _infer_family(rho, args.leakage_tol)
     if args.noise is not None:
         rho = werner_mix(rho, args.noise)
-    n, d = rho.n_sites, rho.sites[0]
-    if family == "epr":
-        wrep = witness_epr(rho, eps_eq=args.tol_eq)
-        battery = battery_epr(eps_eq=args.tol_eq, eps_nz=args.tol_nz)
-    elif family == "ghz":
-        wrep = witness_ghz(rho, eps_eq=args.tol_eq)
-        battery = battery_ghz(n, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
-    elif family == "w":
-        wrep = witness_w(rho, eps_eq=args.tol_eq)
-        battery = battery_w(eps_eq=args.tol_eq, eps_nz=args.tol_nz)
-    else:
-        wrep = witness_qudit(rho, eps_eq=args.tol_eq)
-        if n == 2:
-            battery = battery_qudit_2(d, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
-        else:
-            battery = battery_qudit_n(n, d, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
+    fam = witness_family(family)
+    wrep = fam.witness(rho, eps_eq=args.tol_eq)
+    battery = fam.battery(rho.sites, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
     report = {
         "family": family,
         "state": spec_to_dict(spec),
@@ -362,34 +341,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     kind = args.witness
     if args.samples < 1:
         raise InputError(f"need at least one sample, got {args.samples}")
-    if kind == "epr":
-        sites: tuple[int, ...] = (2, 2)
-        sampler, wfunc, bound = sample_separable, witness_epr, 0.0
-    elif kind == "ghz":
-        n = args.n if args.n is not None else 3
-        sites = (2,) * n
-        sampler, wfunc, bound = sample_biseparable, witness_ghz, 0.0
-    elif kind == "w":
-        sites = (2, 2, 2)
-        sampler, wfunc, bound = sample_biseparable, witness_w, 0.5
-    elif kind == "qudit":
-        n = args.n if args.n is not None else 2
-        d = args.d if args.d is not None else 3
-        sites = (d,) * n
-        sampler, wfunc, bound = sample_separable, witness_qudit, 0.0
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown witness {kind!r}")
+    fam = witness_family(kind)
+    sites = fam.sites(args.n, args.d)
+    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
     cfg = SamplerConfig(sites=sites, terms=args.terms, seed=args.seed)
     t0 = time.perf_counter()
     max_lhs = -np.inf
     violations = 0
     for i in range(args.samples):
-        rep = wfunc(sampler(cfg, i))
+        rep = fam.witness(sampler(cfg, i))
         max_lhs = max(max_lhs, rep.lhs)
-        if rep.lhs > bound + ORACLE_SLACK:
+        if rep.lhs > fam.bound + ORACLE_SLACK:
             violations += 1
     search_max, _ = maximize_witness(kind, cfg, args.iters)
-    if search_max > bound + ORACLE_SLACK:
+    if search_max > fam.bound + ORACLE_SLACK:
         violations += 1
     report = {
         "witness": kind,
@@ -397,7 +362,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "terms": args.terms,
         "seed": args.seed,
         "samples": args.samples,
-        "bound": bound,
+        "bound": fam.bound,
         "max_lhs": float(max_lhs),
         "search_max": float(search_max),
         "violations": violations,

@@ -41,10 +41,13 @@ from .qmat import (
     bell_basis,
     joint_measure_two_sites,
     plusminus_basis,
+    tensor_product,
 )
 from .states import (
+    MAX_DIM,
     BlindChannel,
     StateSpec,
+    _schur_conjugate,
     apply_blind_channel,
     build_state,
     parse_state_spec,
@@ -56,12 +59,8 @@ from .witnesses import (
     EPS_NZ,
     LEAKAGE_TOL,
     ParadoxBattery,
-    battery_epr,
-    battery_ghz,
-    battery_qudit_2,
-    battery_qudit_n,
-    battery_w,
     reindex_battery,
+    witness_family,
 )
 
 __all__ = [
@@ -83,7 +82,6 @@ __all__ = [
     "swap_branches",
 ]
 
-MAX_DIM = 4096  # 12 qubits
 ZERO_BRANCH = 1e-12
 
 
@@ -246,8 +244,7 @@ def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> Densi
     with angles outside (0, pi) are allowed but flag the output.
     """
     rho = build_network_state(spec)
-    diag = _gates_diagonal(spec, rho.sites)
-    mat = np.outer(diag, diag.conj()) * rho.mat
+    mat = _schur_conjugate(_gates_diagonal(spec, rho.sites), rho.mat)
     flags = set(rho.flags)
     if any(not 0.0 < g.theta < np.pi for g in spec.cp_gates):
         flags.add("gate-angle-boundary")
@@ -324,9 +321,7 @@ def reduce_ghz_to_epr(
 
     def one_branch(bits: tuple[int, ...]) -> ReductionResult:
         pm = plusminus_basis()
-        vec = np.ones(1, dtype=complex)
-        for b in bits:
-            vec = np.kron(vec, pm[b])
+        vec = tensor_product(*(pm[b] for b in bits))
         # <v| rho |v> over all measured sites at once (a joint projection).
         sub = _sandwich(rho, others, vec)
         p = float(np.real(np.trace(sub)))
@@ -447,22 +442,9 @@ def source_batteries(
     offset = 0
     for src in spec.sources:
         dims = src.state.site_dims()
-        kind = src.state.kind
-        if kind in ("epr", "ghz"):
-            battery = battery_ghz(
-                len(dims), eps_eq=eps_eq, eps_nz=eps_nz, imag_companion=imag_companion
-            )
-        elif kind == "w":
-            battery = battery_w(
-                eps_eq=eps_eq, eps_nz=eps_nz, imag_companion=imag_companion
-            )
-        elif kind == "qudit_ghz":
-            if len(dims) == 2:
-                battery = battery_qudit_2(dims[0], eps_eq=eps_eq, eps_nz=eps_nz)
-            else:
-                battery = battery_qudit_n(len(dims), dims[0], eps_eq=eps_eq, eps_nz=eps_nz)
-        else:
-            raise ValueError(f"no battery known for source kind {kind!r}")
+        battery = witness_family(src.state.family()).battery(
+            dims, eps_eq=eps_eq, eps_nz=eps_nz, imag_companion=imag_companion
+        )
         out.append(reindex_battery(battery, offset))
         offset += len(dims)
     return out

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density
+from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density, tensor_product
 from .states import BlindChannel, ChannelTerm
 
 __all__ = [
@@ -113,9 +113,7 @@ def sample_separable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
     dim = int(np.prod(cfg.sites))
     mat = np.zeros((dim, dim), dtype=complex)
     for w in weights:
-        vec = np.ones(1, dtype=complex)
-        for d in cfg.sites:
-            vec = np.kron(vec, _haar_vector(rng, d))
+        vec = tensor_product(*(_haar_vector(rng, d) for d in cfg.sites))
         mat += w * np.outer(vec, vec.conj())
     return as_density(mat, cfg.sites)
 

@@ -116,8 +116,9 @@ def clock_op(d: int) -> Array:
 
 
 def tensor_product(*mats: Array) -> Array:
-    """Kronecker product of the given matrices, left factor most significant."""
-    out = np.eye(1, dtype=complex)
+    """Kronecker product of the given matrices (or vectors), left factor most
+    significant."""
+    out = np.ones(1, dtype=complex)
     for m in mats:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
@@ -387,8 +388,24 @@ def _sandwich(rho: DensityMatrix, positions: Sequence[int], vec: Array) -> Array
     return np.einsum("m,mrns,n->rs", v.conj(), t, v)
 
 
-def _measured_out(rho: DensityMatrix, positions: Sequence[int]) -> tuple[int, ...]:
-    return tuple(d for i, d in enumerate(rho.sites, start=1) if i not in positions)
+def _measure_branches(
+    rho: DensityMatrix, positions: Sequence[int], b: Array
+) -> list[MeasureBranch]:
+    """One branch per row of the checked basis ``b``, measured jointly on ``positions``."""
+    rest = tuple(d for i, d in enumerate(rho.sites, start=1) if i not in positions)
+    branches: list[MeasureBranch] = []
+    total = 0.0
+    for k in range(len(b)):
+        sub = _sandwich(rho, positions, b[k])
+        p = float(np.real(np.trace(sub)))
+        total += p
+        if p <= ZERO_PROB:
+            branches.append(MeasureBranch(k, max(p, 0.0), None, flagged_zero=True))
+        else:
+            branches.append(MeasureBranch(k, p, as_density(sub / p, rest)))
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"branch probabilities sum to {total}, expected 1")
+    return branches
 
 
 def projective_measure(
@@ -406,21 +423,7 @@ def projective_measure(
     if rho.n_sites < 2:
         raise ValueError("measuring the only site would leave an empty system")
     d = rho.sites[site - 1]
-    b = _check_orthonormal(basis, d)
-    rest = _measured_out(rho, [site])
-    branches: list[MeasureBranch] = []
-    total = 0.0
-    for k in range(d):
-        sub = _sandwich(rho, [site], b[k])
-        p = float(np.real(np.trace(sub)))
-        total += p
-        if p <= ZERO_PROB:
-            branches.append(MeasureBranch(k, max(p, 0.0), None, flagged_zero=True))
-        else:
-            branches.append(MeasureBranch(k, p, as_density(sub / p, rest)))
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    return branches
+    return _measure_branches(rho, [site], _check_orthonormal(basis, d))
 
 
 def joint_measure_two_sites(
@@ -439,21 +442,7 @@ def joint_measure_two_sites(
             raise ValueError(f"joint measurement requires qubit sites, site {s} has d={rho.sites[s - 1]}")
     if rho.n_sites < 3:
         raise ValueError("need at least one unmeasured site")
-    b = _check_orthonormal(basis, 4)
-    rest = _measured_out(rho, [i, j])
-    branches: list[MeasureBranch] = []
-    total = 0.0
-    for k in range(4):
-        sub = _sandwich(rho, [i, j], b[k])
-        p = float(np.real(np.trace(sub)))
-        total += p
-        if p <= ZERO_PROB:
-            branches.append(MeasureBranch(k, max(p, 0.0), None, flagged_zero=True))
-        else:
-            branches.append(MeasureBranch(k, p, as_density(sub / p, rest)))
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    return branches
+    return _measure_branches(rho, [i, j], _check_orthonormal(basis, 4))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density
+from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density, tensor_product
 
 __all__ = [
     "BlindChannel",
@@ -46,6 +46,7 @@ __all__ = [
 
 PROB_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
+MAX_DIM = 4096  # 12 qubits
 
 
 # ---------------------------------------------------------------------------
@@ -68,52 +69,46 @@ class StateSpec:
     amplitudes: tuple[float, ...] | None = None
 
     def site_dims(self) -> tuple[int, ...]:
-        if self.kind == "epr":
-            return (2, 2)
-        if self.kind == "ghz":
-            return (2,) * int(self.n)
-        if self.kind == "w":
-            return (2, 2, 2)
-        if self.kind == "qudit_ghz":
-            return (int(self.d),) * int(self.n)
-        raise ValueError(f"unknown state kind {self.kind!r}")
+        n, d = _kind(self.kind).shape(self)
+        return (d,) * n
+
+    def family(self) -> str:
+        """Name of the witness family that reads this kind of state."""
+        return _kind(self.kind).family
 
 
 def parse_state_spec(data: Mapping) -> StateSpec:
-    """Build a :class:`StateSpec` from its JSON dictionary form."""
+    """Build a :class:`StateSpec` from its JSON dictionary form.
+
+    Specs whose total dimension exceeds ``MAX_DIM`` are rejected here,
+    before any matrix is allocated.
+    """
     try:
         kind = data["kind"]
     except KeyError:
         raise ValueError("state spec needs a 'kind' entry") from None
-    if kind == "epr":
-        return StateSpec(kind="epr", theta=float(data["theta"]))
-    if kind == "ghz":
-        n = int(data["n"])
-        return StateSpec(kind="ghz", theta=float(data["theta"]), n=n)
-    if kind == "w":
-        a = tuple(float(x) for x in data["a"])
-        if len(a) != 4:
-            raise ValueError(f"W-type state takes 4 amplitudes, got {len(a)}")
-        return StateSpec(kind="w", amplitudes=a)
-    if kind == "qudit_ghz":
-        n = int(data["n"])
-        d = int(data["d"])
-        alpha = tuple(float(x) for x in data["alpha"])
-        return StateSpec(kind="qudit_ghz", n=n, d=d, amplitudes=alpha)
-    raise ValueError(f"unknown state kind {kind!r}")
+    entry = _kind(kind)
+    values = {}
+    for key in entry.fields:
+        attr, parse = _FIELDS[key]
+        values[attr] = parse(data[key])
+    spec = StateSpec(kind=kind, **values)
+    n, d = entry.shape(spec)
+    # d ** n is never formed for many sites: 2 ** 13 already exceeds MAX_DIM
+    if n >= MAX_DIM.bit_length() or (n > 0 and d**n > MAX_DIM):
+        raise ValueError(
+            f"dimension budget exceeded: {n} sites of dimension {d} exceed {MAX_DIM}"
+        )
+    return spec
 
 
 def spec_to_dict(spec: StateSpec) -> dict:
     """Inverse of :func:`parse_state_spec` (round-trips exactly)."""
-    if spec.kind == "epr":
-        return {"kind": "epr", "theta": spec.theta}
-    if spec.kind == "ghz":
-        return {"kind": "ghz", "n": spec.n, "theta": spec.theta}
-    if spec.kind == "w":
-        return {"kind": "w", "a": list(spec.amplitudes)}
-    if spec.kind == "qudit_ghz":
-        return {"kind": "qudit_ghz", "n": spec.n, "d": spec.d, "alpha": list(spec.amplitudes)}
-    raise ValueError(f"unknown state kind {spec.kind!r}")
+    out = {"kind": spec.kind}
+    for key in _kind(spec.kind).fields:
+        value = getattr(spec, _FIELDS[key][0])
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def epr_state(theta: float) -> DensityMatrix:
@@ -168,17 +163,59 @@ def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
     return pure_density(vec, sites, flags)
 
 
+def _w_amplitudes(values: Sequence[float]) -> tuple[float, ...]:
+    a = tuple(float(x) for x in values)
+    if len(a) != 4:
+        raise ValueError(f"W-type state takes 4 amplitudes, got {len(a)}")
+    return a
+
+
+# JSON field -> (StateSpec attribute, parser)
+_FIELDS: dict[str, tuple[str, Callable]] = {
+    "theta": ("theta", float),
+    "n": ("n", int),
+    "d": ("d", int),
+    "a": ("amplitudes", _w_amplitudes),
+    "alpha": ("amplitudes", lambda values: tuple(float(x) for x in values)),
+}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One state kind: its JSON fields in order, its builder, its shape as
+    (site count, local dimension) and the witness family that reads it."""
+
+    fields: tuple[str, ...]
+    build: Callable[[StateSpec], DensityMatrix]
+    shape: Callable[[StateSpec], tuple[int, int]]
+    family: str
+
+
+_KINDS = {
+    "epr": _Kind(("theta",), lambda s: epr_state(s.theta), lambda s: (2, 2), "epr"),
+    "ghz": _Kind(
+        ("n", "theta"), lambda s: ghz_state(s.n, s.theta), lambda s: (int(s.n), 2), "ghz"
+    ),
+    "w": _Kind(("a",), lambda s: w_state(s.amplitudes), lambda s: (3, 2), "w"),
+    "qudit_ghz": _Kind(
+        ("n", "d", "alpha"),
+        lambda s: qudit_ghz_state(s.n, s.d, s.amplitudes),
+        lambda s: (int(s.n), int(s.d)),
+        "qudit",
+    ),
+}
+
+
+def _kind(name: str) -> _Kind:
+    entry = _KINDS.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ValueError(f"unknown state kind {name!r}")
+    return entry
+
+
 def build_state(spec: StateSpec) -> DensityMatrix:
     """Construct the pure density matrix described by ``spec``."""
-    if spec.kind == "epr":
-        return epr_state(spec.theta)
-    if spec.kind == "ghz":
-        return ghz_state(spec.n, spec.theta)
-    if spec.kind == "w":
-        return w_state(spec.amplitudes)
-    if spec.kind == "qudit_ghz":
-        return qudit_ghz_state(spec.n, spec.d, spec.amplitudes)
-    raise ValueError(f"unknown state kind {spec.kind!r}")
+    return _kind(spec.kind).build(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +250,8 @@ class BlindChannel:
         if not self.terms:
             raise ValueError("channel needs at least one term")
         probs = np.array([t.p for t in self.terms], dtype=float)
+        if not np.isfinite(probs).all():
+            raise ValueError(f"term probabilities p must be finite, got {probs.tolist()}")
         if np.any(probs < -PROB_TOL):
             raise ValueError(f"negative term probability: {probs.min()}")
         if abs(float(probs.sum()) - 1.0) > PROB_TOL:
@@ -249,12 +288,9 @@ def channel_from_dict(data: Mapping) -> BlindChannel:
     return BlindChannel(tuple(terms))
 
 
-def _term_diagonal(term: ChannelTerm) -> Array:
-    """Flattened diagonal of the term's tensor-product phase unitary."""
-    diag = np.ones(1, dtype=complex)
-    for phases in term.site_phases:
-        diag = np.kron(diag, np.exp(1j * np.asarray(phases, dtype=float)))
-    return diag
+def _schur_conjugate(u: Array, mat: Array) -> Array:
+    """diag(u) mat diag(u)^dag, as the elementwise product u_a conj(u_b) mat_ab."""
+    return np.outer(u, u.conj()) * mat
 
 
 def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel) -> DensityMatrix:
@@ -265,9 +301,8 @@ def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel) -> DensityMatrix:
         )
     out = np.zeros_like(rho.mat)
     for term in ch.terms:
-        diag = _term_diagonal(term)
-        # diag(u) rho diag(u)^dag is an elementwise product: u_a conj(u_b) rho_ab
-        out += term.p * (np.outer(diag, diag.conj()) * rho.mat)
+        diag = tensor_product(*(np.exp(1j * np.asarray(p, dtype=float)) for p in term.site_phases))
+        out += term.p * _schur_conjugate(diag, rho.mat)
     return as_density(out, rho.sites, rho.flags)
 
 
@@ -314,15 +349,13 @@ class KrausChannel:
             raise ValueError("all terms must carry weights for the same sites")
         for t in self.terms:
             for w in t:
-                if any(x < 0 for x in w):
-                    raise ValueError("Kraus weights must be nonnegative")
+                # written so that NaN fails it too
+                if not all(0.0 <= x < np.inf for x in w):
+                    raise ValueError(f"Kraus weights must be finite and nonnegative: {list(w)}")
         dims = widths.pop()
         acc = np.zeros(int(np.prod(dims)))
         for t in self.terms:
-            v = np.ones(1)
-            for w in t:
-                v = np.kron(v, np.asarray(w, dtype=float) ** 2)
-            acc = acc + v
+            acc = acc + tensor_product(*(np.asarray(w, dtype=float) ** 2 for w in t)).real
         if float(np.max(np.abs(acc - 1.0))) > 1e-10:
             raise ValueError("completeness violated (map would not preserve trace)")
 
@@ -365,10 +398,7 @@ def apply_kraus_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
         )
     out = np.zeros_like(rho.mat)
     for t in ch.terms:
-        diag = np.ones(1, dtype=complex)
-        for w in t:
-            diag = np.kron(diag, np.asarray(w, dtype=complex))
-        out += np.outer(diag, diag.conj()) * rho.mat
+        out += _schur_conjugate(tensor_product(*t), rho.mat)
     return as_density(out, rho.sites, rho.flags)
 
 

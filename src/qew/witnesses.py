@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "NoiseWitnessReport",
     "ParadoxBattery",
     "ValueAssignment",
+    "WitnessFamily",
     "WitnessReport",
     "Zero",
     "battery_epr",
@@ -73,6 +74,7 @@ __all__ = [
     "svetlichny_optimal_angles",
     "svetlichny_value",
     "witness_epr",
+    "witness_family",
     "witness_ghz",
     "witness_qudit",
     "witness_w",
@@ -171,18 +173,28 @@ def reindex_battery(battery: ParadoxBattery, offset: int) -> ParadoxBattery:
     )
 
 
-def _dedup(items: Sequence[BatteryItem]) -> tuple[BatteryItem, ...]:
-    seen: set[BatteryItem] = set()
-    out = []
-    for it in items:
-        if it not in seen:
-            seen.add(it)
-            out.append(it)
-    return tuple(out)
-
-
-def _ring_pairs(n: int) -> list[tuple[int, int]]:
-    return [(1, n)] + [(j, j + 1) for j in range(1, n)]
+def _ring_battery(
+    n: int, d: int, z: str, x: str, y: str | None, eps_eq: float, eps_nz: float
+) -> ParadoxBattery:
+    """z^k (x) z^(d-k) = 1 for k = 1..d-1 and z/x, x/z zeros on the ring pairs
+    (1,n), (1,2), ..., (n-1,n), closed by the all-x NonZero line; with ``y``
+    given, that line's companion has y on site n in place of x."""
+    if n < 2:
+        raise ValueError(f"need at least 2 sites, got n={n}")
+    if d < 2:
+        raise ValueError(f"need local dimension >= 2, got d={d}")
+    pairs = [(1, n)] + [(j, j + 1) for j in range(1, n)]
+    items = [
+        BatteryItem(obs((a, z, k), (b, z, d - k)), Exact(1.0))
+        for a, b in pairs
+        for k in range(1, d)
+    ]
+    items += [BatteryItem(obs((a, z), (b, x)), Zero()) for a, b in pairs]
+    items += [BatteryItem(obs((a, x), (b, z)), Zero()) for a, b in pairs]
+    comp = obs(*[(j, x) for j in range(1, n)], (n, y)) if y else None
+    items.append(BatteryItem(obs(*[(j, x) for j in range(1, n + 1)]), NonZero(), companion=comp))
+    # at n = 2 the ring pairs coincide; keep the first of each repeated line
+    return ParadoxBattery(tuple(dict.fromkeys(items)), eps_eq=eps_eq, eps_nz=eps_nz)
 
 
 def battery_epr(
@@ -205,18 +217,7 @@ def battery_ghz(
     (n-1,n), closed by the all-X NonZero line.  At n = 2 the ring pairs
     coincide and the list deduplicates to :func:`battery_epr`.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 sites, got n={n}")
-    pairs = _ring_pairs(n)
-    items = [BatteryItem(obs((a, "Z"), (b, "Z")), Exact(1.0)) for a, b in pairs]
-    items += [BatteryItem(obs((a, "Z"), (b, "X")), Zero()) for a, b in pairs]
-    items += [BatteryItem(obs((a, "X"), (b, "Z")), Zero()) for a, b in pairs]
-    all_x = obs(*[(j, "X") for j in range(1, n + 1)])
-    comp = None
-    if imag_companion:
-        comp = obs(*[(j, "X") for j in range(1, n)], (n, "Y"))
-    items.append(BatteryItem(all_x, NonZero(), companion=comp))
-    return ParadoxBattery(_dedup(items), eps_eq=eps_eq, eps_nz=eps_nz)
+    return _ring_battery(n, 2, "Z", "X", "Y" if imag_companion else None, eps_eq, eps_nz)
 
 
 def battery_w(
@@ -251,25 +252,20 @@ def battery_w(
 def battery_qudit_2(
     d: int, *, eps_eq: float = EPS_EQ, eps_nz: float = EPS_NZ
 ) -> ParadoxBattery:
-    """Two-qudit battery built from clock/shift operators.
+    """Two-qudit battery: :func:`battery_qudit_n` at n = 2 with one line fewer.
 
-    Clock-power pairs clock^k (x) clock^(d-k) for k = 1..d-2 are Exact(1),
-    mixed clock/shift lines are Zero, and shift (x) shift is the NonZero
-    line.  Shift expectations are complex, so no quadrature companion is
-    needed — the modulus already sees both quadratures.
+    For d > 2 the k = d-1 clock line clock^(d-1) (x) clock is the adjoint
+    of the k = 1 line, so an Exact(1) contract on one holds exactly when it
+    holds on the other, and the line is dropped.  At d = 2 the two lines are
+    one and it stays: without it the product state |++> would pass.
     """
-    if d < 2:
-        raise ValueError(f"need local dimension >= 2, got d={d}")
-    items = [
-        BatteryItem(obs((1, "clock", k), (2, "clock", d - k)), Exact(1.0))
-        for k in range(1, d - 1)
-    ]
-    items += [
-        BatteryItem(obs((1, "clock"), (2, "shift")), Zero()),
-        BatteryItem(obs((1, "shift"), (2, "clock")), Zero()),
-        BatteryItem(obs((1, "shift"), (2, "shift")), NonZero()),
-    ]
-    return ParadoxBattery(tuple(items), eps_eq=eps_eq, eps_nz=eps_nz)
+    full = battery_qudit_n(2, d, eps_eq=eps_eq, eps_nz=eps_nz)
+    if d == 2:
+        return full
+    adjoint = BatteryItem(obs((1, "clock", d - 1), (2, "clock", 1)), Exact(1.0))
+    return ParadoxBattery(
+        tuple(i for i in full.items if i != adjoint), eps_eq=eps_eq, eps_nz=eps_nz
+    )
 
 
 def battery_qudit_n(
@@ -283,20 +279,7 @@ def battery_qudit_n(
     coincide); note the two-qudit list then keeps the k = d-1 equality that
     :func:`battery_qudit_2` omits.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 sites, got n={n}")
-    if d < 2:
-        raise ValueError(f"need local dimension >= 2, got d={d}")
-    pairs = _ring_pairs(n)
-    items = [
-        BatteryItem(obs((a, "clock", k), (b, "clock", d - k)), Exact(1.0))
-        for a, b in pairs
-        for k in range(1, d)
-    ]
-    items += [BatteryItem(obs((a, "clock"), (b, "shift")), Zero()) for a, b in pairs]
-    items += [BatteryItem(obs((a, "shift"), (b, "clock")), Zero()) for a, b in pairs]
-    items.append(BatteryItem(obs(*[(j, "shift") for j in range(1, n + 1)]), NonZero()))
-    return ParadoxBattery(_dedup(items), eps_eq=eps_eq, eps_nz=eps_nz)
+    return _ring_battery(n, d, "clock", "shift", None, eps_eq, eps_nz)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +389,19 @@ def _report(
     )
 
 
+def _ladder_witness(rho: DensityMatrix, family: str, eps_eq: float) -> WitnessReport:
+    """2 sum_{a<b} |rho_ab| + sum_a rho_aa - 1 <= 0 on the family's ladder basis.
+
+    The populations are added one at a time in basis order after the
+    coherence term, which fixes the rounding of every family's value.
+    """
+    view = subspace_elements(rho, family)
+    lhs = 2.0 * sum(abs(c) for c in view.coherences.values())
+    for p in view.populations.values():
+        lhs += p
+    return _report(lhs - 1.0, 0.0, view, eps_eq)
+
+
 def witness_epr(
     rho: DensityMatrix,
     *,
@@ -418,8 +414,7 @@ def witness_epr(
     """
     if rho.sites != (2, 2):
         raise ValueError(f"two-qubit state required, got sites {rho.sites}")
-    view = subspace_elements(rho, "epr")
-    return _report(_edge_pair_lhs(view), 0.0, view, eps_eq)
+    return _ladder_witness(rho, "epr", eps_eq)
 
 
 def witness_ghz(
@@ -438,18 +433,7 @@ def witness_ghz(
         raise ValueError(f"qubit sites required, got {rho.sites}")
     if rho.n_sites < 2:
         raise ValueError("need at least 2 sites")
-    view = subspace_elements(rho, "ghz")
-    return _report(_edge_pair_lhs(view), 0.0, view, eps_eq)
-
-
-def _edge_pair_lhs(view: SubspaceView) -> float:
-    a, b = view.basis[0], view.basis[-1]
-    return (
-        2.0 * abs(view.coherences[(a, b)])
-        + view.populations[a]
-        + view.populations[b]
-        - 1.0
-    )
+    return _ladder_witness(rho, "ghz", eps_eq)
 
 
 def witness_w(
@@ -498,13 +482,58 @@ def witness_qudit(
         raise ValueError(f"state has {rho.n_sites} sites, expected n={n}")
     if d is not None and d != rho.sites[0]:
         raise ValueError(f"state has local dimension {rho.sites[0]}, expected d={d}")
-    view = subspace_elements(rho, "qudit")
-    lhs = (
-        2.0 * sum(abs(c) for c in view.coherences.values())
-        + sum(view.populations.values())
-        - 1.0
-    )
-    return _report(lhs, 0.0, view, eps_eq)
+    return _ladder_witness(rho, "qudit", eps_eq)
+
+
+# ---------------------------------------------------------------------------
+# the witness-family table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WitnessFamily:
+    """What the CLI and the network checks need to know about one family.
+
+    ``witness(rho, eps_eq=...)`` stays at or below ``bound`` on the
+    ``sampler`` set ("separable" or "biseparable").  ``battery(sites, **tol)``
+    builds the paradox battery for a member on ``sites``; ``sites(n, d)``
+    gives the sites of a member, with None for the family's default n or d.
+    """
+
+    witness: Callable[..., WitnessReport]
+    bound: float
+    battery: Callable[..., ParadoxBattery]
+    sampler: str
+    sites: Callable[[int | None, int | None], tuple[int, ...]]
+
+
+def _qudit_battery(sites: Sequence[int], *, imag_companion: bool = True, **tol) -> ParadoxBattery:
+    # clock/shift expectations are complex: the modulus needs no companion
+    if len(sites) == 2:
+        return battery_qudit_2(sites[0], **tol)
+    return battery_qudit_n(len(sites), sites[0], **tol)
+
+
+def witness_family(name: str) -> WitnessFamily:
+    """The table entry of a witness family: ``epr``, ``ghz``, ``w`` or ``qudit``.
+
+    Entries are made at lookup from the module-level functions, so a
+    rebinding of one of them (to trace its calls, say) is seen here too.
+    """
+    table = {
+        "epr": WitnessFamily(witness_epr, 0.0, lambda sites, **kw: battery_epr(**kw),
+                             "separable", lambda n, d: (2, 2)),
+        "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites, **kw: battery_ghz(len(sites), **kw),
+                             "biseparable", lambda n, d: (2,) * (3 if n is None else n)),
+        "w": WitnessFamily(witness_w, 0.5, lambda sites, **kw: battery_w(**kw),
+                           "biseparable", lambda n, d: (2, 2, 2)),
+        "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery, "separable",
+                               lambda n, d: (3 if d is None else d,) * (2 if n is None else n)),
+    }
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown witness family {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,19 @@ def test_witness_input_errors(tmp_path, capsys):
     # core-layer validation also lands on exit 2
     code, _, err = _run(capsys, "witness", _epr_file(tmp_path), "--noise", "-0.5")
     assert code == 2 and "error:" in err
+    nan_channel = _write(
+        tmp_path, "nan.json", {"terms": [{"p": float("nan"), "site_phases": [[0, 0], [0, 0]]}]}
+    )
+    code, _, err = _run(capsys, "witness", _epr_file(tmp_path), "--channel", nan_channel)
+    assert code == 2 and "finite" in err
+
+
+def test_witness_state_over_budget(tmp_path, capsys):
+    # 16 qubits would be a 2^32-entry matrix; the spec is refused before that
+    state = _write(tmp_path, "big.json", {"kind": "ghz", "n": 16, "theta": 0.7})
+    code, out, err = _run(capsys, "witness", state)
+    assert code == 2 and out == ""
+    assert "budget" in err
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,32 @@ def test_parse_state_spec_errors():
         parse_state_spec({"theta": 0.4})
     with pytest.raises(ValueError):
         parse_state_spec({"kind": "bell"})
+    with pytest.raises(ValueError, match="kind"):
+        parse_state_spec({"kind": ["epr"]})
+    with pytest.raises(ValueError, match="4 amplitudes"):
+        parse_state_spec({"kind": "w", "a": [0.6, 0.8, 0.0]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "ghz", "n": 13, "theta": 0.7},
+        {"kind": "ghz", "n": 16, "theta": 0.7},
+        {"kind": "ghz", "n": 10**9, "theta": 0.7},
+        {"kind": "qudit_ghz", "n": 2, "d": 65, "alpha": [1.0] + [0.0] * 64},
+        {"kind": "qudit_ghz", "n": 4, "d": 9, "alpha": [1.0] + [0.0] * 8},
+    ],
+)
+def test_parse_state_spec_dimension_budget(data):
+    # rejected from the spec alone: nothing of dimension d**n is built
+    with pytest.raises(ValueError, match="budget"):
+        parse_state_spec(data)
+
+
+def test_parse_state_spec_at_the_budget():
+    assert parse_state_spec({"kind": "ghz", "n": 12, "theta": 0.7}).site_dims() == (2,) * 12
+    spec = parse_state_spec({"kind": "qudit_ghz", "n": 3, "d": 16, "alpha": [1.0] + [0.0] * 15})
+    assert spec.site_dims() == (16, 16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +179,16 @@ def test_channel_validation():
         )
     with pytest.raises(ValueError):
         BlindChannel((ChannelTerm(1.0, ((0.0, np.inf), (0.0, 0.0))),))
+    for p in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BlindChannel((ChannelTerm(p, ((0.0, 0.0), (0.0, 0.0))),))
+    with pytest.raises(ValueError, match="finite"):
+        BlindChannel(
+            (
+                ChannelTerm(np.nan, ((0.0, 0.0), (0.0, 0.0))),
+                ChannelTerm(1.0, ((0.0, np.pi), (0.0, 0.0))),
+            )
+        )
 
 
 def test_identity_channel_is_identity():
@@ -262,6 +298,10 @@ def test_kraus_completeness_enforced():
         KrausChannel((((1.0, -1.0), (1.0, 1.0)),))
     with pytest.raises(ValueError, match="complete"):
         KrausChannel.from_site_channels([[(0.5, 0.5)], [(1.0, 1.0)]])
+    with pytest.raises(ValueError, match="finite"):
+        KrausChannel((((np.nan, 1.0), (1.0, 1.0)),))
+    with pytest.raises(ValueError, match="finite"):
+        KrausChannel.from_site_channels([[(1.0, np.nan)], [(1.0, 1.0)]])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ from qew.states import (
     BlindChannel,
     ChannelTerm,
     apply_blind_channel,
+    build_state,
     epr_state,
     ghz_state,
+    parse_state_spec,
     qudit_ghz_state,
+    spec_to_dict,
     w_state,
     werner_mix,
 )
@@ -41,6 +44,7 @@ from qew.witnesses import (
     svetlichny_optimal_angles,
     svetlichny_value,
     witness_epr,
+    witness_family,
     witness_ghz,
     witness_qudit,
     witness_w,
@@ -227,6 +231,32 @@ def test_battery_qudit_two_site_counts():
     # the n-site list keeps the k = d-1 equality, so at n=2 it is longer
     bn = battery_qudit_n(2, 3)
     assert len(bn.items) == len(b3.items) + 1
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_battery_qudit_2_lines(d):
+    # clock^k (x) clock^(d-k) for k = 1..d-2, then the clock/shift lines
+    items = [
+        BatteryItem(obs((1, "clock", k), (2, "clock", d - k)), Exact(1.0))
+        for k in range(1, d - 1)
+    ]
+    items += [
+        BatteryItem(obs((1, "clock"), (2, "shift")), Zero()),
+        BatteryItem(obs((1, "shift"), (2, "clock")), Zero()),
+        BatteryItem(obs((1, "shift"), (2, "shift")), NonZero()),
+    ]
+    assert battery_qudit_2(d).items == tuple(items)
+
+
+def test_battery_qudit_2_rejects_plus_plus():
+    # |++> has <shift shift> = 1 and no clock/shift correlation; only the
+    # clock (x) clock line tells it from the family
+    rho = pure_density(np.full(4, 0.5), (2, 2))
+    rep = evaluate_battery(rho, battery_qudit_2(2))
+    assert not rep.passed
+    assert [r.label for r in rep.failures()] == ["clock@1 clock@2"]
+    assert not evaluate_battery(rho, battery_epr()).passed
+    assert not evaluate_battery(rho, battery_qudit_n(2, 2)).passed
 
 
 def test_battery_qudit_n_item_count():
@@ -509,3 +539,51 @@ def test_offdiag_from_pauli_recovers_rotated_coherence():
     exy = float(np.real(expectation(rho, obs((1, "X"), (2, "Y")))))
     got = offdiag_from_pauli(exx, exy)
     assert got == pytest.approx(rho.mat[0, 3])
+
+
+# ---------------------------------------------------------------------------
+# the family tables
+# ---------------------------------------------------------------------------
+
+
+# (entangled member, product member) of every state kind
+FAMILY_MEMBERS = [
+    ({"kind": "epr", "theta": 0.6}, {"kind": "epr", "theta": 0.0}),
+    ({"kind": "ghz", "n": 3, "theta": 0.7}, {"kind": "ghz", "n": 3, "theta": np.pi / 2}),
+    ({"kind": "ghz", "n": 4, "theta": 0.9}, {"kind": "ghz", "n": 4, "theta": 0.0}),
+    ({"kind": "w", "a": [W3, W3, W3, 0.0]}, {"kind": "w", "a": [1.0, 0.0, 0.0, 0.0]}),
+    (
+        {"kind": "qudit_ghz", "n": 2, "d": 2, "alpha": [0.6, 0.8]},
+        {"kind": "qudit_ghz", "n": 2, "d": 2, "alpha": [0.0, 1.0]},
+    ),
+    (
+        {"kind": "qudit_ghz", "n": 2, "d": 3, "alpha": [W3, W3, W3]},
+        {"kind": "qudit_ghz", "n": 2, "d": 3, "alpha": [0.0, 1.0, 0.0]},
+    ),
+    (
+        {"kind": "qudit_ghz", "n": 3, "d": 3, "alpha": [0.6, 0.0, 0.8]},
+        {"kind": "qudit_ghz", "n": 3, "d": 3, "alpha": [1.0, 0.0, 0.0]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entangled,product",
+    FAMILY_MEMBERS,
+    ids=[f"{e['kind']}-{e.get('n', '')}-{e.get('d', '')}" for e, _ in FAMILY_MEMBERS],
+)
+def test_family_tables(entangled, product):
+    for data in (entangled, product):
+        spec = parse_state_spec(data)
+        assert parse_state_spec(spec_to_dict(spec)) == spec
+    spec = parse_state_spec(entangled)
+    fam = witness_family(spec.family())
+    rho = build_state(spec)
+    assert rho.sites == spec.site_dims()
+    assert fam.witness(rho).verdict == ENTANGLED
+    assert evaluate_battery(rho, fam.battery(rho.sites)).passed
+    flat = build_state(parse_state_spec(product))
+    if product["kind"] != "w":  # the W builder sets no boundary flag
+        assert "boundary" in flat.flags
+    assert fam.witness(flat).verdict == NOT_WITNESSED
+    assert not evaluate_battery(flat, fam.battery(flat.sites)).passed
