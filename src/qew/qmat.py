@@ -21,12 +21,16 @@ Conventions
   normalized, to avoid manufacturing a state out of 0/0.
 
 Storage is dense only.  The systems in scope are a handful of qubits or
-qudits (d <= 5), so sparsity buys nothing here.
+qudits (d <= 5), so sparsity buys nothing here.  Every observable is a
+monomial matrix (one nonzero per column: a permutation times phases), so an
+expectation reads only the D entries of the density matrix that the
+monomial picks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -177,6 +181,9 @@ def as_density(
     if m.shape != (dim, dim):
         raise ValueError(f"matrix shape {m.shape} does not match sites {sites}")
     herm_err = float(np.max(np.abs(m - m.conj().T)))
+    # a NaN or inf entry makes herm_err NaN or inf, so this needs no extra pass
+    if not math.isfinite(herm_err):
+        raise ValueError("matrix entries must be finite")
     if herm_err > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
     tr = complex(np.trace(m))
@@ -197,7 +204,7 @@ def pure_density(
     """Outer product |v><v| of a normalized state vector as a DensityMatrix."""
     v = np.asarray(vec, dtype=complex).ravel()
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # written so that a NaN norm fails
         raise ValueError(f"state vector norm is {nrm}, expected 1")
     v = v / nrm
     return as_density(np.outer(v, v.conj()), sites, flags)
@@ -268,9 +275,8 @@ def site_operator(name: str, d: int, power: int = 1) -> Array:
     return np.linalg.matrix_power(base, power % d) if power != 1 else base
 
 
-def realize_observable(o: Observable, sites: Sequence[int]) -> Array:
-    """Dense tensor-product realization of ``o`` on a system with ``sites``."""
-    sites = tuple(sites)
+def _site_matrices(o: Observable, sites: tuple[int, ...]) -> list[Array]:
+    """The d x d local operator of ``o`` on every site, identity where it has none."""
     n = len(sites)
     by_site = {f.site: f for f in o.factors}
     bad = [s for s in by_site if s > n]
@@ -283,24 +289,41 @@ def realize_observable(o: Observable, sites: Sequence[int]) -> Array:
             mats.append(np.eye(sites[pos - 1], dtype=complex))
         else:
             mats.append(site_operator(f.name, sites[pos - 1], f.power))
-    return tensor_product(*mats)
+    return mats
+
+
+def realize_observable(o: Observable, sites: Sequence[int]) -> Array:
+    """Dense tensor-product realization of ``o`` on a system with ``sites``."""
+    return tensor_product(*_site_matrices(o, tuple(sites)))
+
+
+def _monomial(o: Observable, sites: tuple[int, ...]) -> tuple[Array, Array]:
+    """``(perm, phase)`` with ``O[perm[i], i] = phase[i]`` and every other entry 0.
+
+    Built site by site, site 1 most significant; a local factor with a column
+    that does not hold exactly one nonzero raises ``ValueError``.
+    """
+    perm = np.zeros(1, dtype=np.intp)
+    phases = []
+    for pos, m in enumerate(_site_matrices(o, sites), start=1):
+        nonzero = m != 0
+        if np.any(np.count_nonzero(nonzero, axis=0) != 1):
+            raise ValueError(f"local operator on site {pos} is not a monomial matrix")
+        rows = np.argmax(nonzero, axis=0)
+        perm = (perm[:, None] * len(m) + rows).ravel()
+        phases.append(m[rows, np.arange(len(m))])
+    return perm, tensor_product(*phases)
 
 
 def expectation(rho: DensityMatrix, o: Observable) -> complex:
-    """Tr(rho * O) for the dense realization of ``o``.  Complex on purpose."""
-    op = realize_observable(o, rho.sites)
-    return complex(np.trace(rho.mat @ op))
+    """Tr(rho * O) = sum_i rho[i, perm[i]] * phase[i].  Complex on purpose."""
+    perm, phase = _monomial(o, rho.sites)
+    return complex(np.sum(rho.mat[np.arange(rho.dim), perm] * phase))
 
 
 # ---------------------------------------------------------------------------
 # unitaries and channels (the generic pieces; phase channels live in states)
 # ---------------------------------------------------------------------------
-
-
-def _embed_single_site(u: Array, pos: int, sites: tuple[int, ...]) -> Array:
-    mats = [np.eye(d, dtype=complex) for d in sites]
-    mats[pos - 1] = u
-    return tensor_product(*mats)
 
 
 def apply_local_unitaries(
@@ -309,13 +332,15 @@ def apply_local_unitaries(
 ) -> DensityMatrix:
     """Conjugate ``rho`` by a product of single-site unitaries.
 
-    Each entry of ``us`` is ``(site, U)``.  Every U is checked for unitarity
+    Each entry of ``us`` is ``(site, U)``, contracted with the row and the
+    column axis of its site in turn.  Every U is checked for unitarity
     to 1e-12; trace/Hermiticity/PSD of the output are re-validated.
     """
-    full = np.eye(rho.dim, dtype=complex)
+    n = rho.n_sites
+    t = _as_row_col_tensor(rho)
     for site, u in us:
-        if not 1 <= site <= rho.n_sites:
-            raise ValueError(f"site {site} out of range for {rho.n_sites} sites")
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} out of range for {n} sites")
         d = rho.sites[site - 1]
         u = np.asarray(u, dtype=complex)
         if u.shape != (d, d):
@@ -323,9 +348,10 @@ def apply_local_unitaries(
         dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
         if dev > UNITARY_TOL * max(1.0, d):
             raise ValueError(f"matrix on site {site} is not unitary (dev {dev:.3e})")
-        full = _embed_single_site(u, site, rho.sites) @ full
-    out = full @ rho.mat @ full.conj().T
-    return as_density(out, rho.sites, rho.flags)
+        row, col = site - 1, n + site - 1
+        t = np.moveaxis(np.tensordot(u, t, axes=(1, row)), 0, row)
+        t = np.moveaxis(np.tensordot(t, u.conj(), axes=(col, 1)), -1, col)
+    return as_density(t.reshape(rho.dim, rho.dim), rho.sites, rho.flags)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ scalar measuring how much population sits outside the family's subspace.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -91,7 +93,7 @@ def parse_state_spec(data: Mapping) -> StateSpec:
     values = {}
     for key in entry.fields:
         attr, parse = _FIELDS[key]
-        values[attr] = parse(data[key])
+        values[attr] = parse(key, data[key])
     spec = StateSpec(kind=kind, **values)
     n, d = entry.shape(spec)
     # d ** n is never formed for many sites: 2 ** 13 already exceeds MAX_DIM
@@ -141,7 +143,8 @@ def w_state(a: Sequence[float]) -> DensityMatrix:
         raise ValueError(f"amplitudes must be normalized, got sum of squares {float(a @ a)}")
     vec = np.zeros(8, dtype=complex)
     vec[[1, 2, 4, 7]] = a
-    return pure_density(vec, (2, 2, 2))
+    flags = ("boundary",) if np.count_nonzero(np.abs(a) > BOUNDARY_TOL) <= 1 else ()
+    return pure_density(vec, (2, 2, 2), flags)
 
 
 def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
@@ -163,20 +166,46 @@ def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
     return pure_density(vec, sites, flags)
 
 
-def _w_amplitudes(values: Sequence[float]) -> tuple[float, ...]:
-    a = tuple(float(x) for x in values)
+def _real(key: str, value) -> float:
+    """A finite JSON number for field ``key``; anything else is a ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = float("inf")
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"state field {key!r} must be a finite number, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"state field {key!r} must be an integer, got {value!r}")
+
+
+def _amplitudes(key: str, values) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"state field {key!r} must be a list of numbers, got {values!r}")
+    return tuple(_real(key, x) for x in values)
+
+
+def _w_amplitudes(key: str, values) -> tuple[float, ...]:
+    a = _amplitudes(key, values)
     if len(a) != 4:
         raise ValueError(f"W-type state takes 4 amplitudes, got {len(a)}")
     return a
 
 
-# JSON field -> (StateSpec attribute, parser)
+# JSON field -> (StateSpec attribute, parser taking the field name and value)
 _FIELDS: dict[str, tuple[str, Callable]] = {
-    "theta": ("theta", float),
-    "n": ("n", int),
-    "d": ("d", int),
+    "theta": ("theta", _real),
+    "n": ("n", _integer),
+    "d": ("d", _integer),
     "a": ("amplitudes", _w_amplitudes),
-    "alpha": ("amplitudes", lambda values: tuple(float(x) for x in values)),
+    "alpha": ("amplitudes", _amplitudes),
 }
 
 

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,9 @@ def test_witness_input_errors(tmp_path, capsys):
     )
     code, _, err = _run(capsys, "witness", _epr_file(tmp_path), "--channel", nan_channel)
     assert code == 2 and "finite" in err
+    infinite_n = _write(tmp_path, "inf.json", {"kind": "ghz", "n": float("inf"), "theta": 0.7})
+    code, out, err = _run(capsys, "witness", infinite_n)
+    assert code == 2 and out == "" and "'n'" in err
 
 
 def test_witness_state_over_budget(tmp_path, capsys):
@@ -352,3 +359,13 @@ def test_oracle_sample_count_validated(capsys):
         capsys, "oracle", "--witness", "epr", "--samples", "0", "--seed", "1"
     )
     assert code == 2 and "sample" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "qew", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert "usage: qew" in done.stdout

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import qew.qmat as qmat
 from qew.qmat import (
     BELL_LABELS,
     DensityMatrix,
@@ -98,11 +99,21 @@ def test_as_density_validates():
         as_density(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2))
     with pytest.raises(ValueError):
         as_density(np.eye(4) / 4.0, (2, 3))
+    # any NaN or inf entry, on or off the diagonal, is refused by name
+    for value in (np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0.0, np.nan)):
+        for pos in ((0, 0), (0, 1), (3, 2)):
+            m = np.eye(4, dtype=complex) / 4.0
+            m[pos] = value
+            with pytest.raises(ValueError, match="finite"):
+                as_density(m, (2, 2))
 
 
 def test_pure_density_norm_check():
     with pytest.raises(ValueError, match="norm"):
         pure_density(np.array([1.0, 1.0]), (2,))
+    for bad in ([np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="norm"):
+            pure_density(np.array(bad), (2, 2))
 
 
 def test_flags_carried():
@@ -150,6 +161,79 @@ def test_complex_expectation_of_nonhermitian_operator():
 def test_realize_observable_range_error():
     with pytest.raises(ValueError, match="sites"):
         realize_observable(obs((3, "Z")), (2, 2))
+    with pytest.raises(ValueError, match="sites"):
+        expectation(bell_phi_plus(), obs((3, "Z")))
+
+
+# site dimensions 2..5, at most 6 sites, D kept small enough for a dense check
+@st.composite
+def site_dims(draw, max_dim=256):
+    dims = []
+    for _ in range(draw(st.integers(1, 6))):
+        top = min(5, max_dim // int(np.prod(dims, dtype=int)))
+        if top < 2:
+            break
+        dims.append(draw(st.integers(2, top)))
+    return tuple(dims)
+
+
+def random_density(sites, seed) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(sites))
+    g = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    m = g @ g.conj().T
+    return as_density(m / np.trace(m), sites)
+
+
+def random_unitary(d, rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def factors_on(draw, sites):
+    factors = []
+    for pos, d in enumerate(sites, start=1):
+        names = ["shift", "clock"] + (["I", "X", "Y", "Z"] if d == 2 else [])
+        name = draw(st.sampled_from([None] + names))
+        if name is not None:
+            factors.append((pos, name, draw(st.integers(0, 6))))
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_dims(), st.data(), st.integers(0, 2**32 - 1))
+def test_expectation_matches_dense_reference(sites, data, seed):
+    o = obs(*data.draw(factors_on(sites)))
+    rho = random_density(sites, seed)
+    dense = complex(np.trace(rho.mat @ realize_observable(o, sites)))
+    assert abs(expectation(rho, o) - dense) <= 1e-12
+
+
+def test_expectation_refuses_non_monomial_factor(monkeypatch):
+    rho = bell_phi_plus()
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    projector = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    for local in (hadamard, projector):
+        monkeypatch.setattr(qmat, "site_operator", lambda name, d, power=1, m=local: m)
+        with pytest.raises(ValueError, match="monomial"):
+            expectation(rho, obs((2, "X")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(site_dims(), st.data(), st.integers(0, 2**32 - 1))
+def test_apply_local_unitaries_matches_dense(sites, data, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(sites, seed)
+    picks = data.draw(st.lists(st.integers(1, len(sites)), max_size=4))
+    us = [(site, random_unitary(sites[site - 1], rng)) for site in picks]
+    full = np.eye(rho.dim, dtype=complex)
+    for site, u in us:
+        mats = [np.eye(d, dtype=complex) for d in sites]
+        mats[site - 1] = u
+        full = tensor_product(*mats) @ full
+    out = apply_local_unitaries(rho, us)
+    assert np.max(np.abs(out.mat - full @ rho.mat @ full.conj().T)) <= 1e-12
 
 
 def test_apply_local_unitaries_flip():

@@ -67,6 +67,7 @@ def test_w_state_elements_and_validation():
         w_state([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         w_state([1.0, 0.0, 0.0])
+    assert "boundary" not in rho.flags  # flagged only with one nonzero amplitude
 
 
 def test_qudit_ghz_needs_normalized_amplitudes():
@@ -138,6 +139,13 @@ def test_parse_state_spec_errors():
         parse_state_spec({"kind": ["epr"]})
     with pytest.raises(ValueError, match="4 amplitudes"):
         parse_state_spec({"kind": "w", "a": [0.6, 0.8, 0.0]})
+    # wrong types and non-finite or non-integral numbers name the field
+    with pytest.raises(ValueError, match="'n'"):
+        parse_state_spec({"kind": "ghz", "n": float("inf"), "theta": 0.7})
+    with pytest.raises(ValueError, match="'theta'"):
+        parse_state_spec({"kind": "epr", "theta": [1]})
+    with pytest.raises(ValueError, match="'theta'"):
+        parse_state_spec({"kind": "epr", "theta": float("inf")})
 
 
 @pytest.mark.parametrize(
