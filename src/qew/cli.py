@@ -28,6 +28,9 @@ from .networks import (
 from .oracle import SamplerConfig, maximize_witness, sample_biseparable, sample_separable
 from .qmat import DensityMatrix
 from .states import (
+    _integer,
+    _list,
+    _real,
     apply_blind_channel,
     build_state,
     channel_from_dict,
@@ -240,8 +243,8 @@ def _as_complex(x) -> complex:
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
             raise InputError(f"complex entries are [re, im] pairs, got {x!r}")
-        return complex(float(x[0]), float(x[1]))
-    return complex(float(x))
+        return complex(_real("verifier_qubit", x[0]), _real("verifier_qubit", x[1]))
+    return complex(_real("verifier_qubit", x))
 
 
 def _parse_strategy(data: Mapping) -> HonestStrategy | SeparableDiagStrategy | FixedOutcomesStrategy:
@@ -251,17 +254,20 @@ def _parse_strategy(data: Mapping) -> HonestStrategy | SeparableDiagStrategy | F
         return HonestStrategy(
             state=parse_state_spec(data["state"]),
             channel=channel_from_dict(channel) if channel is not None else None,
-            visibility=float(data.get("noise", 1.0)),
+            visibility=_real("noise", data.get("noise", 1.0)),
         )
     if kind == "separable_diag":
-        return SeparableDiagStrategy(p0=float(data.get("p0", 0.5)))
+        return SeparableDiagStrategy(p0=_real("p0", data.get("p0", 0.5)))
     if kind == "fixed_outcomes":
-        outcomes = tuple(int(x) for x in data["outcomes"])
+        outcomes = tuple(_integer("outcomes", x) for x in _list("outcomes", data["outcomes"]))
         if len(outcomes) != 2:
             raise InputError("fixed_outcomes needs two entries (a for k=0, a for k=1)")
         vq = data.get("verifier_qubit")
         if vq is not None:
-            vq = tuple(tuple(_as_complex(x) for x in row) for row in vq)
+            vq = tuple(
+                tuple(_as_complex(x) for x in _list("verifier_qubit", row))
+                for row in _list("verifier_qubit", vq)
+            )
         return FixedOutcomesStrategy(outcomes=outcomes, verifier_qubit=vq)
     raise InputError(f"unknown strategy kind {kind!r}")
 

@@ -47,8 +47,10 @@ from .states import (
     MAX_DIM,
     BlindChannel,
     StateSpec,
-    _schur_conjugate,
-    apply_blind_channel,
+    _integer,
+    _list,
+    _real,
+    _record,
     build_state,
     parse_state_spec,
     spec_to_dict,
@@ -160,19 +162,23 @@ def qubit_owners(spec: NetworkSpec) -> list[tuple[str, int]]:
 def parse_network_spec(data: Mapping) -> NetworkSpec:
     """Parse the JSON network form (parties / sources / cp_gates)."""
     try:
-        parties = tuple(str(p) for p in data["parties"])
-        raw_sources = data["sources"]
+        parties = tuple(str(p) for p in _list("parties", data["parties"]))
+        raw_sources = _list("sources", data["sources"])
     except KeyError as exc:
         raise ValueError(f"network spec missing entry: {exc}") from None
-    sources = tuple(
-        SourceSpec(parse_state_spec(s["state"]), tuple(str(o) for o in s["owners"]))
-        for s in raw_sources
-    )
-    gates = tuple(
-        CpGate(str(g["party"]), float(g["theta"]), (int(g["qubits"][0]), int(g["qubits"][1])))
-        for g in data.get("cp_gates", ())
-    )
-    return NetworkSpec(parties, sources, gates)
+    sources = []
+    for s in raw_sources:
+        s = _record("sources", s)
+        owners = tuple(str(o) for o in _list("owners", s["owners"]))
+        sources.append(SourceSpec(parse_state_spec(s["state"]), owners))
+    gates = []
+    for g in _list("cp_gates", data.get("cp_gates", [])):
+        g = _record("cp_gates", g)
+        qubits = tuple(_integer("qubits", q) for q in _list("qubits", g["qubits"]))
+        if len(qubits) != 2:
+            raise ValueError(f"field 'qubits' must list two qubits, got {g['qubits']!r}")
+        gates.append(CpGate(str(g["party"]), _real("theta", g["theta"]), qubits))
+    return NetworkSpec(parties, tuple(sources), tuple(gates))
 
 
 def network_to_dict(spec: NetworkSpec) -> dict:
@@ -202,13 +208,9 @@ def build_network_state(spec: NetworkSpec) -> DensityMatrix:
         raise ValueError(
             f"qubit budget exceeded: total dimension {int(np.prod(dims))} > {MAX_DIM}"
         )
-    mat = np.ones((1, 1), dtype=complex)
-    flags: frozenset[str] = frozenset()
-    for src in spec.sources:
-        rho = build_state(src.state)
-        mat = np.kron(mat, rho.mat)
-        flags |= rho.flags
-    return as_density(mat, dims, flags)
+    states = [build_state(src.state) for src in spec.sources]
+    flags = frozenset().union(*(rho.flags for rho in states))
+    return as_density(tensor_product(*(rho.mat for rho in states)), dims, flags)
 
 
 def cp_gate(theta: float) -> Array:
@@ -223,35 +225,34 @@ def _gates_diagonal(spec: NetworkSpec, dims: tuple[int, ...]) -> Array:
     entry I picks up e^{i theta} for each gate whose two qubits are both 1
     in I's digit expansion.
     """
-    dim = int(np.prod(dims))
-    diag = np.ones(dim, dtype=complex)
-    idx = np.arange(dim)
+    diag = np.ones(int(np.prod(dims)), dtype=complex)
     for g in spec.cp_gates:
-        bits = []
-        for q in g.qubits:
-            stride = int(np.prod(dims[q:])) if q < len(dims) else 1
-            bits.append((idx // stride) % dims[q - 1])
-        both = (bits[0] == 1) & (bits[1] == 1)
-        diag[both] *= np.exp(1j * g.theta)
+        # 1 exactly where both gate qubits are 1: a product of per-site indicators
+        both = tensor_product(
+            *((0, 1) if q in g.qubits else np.ones(d) for q, d in enumerate(dims, start=1))
+        )
+        diag[both.real == 1] *= np.exp(1j * g.theta)
     return diag
 
 
 def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> DensityMatrix:
     """Apply all controlled-phase gates, then the blind channel.
 
-    Both layers are diagonal-phase maps, so they commute; applying the
-    channel first gives the same matrix to floating-point accuracy.  Gates
-    with angles outside (0, pi) are allowed but flag the output.
+    The gate layer is the rank-1 Schur multiplier g g^dag of its phase
+    vector g, and the channel is a Schur multiplier too (see
+    :mod:`qew.states`), so the two commute and their product is applied to
+    the source state in one elementwise step.  Gates with angles outside
+    (0, pi) are allowed but flag the output.
     """
     rho = build_network_state(spec)
-    mat = _schur_conjugate(_gates_diagonal(spec, rho.sites), rho.mat)
+    phases = _gates_diagonal(spec, rho.sites)
+    m = np.outer(phases, phases.conj())
+    if ch is not None:
+        m = m * ch.multiplier(rho.sites)
     flags = set(rho.flags)
     if any(not 0.0 < g.theta < np.pi for g in spec.cp_gates):
         flags.add("gate-angle-boundary")
-    out = as_density(mat, rho.sites, flags)
-    if ch is not None:
-        out = apply_blind_channel(out, ch)
-    return out
+    return as_density(m * rho.mat, rho.sites, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,7 @@ def swap_branches(
         if rho.sites != (2, 2):
             raise ValueError(f"{name} input must be a two-qubit state, got {rho.sites}")
         _require_edge_support(rho, leakage_tol, "entanglement swap")
-    joint = as_density(np.kron(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2))
+    joint = as_density(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2))
     branches = joint_measure_two_sites(joint, (2, 3), bell_basis())
     out = []
     for k, br in enumerate(branches):

@@ -9,6 +9,15 @@ and can only shrink the modulus of off-diagonal elements, so everything a
 verifier can rely on lives in the populations and the surviving coherences.
 :func:`subspace_elements` extracts exactly those numbers, plus a leakage
 scalar measuring how much population sits outside the family's subspace.
+
+Blind channels and diagonal Kraus channels are one map, the Schur
+multiplier rho -> M o rho (elementwise product) with
+M = sum_j c_j v_j v_j^dag: c_j = p_j and v_j the term's phase vector
+exp(i phi_j) for a blind channel, c_j = 1 and v_j the term's weight vector
+for a Kraus channel.  M is PSD with unit diagonal, which is the whole
+reason populations stay fixed and coherences only shrink.  Both channel
+types hand out M through ``multiplier(sites)``, and
+:func:`apply_blind_channel` applies either.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +39,6 @@ __all__ = [
     "StateSpec",
     "SubspaceView",
     "apply_blind_channel",
-    "apply_kraus_channel",
     "build_state",
     "channel_from_dict",
     "compose_blind_channels",
@@ -86,7 +94,7 @@ def parse_state_spec(data: Mapping) -> StateSpec:
     before any matrix is allocated.
     """
     try:
-        kind = data["kind"]
+        kind = _record("state", data)["kind"]
     except KeyError:
         raise ValueError("state spec needs a 'kind' entry") from None
     entry = _kind(kind)
@@ -166,6 +174,10 @@ def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
     return pure_density(vec, sites, flags)
 
 
+# JSON field parsers for states, channels, networks and prover strategies:
+# a wrongly typed value is a ValueError naming the field, never a TypeError.
+
+
 def _real(key: str, value) -> float:
     """A finite JSON number for field ``key``; anything else is a ValueError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -175,7 +187,7 @@ def _real(key: str, value) -> float:
             x = float("inf")
         if math.isfinite(x):
             return x
-    raise ValueError(f"state field {key!r} must be a finite number, got {value!r}")
+    raise ValueError(f"field {key!r} must be a finite number, got {value!r}")
 
 
 def _integer(key: str, value) -> int:
@@ -183,13 +195,23 @@ def _integer(key: str, value) -> int:
         value = int(value)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"state field {key!r} must be an integer, got {value!r}")
+    raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+
+
+def _list(key: str, value) -> list:
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise ValueError(f"field {key!r} must be a list, got {value!r}")
+
+
+def _record(key: str, value) -> Mapping:
+    if isinstance(value, Mapping):
+        return value
+    raise ValueError(f"field {key!r} must be an object, got {value!r}")
 
 
 def _amplitudes(key: str, values) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"state field {key!r} must be a list of numbers, got {values!r}")
-    return tuple(_real(key, x) for x in values)
+    return tuple(_real(key, x) for x in _list(key, values))
 
 
 def _w_amplitudes(key: str, values) -> tuple[float, ...]:
@@ -296,6 +318,14 @@ class BlindChannel:
     def site_dims(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.terms[0].site_phases)
 
+    def multiplier(self, sites: Sequence[int]) -> Array:
+        """M = sum_j p_j u_j u_j^dag with u_j = exp(i phi_j); see the module."""
+        terms = (
+            (t.p, [np.exp(1j * np.asarray(p, dtype=float)) for p in t.site_phases])
+            for t in self.terms
+        )
+        return _multiplier(self, sites, terms)
+
 
 def identity_channel(site_dims: Sequence[int]) -> BlindChannel:
     """Single-term channel with all phases 0 (acts as the identity map)."""
@@ -307,32 +337,39 @@ def identity_channel(site_dims: Sequence[int]) -> BlindChannel:
 def channel_from_dict(data: Mapping) -> BlindChannel:
     """Parse the JSON form ``{"terms": [{"p": ..., "site_phases": [[...], ...]}]}``."""
     try:
-        raw_terms = data["terms"]
+        raw_terms = _record("channel", data)["terms"]
     except KeyError:
         raise ValueError("channel spec needs a 'terms' entry") from None
     terms = []
-    for t in raw_terms:
-        phases = tuple(tuple(float(x) for x in site) for site in t["site_phases"])
-        terms.append(ChannelTerm(float(t["p"]), phases))
+    for t in _list("terms", raw_terms):
+        t = _record("terms", t)
+        phases = tuple(
+            _amplitudes("site_phases", site) for site in _list("site_phases", t["site_phases"])
+        )
+        terms.append(ChannelTerm(_real("p", t["p"]), phases))
     return BlindChannel(tuple(terms))
 
 
-def _schur_conjugate(u: Array, mat: Array) -> Array:
-    """diag(u) mat diag(u)^dag, as the elementwise product u_a conj(u_b) mat_ab."""
-    return np.outer(u, u.conj()) * mat
+def _multiplier(
+    ch: BlindChannel | KrausChannel,
+    sites: Sequence[int],
+    terms: Iterable[tuple[float, Sequence[Array]]],
+) -> Array:
+    """sum_j c_j v_j v_j^dag over ``(c_j, site vectors of v_j)`` pairs."""
+    sites = tuple(sites)
+    if ch.site_dims() != sites:
+        raise ValueError(f"channel sites {ch.site_dims()} do not match state sites {sites}")
+    out = np.zeros((math.prod(sites),) * 2, dtype=complex)
+    for c, vectors in terms:
+        v = tensor_product(*vectors)
+        out += c * np.outer(v, v.conj())
+    return out
 
 
-def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel) -> DensityMatrix:
-    """sum_j p_j (U_j) rho (U_j)^dag with diagonal phase unitaries U_j."""
-    if ch.site_dims() != rho.sites:
-        raise ValueError(
-            f"channel sites {ch.site_dims()} do not match state sites {rho.sites}"
-        )
-    out = np.zeros_like(rho.mat)
-    for term in ch.terms:
-        diag = tensor_product(*(np.exp(1j * np.asarray(p, dtype=float)) for p in term.site_phases))
-        out += term.p * _schur_conjugate(diag, rho.mat)
-    return as_density(out, rho.sites, rho.flags)
+def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel | KrausChannel) -> DensityMatrix:
+    """M o rho with M = ``ch.multiplier(rho.sites)``: sum_j p_j U_j rho U_j^dag
+    for a blind channel, sum_j K_j rho K_j^dag for a diagonal Kraus channel."""
+    return as_density(ch.multiplier(rho.sites) * rho.mat, rho.sites, rho.flags)
 
 
 def compose_blind_channels(first: BlindChannel, second: BlindChannel) -> BlindChannel:
@@ -391,6 +428,10 @@ class KrausChannel:
     def site_dims(self) -> tuple[int, ...]:
         return tuple(len(w) for w in self.terms[0])
 
+    def multiplier(self, sites: Sequence[int]) -> Array:
+        """M = sum_j w_j w_j^T with w_j the term's weight vector; see the module."""
+        return _multiplier(self, sites, ((1.0, t) for t in self.terms))
+
     @classmethod
     def from_site_channels(
         cls, site_channels: Sequence[Sequence[Sequence[float]]]
@@ -417,18 +458,6 @@ class KrausChannel:
                 )
             )
         return cls(tuple(terms))
-
-
-def apply_kraus_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
-    """sum_j (M_j1 (x) M_j2 (x) ...) rho (same)^dag for diagonal M's."""
-    if ch.site_dims() != rho.sites:
-        raise ValueError(
-            f"channel sites {ch.site_dims()} do not match state sites {rho.sites}"
-        )
-    out = np.zeros_like(rho.mat)
-    for t in ch.terms:
-        out += _schur_conjugate(tensor_product(*t), rho.mat)
-    return as_density(out, rho.sites, rho.flags)
 
 
 # ---------------------------------------------------------------------------

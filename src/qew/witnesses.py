@@ -24,7 +24,6 @@ white noise each verification route tolerates.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -47,6 +46,7 @@ __all__ = [
     "EPS_EQ",
     "EPS_NZ",
     "LEAKAGE_TOL",
+    "MAX_ASSIGNMENT_CELLS",
     "BatteryItem",
     "BatteryReport",
     "Contract",
@@ -83,6 +83,9 @@ __all__ = [
 EPS_EQ = 1e-9
 EPS_NZ = 1e-6
 LEAKAGE_TOL = 1e-8
+# Grid cells one classical_assignment_search may scan; its mask holds one
+# byte per cell.  At least 9^6, the three-party scan at step 0.25.
+MAX_ASSIGNMENT_CELLS = 2**24
 
 ENTANGLED = "entangled"
 NOT_WITNESSED = "not-witnessed"
@@ -711,7 +714,6 @@ def classical_assignment_search(
     tol: float,
     *,
     eps_nz: float = EPS_NZ,
-    workers: int = 1,
 ) -> list[ValueAssignment]:
     """Exhaustive grid scan for classical value assignments satisfying a battery.
 
@@ -723,9 +725,9 @@ def classical_assignment_search(
     certifies the battery's classical contradiction at this resolution.
 
     Only X/Z factors are value-assignable here; companion observables are
-    ignored (they exist for the quantum NonZero check only).  ``workers``
-    partitions the grid into contiguous blocks evaluated in a thread pool;
-    the merged result is identical to the sequential scan.
+    ignored (they exist for the quantum NonZero check only).  A scan of
+    more than ``MAX_ASSIGNMENT_CELLS`` grid cells is refused before any
+    of them is allocated.
     """
     items = tuple(battery.items) if isinstance(battery, ParadoxBattery) else tuple(battery)
     if not items:
@@ -734,8 +736,6 @@ def classical_assignment_search(
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     n = 0
     for item in items:
         for f in item.observable.factors:
@@ -746,43 +746,29 @@ def classical_assignment_search(
             n = max(n, f.site)
     grid = np.arange(-1.0, 1.0 + grid_step / 2.0, grid_step)
     n_axes = 2 * n  # per party: axis 2(j-1) is v_z, axis 2(j-1)+1 is v_x
-
-    def axis_of(f) -> int:
-        return 2 * (f.site - 1) + (0 if f.name == "Z" else 1)
-
-    def scan(lo: int, hi: int) -> Array:
-        shape = tuple(hi - lo if a == 0 else grid.size for a in range(n_axes))
-        mask = np.ones(shape, dtype=bool)
-        for item in items:
-            term: Array | float = 1.0
-            for f in item.observable.factors:
-                a = axis_of(f)
-                vals = grid[lo:hi] if a == 0 else grid
-                s = [1] * n_axes
-                s[a] = vals.size
-                term = term * vals.reshape(s)
-            c = item.contract
-            if isinstance(c, Exact):
-                cond = np.abs(term - c.value) <= tol
-            elif isinstance(c, Zero):
-                cond = np.abs(term) <= tol
-            else:
-                cond = np.abs(term) > eps_nz
-            mask &= cond
-        idx = np.argwhere(mask)
-        idx[:, 0] += lo
-        return idx
-
-    if workers == 1 or grid.size == 1:
-        hits = scan(0, grid.size)
-    else:
-        bounds = np.linspace(0, grid.size, min(workers, grid.size) + 1, dtype=int)
-        blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: scan(*ab), blocks))
-        hits = np.concatenate(parts, axis=0)
+    cells = grid.size**n_axes
+    if cells > MAX_ASSIGNMENT_CELLS:
+        raise ValueError(
+            f"assignment budget exceeded: {grid.size}^{n_axes} = {cells} grid cells "
+            f"exceed {MAX_ASSIGNMENT_CELLS}"
+        )
+    mask = np.ones((grid.size,) * n_axes, dtype=bool)
+    for item in items:
+        term: Array | float = 1.0
+        for f in item.observable.factors:
+            s = [1] * n_axes
+            s[2 * (f.site - 1) + (0 if f.name == "Z" else 1)] = grid.size
+            term = term * grid.reshape(s)
+        c = item.contract
+        if isinstance(c, Exact):
+            cond = np.abs(term - c.value) <= tol
+        elif isinstance(c, Zero):
+            cond = np.abs(term) <= tol
+        else:
+            cond = np.abs(term) > eps_nz
+        mask &= cond
     out = []
-    for row in hits:
+    for row in np.argwhere(mask):
         vals = tuple(
             (float(grid[row[2 * j]]), float(grid[row[2 * j + 1]])) for j in range(n)
         )

@@ -28,7 +28,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .qmat import PAULI_X, PAULI_Z, Array, DensityMatrix, as_density, tensor_product
+from .qmat import Array, DensityMatrix, as_density, expectation, obs
 from .states import BlindChannel, StateSpec, apply_blind_channel, build_state, werner_mix
 
 __all__ = [
@@ -61,8 +61,7 @@ _KEY_A = 0xA0761D6478BD642F
 _KEY_B = 0xE7037ED1A0B428DB
 
 # Challenge/setting bit -> measured Pauli (0 is x, 1 is z).
-_AXIS_OP = {0: PAULI_X, 1: PAULI_Z}
-_AXIS_LETTER = {0: "x", 1: "z"}
+_AXIS_OP = {0: "X", 1: "Z"}
 # Cell outcome order: (a, b) = (+,+), (+,-), (-,+), (-,-).
 CELLS = {"zz": (1, 1), "zx": (1, 0), "xz": (0, 1), "xx": (0, 0)}
 
@@ -153,22 +152,22 @@ def _prob_table(strategy: ProverStrategy) -> Array:
     if rho is not None:
         for k in (0, 1):
             for s in (0, 1):
-                op_a, op_b = _AXIS_OP[k], _AXIS_OP[s]
-                e = float(np.real(np.trace(rho.mat @ tensor_product(op_a, np.eye(2)))))
-                f = float(np.real(np.trace(rho.mat @ tensor_product(np.eye(2), op_b))))
-                c = float(np.real(np.trace(rho.mat @ tensor_product(op_a, op_b))))
+                a_op, b_op = (1, _AXIS_OP[k]), (2, _AXIS_OP[s])
+                e = expectation(rho, obs(a_op)).real
+                f = expectation(rho, obs(b_op)).real
+                c = expectation(rho, obs(a_op, b_op)).real
                 for o, (a, b) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
                     table[k, s, o] = (1.0 + a * e + b * f + a * b * c) / 4.0
     else:
         if any(a not in (-1, 1) for a in strategy.outcomes):
             raise ValueError(f"fixed outcomes must be +/-1, got {strategy.outcomes}")
         if strategy.verifier_qubit is None:
-            rho_b = np.eye(2, dtype=complex) / 2.0
+            rho_b = as_density(np.eye(2) / 2.0, (2,))
         else:
-            rho_b = as_density(np.array(strategy.verifier_qubit, dtype=complex), (2,)).mat
+            rho_b = as_density(np.array(strategy.verifier_qubit, dtype=complex), (2,))
         for k in (0, 1):
             for s in (0, 1):
-                f = float(np.real(np.trace(rho_b @ _AXIS_OP[s])))
+                f = expectation(rho_b, obs((1, _AXIS_OP[s]))).real
                 for o, (a, b) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
                     if a == strategy.outcomes[k]:
                         table[k, s, o] = (1.0 + b * f) / 2.0

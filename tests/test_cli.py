@@ -159,6 +159,19 @@ def test_witness_input_errors(tmp_path, capsys):
     infinite_n = _write(tmp_path, "inf.json", {"kind": "ghz", "n": float("inf"), "theta": 0.7})
     code, out, err = _run(capsys, "witness", infinite_n)
     assert code == 2 and out == "" and "'n'" in err
+    # wrongly typed channel fields name the field instead of raising TypeError
+    zero = [0.0, 0.0]
+    for field, channel in (
+        ("terms", {"terms": 5}),
+        ("terms", {"terms": [5]}),
+        ("site_phases", {"terms": [{"p": 1.0, "site_phases": [[[1], 0], zero]}]}),
+        ("site_phases", {"terms": [{"p": 1.0, "site_phases": 5}]}),
+        ("p", {"terms": [{"p": [1], "site_phases": [zero, zero]}]}),
+    ):
+        path = _write(tmp_path, "typed.json", channel)
+        code, out, err = _run(capsys, "witness", _epr_file(tmp_path), "--channel", path)
+        assert code == 2 and out == "" and f"'{field}'" in err, (channel, err)
+        assert "Traceback" not in err
 
 
 def test_witness_state_over_budget(tmp_path, capsys):
@@ -263,6 +276,19 @@ def test_zkp_strategy_errors(tmp_path, capsys, monkeypatch):
     incomplete = _write(tmp_path, "inc.json", {"kind": "fixed_outcomes"})
     code, _, err = _run(capsys, "zkp", incomplete, "--seed", "1")
     assert code == 2 and "missing entry" in err
+    epr = {"kind": "epr", "theta": 0.7}
+    for field, strategy in (
+        ("noise", {"kind": "honest", "state": epr, "noise": [1]}),
+        ("state", {"kind": "honest", "state": 5}),
+        ("channel", {"kind": "honest", "state": epr, "channel": [1]}),
+        ("outcomes", {"kind": "fixed_outcomes", "outcomes": 5}),
+        ("p0", {"kind": "separable_diag", "p0": "half"}),
+        ("verifier_qubit", {"kind": "fixed_outcomes", "outcomes": [1, 1], "verifier_qubit": 5}),
+    ):
+        path = _write(tmp_path, "typed.json", strategy)
+        code, out, err = _run(capsys, "zkp", path, "--seed", "1")
+        assert code == 2 and out == "" and f"'{field}'" in err, (strategy, err)
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +337,19 @@ def test_network_spec_error(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json", {"parties": ["A"]})
     code, _, err = _run(capsys, "network", bad)
     assert code == 2 and "missing entry" in err
+    good = json.loads(Path(_chain_network(tmp_path)).read_text(encoding="utf-8"))
+    gate = {"party": "B", "theta": 1.0, "qubits": [2, 3]}
+    for field, change in (
+        ("theta", {"cp_gates": [{**gate, "theta": [1]}]}),
+        ("qubits", {"cp_gates": [{**gate, "qubits": [1]}]}),
+        ("owners", {"sources": [{**good["sources"][0], "owners": 5}]}),
+        ("parties", {"parties": 5}),
+        ("sources", {"sources": [5]}),
+    ):
+        path = _write(tmp_path, "typed.json", {**good, **change})
+        code, out, err = _run(capsys, "network", path)
+        assert code == 2 and out == "" and f"'{field}'" in err, (change, err)
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,10 @@ def test_generate_cluster_applies_channel_last():
             ChannelTerm(0.5, ((0.0, np.pi), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))),
         )
     )
-    want = apply_blind_channel(generate_cluster(spec), ch)
-    assert np.allclose(generate_cluster(spec, ch).mat, want.mat)
+    gated = NetworkSpec(spec.parties, spec.sources, (CpGate("B", 1.3, (2, 3)),))
+    for net in (spec, gated):
+        want = apply_blind_channel(generate_cluster(net), ch)
+        assert np.allclose(generate_cluster(net, ch).mat, want.mat)
 
 
 # ---------------------------------------------------------------------------

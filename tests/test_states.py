@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qew.qmat import basis_index, expectation, obs
+from qew.qmat import basis_index, expectation, obs, pure_density
 from qew.states import (
     BlindChannel,
     ChannelTerm,
     KrausChannel,
     StateSpec,
     apply_blind_channel,
-    apply_kraus_channel,
     build_state,
     channel_from_dict,
     compose_blind_channels,
@@ -197,6 +196,11 @@ def test_channel_validation():
                 ChannelTerm(1.0, ((0.0, np.pi), (0.0, 0.0))),
             )
         )
+    # either channel type must act on the state's site layout
+    kraus = KrausChannel.from_site_channels([[(1.0, 1.0)]] * 3)
+    for ch in (identity_channel((2, 2, 2)), identity_channel((3, 3)), kraus):
+        with pytest.raises(ValueError, match="do not match state sites"):
+            apply_blind_channel(epr_state(0.7), ch)
 
 
 def test_identity_channel_is_identity():
@@ -225,27 +229,49 @@ def test_balanced_sign_flip_dephases():
     assert np.allclose(out.mat, want, atol=1e-12)
 
 
-@settings(max_examples=40)
-@given(
-    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
-    st.data(),
-)
-def test_blind_channel_preserves_diagonal_and_shrinks_coherence(raw_p, data):
+def _assert_unit_diagonal_psd(m):
+    assert np.allclose(m, m.conj().T, atol=1e-12)
+    assert np.allclose(np.diag(m), 1.0, atol=1e-12)
+    assert np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] >= -1e-12
+
+
+@st.composite
+def _blind_channels(draw):
+    raw_p = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
     probs = np.asarray(raw_p) / sum(raw_p)
+    phase = st.floats(-np.pi, np.pi)
     terms = tuple(
-        ChannelTerm(
-            float(p),
-            (
-                tuple(data.draw(st.floats(-np.pi, np.pi)) for _ in range(2)),
-                tuple(data.draw(st.floats(-np.pi, np.pi)) for _ in range(2)),
-            ),
-        )
+        ChannelTerm(float(p), tuple(tuple(draw(phase) for _ in range(2)) for _ in range(2)))
         for p in probs
     )
-    rho = epr_state(1.1)
-    out = apply_blind_channel(rho, BlindChannel(terms))
+    return epr_state(1.1), BlindChannel(terms)
+
+
+@st.composite
+def _kraus_channels(draw):
+    """Independent per-site diagonal families on 2-3 sites of dimension 2-3,
+    each complete (a site's squared weights sum to 1 entrywise), acting on
+    a random pure state with every coherence nonzero."""
+    sites = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    families = []
+    for d in sites:
+        k = draw(st.integers(1, 3))
+        raw = np.array([[draw(st.floats(0.01, 1.0)) for _ in range(d)] for _ in range(k)])
+        families.append([tuple(np.sqrt(w)) for w in raw / raw.sum(axis=0)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.normal(size=int(np.prod(sites))) + 1j * rng.normal(size=int(np.prod(sites)))
+    rho = pure_density(vec / np.linalg.norm(vec), sites)
+    return rho, KrausChannel.from_site_channels(families)
+
+
+@settings(max_examples=40)
+@given(st.one_of(_blind_channels(), _kraus_channels()))
+def test_blind_channel_preserves_diagonal_and_shrinks_coherence(case):
+    rho, ch = case
+    out = apply_blind_channel(rho, ch)
     assert np.allclose(np.diag(out.mat), np.diag(rho.mat))
     assert np.all(np.abs(out.mat) <= np.abs(rho.mat) + 1e-12)
+    _assert_unit_diagonal_psd(ch.multiplier(rho.sites))
 
 
 def test_compose_matches_sequential_application():
@@ -265,6 +291,9 @@ def test_compose_matches_sequential_application():
     seq = apply_blind_channel(apply_blind_channel(rho, a), b)
     once = apply_blind_channel(rho, compose_blind_channels(a, b))
     assert np.allclose(seq.mat, once.mat)
+    sites = rho.sites
+    product = a.multiplier(sites) * b.multiplier(sites)
+    assert np.max(np.abs(compose_blind_channels(a, b).multiplier(sites) - product)) <= 1e-12
 
 
 def test_channel_from_dict_qudit_sites():
@@ -282,10 +311,10 @@ def test_channel_from_dict_qudit_sites():
 def test_kraus_identity_and_dephasing():
     rho = epr_state(np.pi / 4)
     ident = KrausChannel((((1.0, 1.0), (1.0, 1.0)),))
-    assert np.allclose(apply_kraus_channel(rho, ident).mat, rho.mat)
+    assert np.allclose(apply_blind_channel(rho, ident).mat, rho.mat)
 
     deph = KrausChannel.from_site_channels([[(1, 0), (0, 1)], [(1, 0), (0, 1)]])
-    out = apply_kraus_channel(rho, deph)
+    out = apply_blind_channel(rho, deph)
     assert np.allclose(out.mat, np.diag([0.5, 0.0, 0.0, 0.5]))
 
 
@@ -294,7 +323,7 @@ def test_kraus_damping_shrinks_coherence():
     ch = KrausChannel.from_site_channels(
         [[(1.0, np.sqrt(1 - g)), (0.0, np.sqrt(g))], [(1.0, 1.0)]]
     )
-    out = apply_kraus_channel(epr_state(np.pi / 4), ch)
+    out = apply_blind_channel(epr_state(np.pi / 4), ch)
     assert out.mat[0, 3] == pytest.approx(0.5 * np.sqrt(1 - g))
     assert np.trace(out.mat) == pytest.approx(1.0)
 

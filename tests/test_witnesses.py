@@ -503,13 +503,6 @@ def test_assignments_exist_without_the_nonzero_line():
         assert abs(z1 * x2) <= 1e-6 and abs(x1 * z2) <= 1e-6
 
 
-def test_assignment_search_workers_agree():
-    items = battery_ghz(3).items[:-1]
-    a = classical_assignment_search(items, 0.5, 1e-6)
-    b = classical_assignment_search(items, 0.5, 1e-6, workers=4)
-    assert a == b and a
-
-
 def test_assignment_search_validation():
     with pytest.raises(ValueError):
         classical_assignment_search(battery_epr(), 0.0, 1e-6)
@@ -519,6 +512,12 @@ def test_assignment_search_validation():
         classical_assignment_search(
             (BatteryItem(obs((1, "Y"), (2, "Y")), NonZero()),), 0.5, 1e-6
         )
+
+
+def test_assignment_search_cell_budget():
+    # four parties at step 0.1 would be 21^8 ~ 3.8e10 cells; refused, not allocated
+    with pytest.raises(ValueError, match="budget"):
+        classical_assignment_search(battery_ghz(4), 0.1, 1e-6)
 
 
 def test_value_assignment_range():
