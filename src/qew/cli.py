@@ -65,7 +65,7 @@ __all__ = ["main", "build_parser"]
 ORACLE_SLACK = 1e-9
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad file, malformed JSON, or out-of-range argument (exit code 2)."""
 
 
@@ -456,9 +456,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

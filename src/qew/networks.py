@@ -36,12 +36,14 @@ from .qmat import (
     Array,
     DensityMatrix,
     _sandwich,
+    all_outcome_bits,
     as_density,
     apply_local_unitaries,
     bell_basis,
     joint_measure_two_sites,
     plusminus_basis,
     tensor_product,
+    uniforms,
 )
 from .states import (
     MAX_DIM,
@@ -343,11 +345,7 @@ def reduce_ghz_to_epr(
                 f"outcomes must be {len(others)} entries of 0 (+) or 1 (-), got {outcomes}"
             )
         return one_branch(bits)
-    all_bits = [
-        tuple((k >> (len(others) - 1 - t)) & 1 for t in range(len(others)))
-        for k in range(2 ** len(others))
-    ]
-    return [one_branch(bits) for bits in all_bits]
+    return [one_branch(bits) for bits in all_outcome_bits(len(others))]
 
 
 _SWAP_CORRECTIONS: dict[str, tuple[tuple[str, int], ...]] = {
@@ -415,9 +413,8 @@ def sample_branch(
     """Pick one branch by its probability; deterministic in (seed, index)."""
     if not branches:
         raise ValueError("no branches to sample from")
-    probs = np.array([b.probability for b in branches], dtype=float)
-    u = np.random.default_rng((seed, index)).uniform(0.0, float(probs.sum()))
-    return branches[int(np.searchsorted(np.cumsum(probs), u))]
+    cum = np.cumsum([b.probability for b in branches])
+    return branches[int(np.searchsorted(cum, uniforms(seed, index, 0) * cum[-1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,21 @@ outside.  :func:`ppt_check` gives a second, unrelated entanglement oracle
 
 Reproducibility contract: every sampled object is a pure function of
 ``(cfg.seed, index)``; streams can therefore be generated in any order or
-split across processes without changing a single sample.
+split across processes without changing a single sample.  Object
+``index`` reads :func:`qew.qmat.uniforms` at ``(seed, index, stream)``, and
+the config alone fixes which stream slot each of its draws reads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density, tensor_product
+from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density, uniforms
 from .states import BlindChannel, ChannelTerm
 
 __all__ = [
@@ -54,8 +57,8 @@ class SamplerConfig:
     partition: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if any(d < 2 for d in self.sites):
-            raise ValueError(f"site dimensions must be >= 2, got {self.sites}")
+        if not self.sites or any(d < 2 for d in self.sites):
+            raise ValueError(f"need one or more sites of dimension >= 2, got {self.sites}")
         if not 1 <= self.terms <= MAX_TERMS:
             raise ValueError(f"terms must be in 1..{MAX_TERMS}, got {self.terms}")
         if self.partition is not None:
@@ -78,28 +81,61 @@ def all_bipartitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, index))
-
-
-def _haar_vector(rng: np.random.Generator, dim: int) -> Array:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _dirichlet(u: Array) -> Array:
+    """Dirichlet(1, ..., 1) weights from one uniform per weight, along the last axis."""
+    e = -np.log1p(-u)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _assemble_product(
     blocks: Sequence[tuple[tuple[int, ...], Array]],
     sites: tuple[int, ...],
 ) -> Array:
-    """Tensor block vectors (each on listed 1-based sites) into site order."""
-    n = len(sites)
-    t = np.ones((), dtype=complex)
-    order: list[int] = []
-    for idx, vec in blocks:
-        t = np.tensordot(t, vec.reshape([sites[i - 1] for i in idx]), axes=0)
-        order.extend(idx)
-    perm = [order.index(i) for i in range(1, n + 1)]
-    return np.transpose(t, perm).ravel()
+    """Tensor block vectors (each on listed 1-based sites) into site order;
+    leading batch axes, shared by all blocks, are kept."""
+    order = [i for idx, _vec in blocks for i in idx]
+    t = blocks[0][1]
+    for _idx, vec in blocks[1:]:
+        t = (t[..., :, None] * vec[..., None, :]).reshape(*t.shape[:-1], -1)
+    lead = t.shape[:-1]
+    t = t.reshape(*lead, *(sites[i - 1] for i in order))
+    perm = list(range(len(lead))) + [len(lead) + order.index(i) for i in range(1, len(sites) + 1)]
+    return np.transpose(t, perm).reshape(*lead, -1)
+
+
+def _blocks_for(shape: str, n: int, partition: tuple[int, ...] | None) -> list[list[tuple[int, ...]]]:
+    """Factor structures (lists of site blocks) of the ``"separable"`` or the
+    ``"biseparable"`` set; the latter has one per bipartition, or ``partition``."""
+    if shape == "separable":
+        return [[(i,) for i in range(1, n + 1)]]
+    parts = [partition] if partition is not None else all_bipartitions(n)
+    return [[tuple(p), tuple(i for i in range(1, n + 1) if i not in p)] for p in parts]
+
+
+def _sample_mixture(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix:
+    """Dirichlet-weighted mixture of pure products, each term over one
+    structure of ``_blocks_for(shape, ...)`` with Haar-random blocks.
+
+    Term t reads a slot of 2 + 2 D draws: its weight, its structure pick, and
+    a modulus and a phase draw per amplitude of each block in turn (block
+    dimensions sum to <= D), which make the complex Gaussians of a Haar vector.
+    """
+    sites, dim = cfg.sites, math.prod(cfg.sites)
+    structures = _blocks_for(shape, len(sites), cfg.partition)
+    u = uniforms(cfg.seed, index, np.arange(cfg.terms * (2 + 2 * dim))).reshape(cfg.terms, -1)
+    picks = (u[:, 1] * len(structures)).astype(int)
+    g = np.sqrt(-2.0 * np.log1p(-u[:, 2::2])) * np.exp(2j * np.pi * u[:, 3::2])
+    vecs = np.empty((cfg.terms, dim), dtype=complex)
+    for pick in np.unique(picks):
+        rows, at, blocks = picks == pick, 0, []
+        for blk in structures[pick]:
+            d = math.prod(sites[i - 1] for i in blk)
+            blocks.append((blk, g[rows, at : at + d]))
+            at += d
+        vecs[rows] = _assemble_product(blocks, sites)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    mat = (vecs.T * _dirichlet(u[:, 0])) @ vecs.conj()
+    return as_density(mat, sites)
 
 
 def sample_separable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
@@ -108,14 +144,7 @@ def sample_separable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
     Each mixture term is a tensor product of Haar-random local pure states,
     so every output is separable by construction.
     """
-    rng = _rng(cfg.seed, index)
-    weights = rng.dirichlet(np.ones(cfg.terms))
-    dim = int(np.prod(cfg.sites))
-    mat = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        vec = tensor_product(*(_haar_vector(rng, d) for d in cfg.sites))
-        mat += w * np.outer(vec, vec.conj())
-    return as_density(mat, cfg.sites)
+    return _sample_mixture("separable", cfg, index)
 
 
 def sample_biseparable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
@@ -126,25 +155,7 @@ def sample_biseparable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
     is product.  With ``cfg.partition`` unset, each term draws its own
     bipartition uniformly, giving a generic biseparable mixture.
     """
-    n = len(cfg.sites)
-    if n < 2:
-        raise ValueError("biseparable sampling needs at least 2 sites")
-    rng = _rng(cfg.seed, index)
-    weights = rng.dirichlet(np.ones(cfg.terms))
-    choices = all_bipartitions(n) if cfg.partition is None else [tuple(sorted(cfg.partition))]
-    dim = int(np.prod(cfg.sites))
-    mat = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        block = choices[rng.integers(len(choices))] if len(choices) > 1 else choices[0]
-        rest = tuple(i for i in range(1, n + 1) if i not in block)
-        d_block = int(np.prod([cfg.sites[i - 1] for i in block]))
-        d_rest = int(np.prod([cfg.sites[i - 1] for i in rest]))
-        vec = _assemble_product(
-            [(block, _haar_vector(rng, d_block)), (rest, _haar_vector(rng, d_rest))],
-            cfg.sites,
-        )
-        mat += w * np.outer(vec, vec.conj())
-    return as_density(mat, cfg.sites)
+    return _sample_mixture("biseparable", cfg, index)
 
 
 def random_blind_channel(
@@ -157,25 +168,25 @@ def random_blind_channel(
 ) -> BlindChannel:
     """Random phase channel with Dirichlet weights and uniform (0, pi) phases.
 
-    With ``conjugate_pairs`` each drawn term is emitted twice at half
-    weight, once with negated phases — the mixture's coherence factors are
-    then real (useful when a test needs phase scrambling that preserves
-    real parts).
+    Term t reads one slot of stream draws: its weight, then one phase per
+    level of every site.  With ``conjugate_pairs`` each drawn term is
+    emitted twice at half weight, once with negated phases — the mixture's
+    coherence factors are then real (useful when a test needs phase
+    scrambling that preserves real parts).
     """
     sites = tuple(int(d) for d in sites)
-    rng = _rng(seed, index)
-    weights = rng.dirichlet(np.ones(terms))
+    width = 1 + sum(sites)
+    u = uniforms(seed, index, np.arange(terms * width)).reshape(terms, width)
+    ends = list(itertools.accumulate(sites, initial=1))
     out: list[ChannelTerm] = []
-    for w in weights:
-        phases = tuple(
-            tuple(float(x) for x in rng.uniform(0.0, np.pi, size=d)) for d in sites
-        )
+    for w, row in zip(_dirichlet(u[:, 0]).tolist(), (np.pi * u).tolist()):
+        phases = tuple(tuple(row[a:b]) for a, b in zip(ends, ends[1:]))
         if conjugate_pairs:
             neg = tuple(tuple(-x for x in site) for site in phases)
-            out.append(ChannelTerm(float(w) / 2.0, phases))
-            out.append(ChannelTerm(float(w) / 2.0, neg))
+            out.append(ChannelTerm(w / 2.0, phases))
+            out.append(ChannelTerm(w / 2.0, neg))
         else:
-            out.append(ChannelTerm(float(w), phases))
+            out.append(ChannelTerm(w, phases))
     return BlindChannel(tuple(out))
 
 
@@ -241,20 +252,8 @@ def _pure_lhs(kind: str, vec: Array, sites: tuple[int, ...]) -> float:
     raise ValueError(f"unknown witness name {kind!r}")
 
 
-_SEPARABLE_KINDS = ("epr", "qudit")
-_BISEPARABLE_KINDS = ("ghz", "w")
-
-
-def _blocks_for(kind: str, n: int, partition: tuple[int, ...] | None) -> list[list[tuple[int, ...]]]:
-    """Factor structures to search over: lists of site blocks."""
-    if kind in _SEPARABLE_KINDS:
-        return [[(i,) for i in range(1, n + 1)]]
-    parts = [partition] if partition is not None else all_bipartitions(n)
-    out = []
-    for p in parts:
-        rest = tuple(i for i in range(1, n + 1) if i not in p)
-        out.append([tuple(p), rest])
-    return out
+# Where each witness bound holds; not read from qew.witnesses, so the check stays outside.
+_WITNESS_SET = {"epr": "separable", "qudit": "separable", "ghz": "biseparable", "w": "biseparable"}
 
 
 def maximize_witness(
@@ -275,19 +274,19 @@ def maximize_witness(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if witness not in _SEPARABLE_KINDS + _BISEPARABLE_KINDS:
+    if witness not in _WITNESS_SET:
         raise ValueError(f"unknown witness name {witness!r}")
     sites = cfg.sites
-    n = len(sites)
-    structures = _blocks_for(witness, n, cfg.partition)
+    structures = _blocks_for(_WITNESS_SET[witness], len(sites), cfg.partition)
 
-    def random_params(rng: np.random.Generator, blocks: list[tuple[int, ...]]) -> list[tuple[Array, Array]]:
-        params = []
+    def random_params(index: int, blocks: list[tuple[int, ...]]) -> list[tuple[Array, Array]]:
+        """Start ``index``: per block, d - 1 angles on [0, pi/2), then d - 1 phases on [0, 2 pi)."""
+        u = uniforms(cfg.seed, index, np.arange(2 * math.prod(sites)))
+        params, at = [], 0
         for blk in blocks:
-            d = int(np.prod([sites[i - 1] for i in blk]))
-            params.append(
-                (rng.uniform(0.0, np.pi / 2.0, d - 1), rng.uniform(0.0, 2.0 * np.pi, d - 1))
-            )
+            m = math.prod(sites[i - 1] for i in blk) - 1
+            params.append((np.pi / 2.0 * u[at : at + m], 2.0 * np.pi * u[at + m : at + 2 * m]))
+            at += 2 * m
         return params
 
     def value_of(blocks: list[tuple[int, ...]], params: list[tuple[Array, Array]]) -> float:
@@ -297,7 +296,7 @@ def maximize_witness(
     starts: list[tuple[float, int]] = []
     for i in range(iters):
         blocks = structures[i % len(structures)]
-        val = value_of(blocks, random_params(_rng(cfg.seed, i), blocks))
+        val = value_of(blocks, random_params(i, blocks))
         starts.append((val, i))
     # Sort by value descending, index ascending on ties.
     starts.sort(key=lambda vi: (-vi[0], vi[1]))
@@ -306,14 +305,11 @@ def maximize_witness(
     for val, i in starts[: max(1, refine_top)]:
         blocks = structures[i % len(structures)]
         # Params are a pure function of (seed, index); regenerate instead of caching.
-        params = random_params(_rng(cfg.seed, i), blocks)
+        params = random_params(i, blocks)
         cur = val
         for _ in range(sweeps):
-            for bi, (thetas, phases) in enumerate(params):
-                for which, arr, lo, hi in (
-                    (0, thetas, 0.0, np.pi / 2.0),
-                    (1, phases, 0.0, 2.0 * np.pi),
-                ):
+            for thetas, phases in params:
+                for arr, lo, hi in ((thetas, 0.0, np.pi / 2.0), (phases, 0.0, 2.0 * np.pi)):
                     for k in range(arr.size):
                         def try_at(x: float, _arr=arr, _k=k) -> float:
                             old = _arr[_k]

@@ -19,6 +19,8 @@ Conventions
   tiny, and callers that need a real number should assert that themselves.
 - Measurement branches with probability below 1e-12 are flagged rather than
   normalized, to avoid manufacturing a state out of 0/0.
+- :func:`uniforms` is the package's only random source: every draw is a pure
+  function of ``(seed, index, stream)``.
 
 Storage is dense only.  The systems in scope are a handful of qubits or
 qudits (d <= 5), so sparsity buys nothing here.  Every observable is a
@@ -69,6 +71,7 @@ __all__ = [
     "shift_op",
     "site_operator",
     "tensor_product",
+    "uniforms",
 ]
 
 HERM_TOL = 1e-12
@@ -84,6 +87,13 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_B = 0xBF58476D1CE4E5B9
+_MIX_C = 0x94D049BB133111EB
+_KEY_A = 0xA0761D6478BD642F
+_KEY_B = 0xE7037ED1A0B428DB
 
 
 def pauli(name: str) -> Array:
@@ -126,6 +136,25 @@ def tensor_product(*mats: Array) -> Array:
     for m in mats:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
+
+
+# ---------------------------------------------------------------------------
+# counter-based random source
+# ---------------------------------------------------------------------------
+
+
+def uniforms(seed: int, index, stream) -> Array:
+    """Uniform [0, 1) doubles, a pure function of (seed, index, stream); ``index``
+    and ``stream`` are non-negative integers or integer arrays that broadcast."""
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64 on purpose
+        key = np.asarray(stream, dtype=np.uint64) * np.uint64(_KEY_B)
+        key = key + np.uint64(((seed & _MASK64) * _KEY_A + _GAMMA) & _MASK64)
+        x = (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA) + key
+        # splitmix64 finalizer
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_B)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_C)
+        x = x ^ (x >> np.uint64(31))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +209,8 @@ def as_density(
     m = np.asarray(mat, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"matrix shape {m.shape} does not match sites {sites}")
-    herm_err = float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(invalid="ignore"):  # inf - inf; refused just below
+        herm_err = float(np.max(np.abs(m - m.conj().T)))
     # a NaN or inf entry makes herm_err NaN or inf, so this needs no extra pass
     if not math.isfinite(herm_err):
         raise ValueError("matrix entries must be finite")

@@ -15,8 +15,9 @@ be *significantly* away from 0.  The rule's parameters (z threshold,
 minimum 30 rounds per cell) are simulation-side choices — the protocol
 itself only prescribes which statistics to look at.
 
-Randomness is counter-based: every round's draws are a pure function of
-``(seed, round index, stream)``, so transcripts are bit-identical no matter
+Randomness comes from :func:`qew.qmat.uniforms`, the package's one
+counter-based source: round ``i`` reads streams 0 (challenge), 1 (setting)
+and 2 (outcome) at index ``i``, so transcripts are bit-identical no matter
 how the rounds are batched or parallelized.
 """
 
@@ -28,7 +29,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, as_density, expectation, obs
+from .qmat import Array, DensityMatrix, as_density, expectation, obs, uniforms
 from .states import BlindChannel, StateSpec, apply_blind_channel, build_state, werner_mix
 
 __all__ = [
@@ -53,30 +54,11 @@ __all__ = [
 MIN_CELL_ROUNDS = 30
 DEFAULT_Z = 5.0
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX_B = 0xBF58476D1CE4E5B9
-_MIX_C = 0x94D049BB133111EB
-_KEY_A = 0xA0761D6478BD642F
-_KEY_B = 0xE7037ED1A0B428DB
-
 # Challenge/setting bit -> measured Pauli (0 is x, 1 is z).
 _AXIS_OP = {0: "X", 1: "Z"}
 # Cell outcome order: (a, b) = (+,+), (+,-), (-,+), (-,-).
+_A, _B = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1))).T
 CELLS = {"zz": (1, 1), "zx": (1, 0), "xz": (0, 1), "xx": (0, 0)}
-
-
-def _mix64(x: Array) -> Array:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_B)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_C)
-    return x ^ (x >> np.uint64(31))
-
-
-def _uniforms(seed: int, indices: Array, stream: int) -> Array:
-    """Uniform [0, 1) doubles, a pure function of (seed, index, stream)."""
-    key = ((seed & _MASK64) * _KEY_A + stream * _KEY_B + _GAMMA) & _MASK64
-    state = (indices + np.uint64(1)) * np.uint64(_GAMMA) + np.uint64(key)
-    return (_mix64(state) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +132,12 @@ def _prob_table(strategy: ProverStrategy) -> Array:
     table = np.zeros((2, 2, 4))
     rho = strategy_state(strategy)
     if rho is not None:
+        e = [expectation(rho, obs((1, _AXIS_OP[k]))).real for k in (0, 1)]
+        f = [expectation(rho, obs((2, _AXIS_OP[s]))).real for s in (0, 1)]
         for k in (0, 1):
             for s in (0, 1):
-                a_op, b_op = (1, _AXIS_OP[k]), (2, _AXIS_OP[s])
-                e = expectation(rho, obs(a_op)).real
-                f = expectation(rho, obs(b_op)).real
-                c = expectation(rho, obs(a_op, b_op)).real
-                for o, (a, b) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-                    table[k, s, o] = (1.0 + a * e + b * f + a * b * c) / 4.0
+                c = expectation(rho, obs((1, _AXIS_OP[k]), (2, _AXIS_OP[s]))).real
+                table[k, s] = (1.0 + _A * e[k] + _B * f[s] + _A * _B * c) / 4.0
     else:
         if any(a not in (-1, 1) for a in strategy.outcomes):
             raise ValueError(f"fixed outcomes must be +/-1, got {strategy.outcomes}")
@@ -165,12 +145,10 @@ def _prob_table(strategy: ProverStrategy) -> Array:
             rho_b = as_density(np.eye(2) / 2.0, (2,))
         else:
             rho_b = as_density(np.array(strategy.verifier_qubit, dtype=complex), (2,))
+        f = [expectation(rho_b, obs((1, _AXIS_OP[s]))).real for s in (0, 1)]
         for k in (0, 1):
             for s in (0, 1):
-                f = expectation(rho_b, obs((1, _AXIS_OP[s]))).real
-                for o, (a, b) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-                    if a == strategy.outcomes[k]:
-                        table[k, s, o] = (1.0 + b * f) / 2.0
+                table[k, s] = np.where(_A == strategy.outcomes[k], (1.0 + _B * f[s]) / 2.0, 0.0)
     table = np.clip(table, 0.0, None)
     return table / table.sum(axis=-1, keepdims=True)
 
@@ -225,10 +203,9 @@ def run_protocol(
     cum[..., -1] = 1.0
 
     def chunk(lo: int, hi: int) -> tuple[Array, Array, Array, Array]:
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        k = (_uniforms(seed, idx, 0) >= 0.5).astype(np.uint8)
-        s = (_uniforms(seed, idx, 1) >= 0.5).astype(np.uint8)
-        u = _uniforms(seed, idx, 2)
+        k, s, u = uniforms(seed, np.arange(lo, hi), np.arange(3)[:, None])
+        k = (k >= 0.5).astype(np.uint8)
+        s = (s >= 0.5).astype(np.uint8)
         a = np.empty(hi - lo, dtype=np.int8)
         b = np.empty(hi - lo, dtype=np.int8)
         for kk in (0, 1):

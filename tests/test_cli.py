@@ -398,6 +398,8 @@ def test_oracle_sample_count_validated(capsys):
         capsys, "oracle", "--witness", "epr", "--samples", "0", "--seed", "1"
     )
     assert code == 2 and "sample" in err
+    code, _, err = _run(capsys, "oracle", "--witness", "qudit", "--n", "0", "--seed", "1")
+    assert code == 2 and "sites" in err and "Traceback" not in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from qew.networks import sample_branch, swap_branches
 from qew.oracle import (
     SamplerConfig,
     all_bipartitions,
@@ -16,6 +19,7 @@ from qew.oracle import (
     sample_biseparable,
     sample_separable,
 )
+from qew.qmat import partial_trace, uniforms
 from qew.states import apply_blind_channel, epr_state, ghz_state, werner_mix
 from qew.witnesses import witness_epr, witness_ghz, witness_qudit, witness_w
 
@@ -23,6 +27,8 @@ from qew.witnesses import witness_epr, witness_ghz, witness_qudit, witness_w
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(sites=(2, 1))
+    with pytest.raises(ValueError, match="one or more sites"):
+        SamplerConfig(sites=())
     with pytest.raises(ValueError):
         SamplerConfig(sites=(2, 2), terms=0)
     with pytest.raises(ValueError):
@@ -81,6 +87,52 @@ def test_biseparable_samples_respect_w_bound():
     cfg = SamplerConfig(sites=(2, 2, 2), terms=4, seed=31)
     worst = max(witness_w(sample_biseparable(cfg, i)).lhs for i in range(300))
     assert worst <= 0.5 + 1e-9
+
+
+def test_draws_have_haar_and_dirichlet_moments():
+    n = 3000
+    for d in (2, 3):
+        # one site, one term: the sample is |v><v| with v Haar-random
+        cfg = SamplerConfig(sites=(d,), terms=1, seed=17)
+        mats = np.array([sample_separable(cfg, i).mat for i in range(n)])
+        # |v_0|^2 ~ Beta(1, d - 1); the phases of v_0 and v_1 are independent
+        # and uniform, so E[(v_0 v_1*)^2] = 0 (a real vector would give 1/(d (d + 2)))
+        assert abs(mats[:, 0, 0].real.mean() - 1.0 / d) < 0.02
+        assert abs((mats[:, 0, 1] ** 2).mean()) < 0.02
+    for terms in (2, 4):
+        w = np.array([[t.p for t in random_blind_channel((2,), terms, 18, i).terms] for i in range(n)])
+        assert np.allclose(w.sum(axis=1), 1.0) and np.all(w >= 0.0)
+        # Dirichlet(1, ..., 1): E[w_i] = 1/k, E[w_i^2] = 2/(k (k + 1))
+        assert abs(w[:, 0].mean() - 1.0 / terms) < 0.02
+        assert abs((w[:, 0] ** 2).mean() - 2.0 / (terms * (terms + 1))) < 0.02
+
+
+def test_biseparable_terms_draw_every_bipartition():
+    # one term: a pure state, product exactly across the bipartition it drew
+    cfg = SamplerConfig(sites=(2, 2, 2, 2), terms=1, seed=29)
+    seen = set()
+    for i in range(200):
+        rho = sample_biseparable(cfg, i)
+        for block in all_bipartitions(4):
+            red = partial_trace(rho, block).mat
+            if np.trace(red @ red).real > 1.0 - 1e-9:
+                seen.add(block)
+    assert seen == set(all_bipartitions(4))
+
+
+def test_draws_raise_no_runtime_warning():
+    # the premise: numpy scalar uint64 arithmetic warns when it wraps
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.uint64(2**63) * np.uint64(2)
+    branches = swap_branches(epr_state(0.6), epr_state(0.9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        uniforms(2**63 + 5, 2**40, 3)
+        sample_separable(SamplerConfig(sites=(2, 3), terms=3, seed=2**63 + 5), 7)
+        sample_biseparable(SamplerConfig(sites=(2, 2, 2), terms=3, seed=-4), 2**40)
+        random_blind_channel((2, 3), 3, seed=2**64 - 1, index=9)
+        maximize_witness("w", SamplerConfig(sites=(2, 2, 2), seed=5), 4, sweeps=1, refine_top=1)
+        sample_branch(branches, seed=2**63, index=3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from qew.qmat import (
     shift_op,
     site_operator,
     tensor_product,
+    uniforms,
 )
 
 
@@ -104,8 +107,11 @@ def test_as_density_validates():
         for pos in ((0, 0), (0, 1), (3, 2)):
             m = np.eye(4, dtype=complex) / 4.0
             m[pos] = value
-            with pytest.raises(ValueError, match="finite"):
-                as_density(m, (2, 2))
+            # the refusal is the only signal: no RuntimeWarning from inf - inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    as_density(m, (2, 2))
 
 
 def test_pure_density_norm_check():
@@ -355,3 +361,22 @@ def test_bases_are_orthonormal():
 def test_all_outcome_bits_order():
     got = list(all_outcome_bits(2))
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# counter-based random source
+# ---------------------------------------------------------------------------
+
+
+def test_uniforms_broadcast_matches_per_cell_calls():
+    idx = np.arange(50)
+    block = uniforms(7, idx[:, None], np.arange(6))
+    assert block.shape == (50, 6)
+    for i in (0, 13, 49):
+        assert np.array_equal(block[i], uniforms(7, i, np.arange(6)))
+        for stream in range(6):
+            assert block[i, stream] == uniforms(7, i, stream)
+    assert np.array_equal(block[:, 2], uniforms(7, idx, 2))
+    assert uniforms(7, 3, 2).shape == ()
+    # negative and 64-bit seeds reduce mod 2**64
+    assert uniforms(-1, 3, 2) == uniforms(2**64 - 1, 3, 2)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from qew.qmat import uniforms
 from qew.states import BlindChannel, ChannelTerm, StateSpec
 from qew.zkp import (
     CELLS,
@@ -17,7 +19,6 @@ from qew.zkp import (
     SeparableDiagStrategy,
     Transcript,
     _prob_table,
-    _uniforms,
     format_transcript,
     leakage_view,
     parse_transcript,
@@ -51,12 +52,20 @@ def _flat_transcript(n, k=None, s=None, a=None, b=None):
 
 def test_uniforms_deterministic_and_stream_separated():
     idx = np.arange(1000, dtype=np.uint64)
-    u0 = _uniforms(42, idx, 0)
-    assert np.array_equal(u0, _uniforms(42, idx, 0))
-    assert not np.array_equal(u0, _uniforms(42, idx, 1))
-    assert not np.array_equal(u0, _uniforms(43, idx, 0))
+    u0 = uniforms(42, idx, 0)
+    assert np.array_equal(u0, uniforms(42, idx, 0))
+    assert not np.array_equal(u0, uniforms(42, idx, 1))
+    assert not np.array_equal(u0, uniforms(43, idx, 0))
     assert np.all((u0 >= 0.0) & (u0 < 1.0))
     assert abs(u0.mean() - 0.5) < 0.05
+
+
+def test_transcript_stream_is_pinned():
+    """A fixed honest proof hashes to pinned bytes, so any move of the
+    protocol's random stream (or of the transcript format) shows here."""
+    t = run_protocol(HonestStrategy(EPR, visibility=0.9), 2000, seed=2024)
+    digest = hashlib.sha256(format_transcript(t).encode("ascii")).hexdigest()
+    assert digest == "aad8c8199ff11cd90b6f029924a0113c7e9c5916a5739d6170b38f19745df973"
 
 
 # ---------------------------------------------------------------------------
