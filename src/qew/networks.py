@@ -451,28 +451,15 @@ def source_batteries(
 def connectivity_check(spec: NetworkSpec) -> tuple[bool, list[list[str]]]:
     """Whether shared sources connect all parties; also the components.
 
-    Parties are graph nodes; every source adds edges among its owners.
-    Returns (single component?, components in first-appearance order).
+    Every party starts alone and every source merges the groups its owners
+    are in.  Returns (single component?, components in first-appearance
+    order, each listing its parties in declaration order).
     """
-    adj: dict[str, set[str]] = {p: set() for p in spec.parties}
+    groups: list[set[str]] = [{p} for p in spec.parties]
     for src in spec.sources:
         owners = set(src.owners)
-        for a in owners:
-            adj[a] |= owners - {a}
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for start in spec.parties:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for nxt in sorted(adj[node]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        components.append(sorted(comp, key=spec.parties.index))
+        hit = [g for g in groups if g & owners]
+        groups = [g for g in groups if not g & owners] + [owners.union(*hit)]
+    rank = spec.parties.index
+    components = sorted((sorted(g, key=rank) for g in groups), key=lambda c: rank(c[0]))
     return len(components) == 1, components

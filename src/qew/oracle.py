@@ -15,6 +15,7 @@ the config alone fixes which stream slot each of its draws reads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -103,13 +104,23 @@ def _assemble_product(
     return np.transpose(t, perm).reshape(*lead, -1)
 
 
-def _blocks_for(shape: str, n: int, partition: tuple[int, ...] | None) -> list[list[tuple[int, ...]]]:
-    """Factor structures (lists of site blocks) of the ``"separable"`` or the
-    ``"biseparable"`` set; the latter has one per bipartition, or ``partition``."""
+_Structure = tuple[tuple[tuple[int, ...], int], ...]
+
+
+@functools.cache
+def _blocks_for(
+    shape: str, sites: tuple[int, ...], partition: tuple[int, ...] | None
+) -> tuple[_Structure, ...]:
+    """Factor structures of the ``"separable"`` or the ``"biseparable"`` set, each
+    its site blocks with their dimensions; the latter set has one structure per
+    bipartition, or ``partition``.  Built once per key."""
+    n = len(sites)
     if shape == "separable":
-        return [[(i,) for i in range(1, n + 1)]]
-    parts = [partition] if partition is not None else all_bipartitions(n)
-    return [[tuple(p), tuple(i for i in range(1, n + 1) if i not in p)] for p in parts]
+        structures = [[(i,) for i in range(1, n + 1)]]
+    else:
+        parts = [partition] if partition is not None else all_bipartitions(n)
+        structures = [[tuple(p), tuple(i for i in range(1, n + 1) if i not in p)] for p in parts]
+    return tuple(tuple((blk, math.prod(sites[i - 1] for i in blk)) for blk in s) for s in structures)
 
 
 def _sample_mixture(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix:
@@ -121,15 +132,14 @@ def _sample_mixture(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix
     dimensions sum to <= D), which make the complex Gaussians of a Haar vector.
     """
     sites, dim = cfg.sites, math.prod(cfg.sites)
-    structures = _blocks_for(shape, len(sites), cfg.partition)
+    structures = _blocks_for(shape, sites, cfg.partition)
     u = uniforms(cfg.seed, index, np.arange(cfg.terms * (2 + 2 * dim))).reshape(cfg.terms, -1)
     picks = (u[:, 1] * len(structures)).astype(int)
     g = np.sqrt(-2.0 * np.log1p(-u[:, 2::2])) * np.exp(2j * np.pi * u[:, 3::2])
     vecs = np.empty((cfg.terms, dim), dtype=complex)
     for pick in np.unique(picks):
         rows, at, blocks = picks == pick, 0, []
-        for blk in structures[pick]:
-            d = math.prod(sites[i - 1] for i in blk)
+        for blk, d in structures[pick]:
             blocks.append((blk, g[rows, at : at + d]))
             at += d
         vecs[rows] = _assemble_product(blocks, sites)
@@ -197,14 +207,15 @@ def random_blind_channel(
 # The witness left-hand sides are convex in rho (moduli of linear functionals
 # plus linear population terms), so their maxima over the separable or
 # biseparable convex hulls sit at extreme points: pure product states.  The
-# search therefore only ever parametrizes pure factors.
+# search climbs one flat vector of factor angles and phases per start, one
+# coordinate at a time.
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_ascent(f: Callable[[float], float], lo: float, hi: float, iters: int = 48) -> float:
-    """Bounded golden-section line search; returns the best point found."""
-    a, b = lo, hi
+def _golden_ascent(f: Callable[[float], float], hi: float, iters: int = 48) -> tuple[float, float]:
+    """Golden-section line search on [0, hi]; returns the best point and its value."""
+    a, b = 0.0, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -217,7 +228,7 @@ def _golden_ascent(f: Callable[[float], float], lo: float, hi: float, iters: int
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    return c if fc >= fd else d
+    return (c, fc) if fc >= fd else (d, fd)
 
 
 def _angles_to_vector(thetas: Array, phases: Array) -> Array:
@@ -231,6 +242,15 @@ def _angles_to_vector(thetas: Array, phases: Array) -> Array:
     v[dim - 1] = run
     v[1:] *= np.exp(1j * phases)
     return v
+
+
+def _product_vector(structure: _Structure, x: Array, sites: tuple[int, ...]) -> Array:
+    """Pure product over ``structure``, each block read from its slice of ``x``."""
+    vecs, at = [], 0
+    for blk, d in structure:
+        vecs.append((blk, _angles_to_vector(x[at : at + d - 1], x[at + d - 1 : at + 2 * d - 2])))
+        at += 2 * d - 2
+    return _assemble_product(vecs, sites)
 
 
 def _pure_lhs(kind: str, vec: Array, sites: tuple[int, ...]) -> float:
@@ -277,58 +297,37 @@ def maximize_witness(
     if witness not in _WITNESS_SET:
         raise ValueError(f"unknown witness name {witness!r}")
     sites = cfg.sites
-    structures = _blocks_for(_WITNESS_SET[witness], len(sites), cfg.partition)
+    structures = _blocks_for(_WITNESS_SET[witness], sites, cfg.partition)
+    # Ranges [0, hi): per block of dimension d, d - 1 angles to pi/2, then d - 1 phases to 2 pi.
+    his = [np.concatenate([np.repeat((np.pi / 2.0, 2.0 * np.pi), d - 1) for _, d in st])
+           for st in structures]
 
-    def random_params(index: int, blocks: list[tuple[int, ...]]) -> list[tuple[Array, Array]]:
-        """Start ``index``: per block, d - 1 angles on [0, pi/2), then d - 1 phases on [0, 2 pi)."""
-        u = uniforms(cfg.seed, index, np.arange(2 * math.prod(sites)))
-        params, at = [], 0
-        for blk in blocks:
-            m = math.prod(sites[i - 1] for i in blk) - 1
-            params.append((np.pi / 2.0 * u[at : at + m], 2.0 * np.pi * u[at + m : at + 2 * m]))
-            at += 2 * m
-        return params
+    def start(i: int) -> tuple[int, Array]:
+        s = i % len(structures)  # starts cycle through the structures
+        return s, his[s] * uniforms(cfg.seed, i, np.arange(his[s].size))
 
-    def value_of(blocks: list[tuple[int, ...]], params: list[tuple[Array, Array]]) -> float:
-        vecs = [(blk, _angles_to_vector(t, p)) for blk, (t, p) in zip(blocks, params)]
-        return _pure_lhs(witness, _assemble_product(vecs, sites), sites)
+    def score(s: int, x: Array) -> float:
+        return _pure_lhs(witness, _product_vector(structures[s], x, sites), sites)
 
-    starts: list[tuple[float, int]] = []
-    for i in range(iters):
-        blocks = structures[i % len(structures)]
-        val = value_of(blocks, random_params(i, blocks))
-        starts.append((val, i))
-    # Sort by value descending, index ascending on ties.
-    starts.sort(key=lambda vi: (-vi[0], vi[1]))
+    def moved(x: Array, j: int, v: float) -> Array:
+        y = x.copy()
+        y[j] = v
+        return y
 
-    best_val, best_params, best_blocks = -np.inf, None, None
-    for val, i in starts[: max(1, refine_top)]:
-        blocks = structures[i % len(structures)]
-        # Params are a pure function of (seed, index); regenerate instead of caching.
-        params = random_params(i, blocks)
-        cur = val
+    vals = [score(*start(i)) for i in range(iters)]
+    # Refine by value descending, index ascending on ties.
+    order = sorted(range(iters), key=lambda i: (-vals[i], i))
+    best_val, best_s, best_x = -np.inf, 0, None
+    for i in order[: max(1, refine_top)]:
+        (s, x), cur = start(i), vals[i]
         for _ in range(sweeps):
-            for thetas, phases in params:
-                for arr, lo, hi in ((thetas, 0.0, np.pi / 2.0), (phases, 0.0, 2.0 * np.pi)):
-                    for k in range(arr.size):
-                        def try_at(x: float, _arr=arr, _k=k) -> float:
-                            old = _arr[_k]
-                            _arr[_k] = x
-                            v = value_of(blocks, params)
-                            _arr[_k] = old
-                            return v
-
-                        cand = _golden_ascent(try_at, lo, hi)
-                        if try_at(cand) >= cur:
-                            cur = try_at(cand)
-                            arr[k] = cand
+            for j in range(x.size):
+                cand, val = _golden_ascent(lambda v: score(s, moved(x, j, v)), his[s][j])
+                if val >= cur:
+                    cur, x[j] = val, cand
         if cur > best_val:
-            best_val = cur
-            best_params = params
-            best_blocks = blocks
-    vecs = [(blk, _angles_to_vector(t, p)) for blk, (t, p) in zip(best_blocks, best_params)]
-    state = pure_density(_assemble_product(vecs, sites), sites)
-    return float(best_val), state
+            best_val, best_s, best_x = cur, s, x
+    return float(best_val), pure_density(_product_vector(structures[best_s], best_x, sites), sites)
 
 
 # ---------------------------------------------------------------------------

@@ -96,21 +96,38 @@ NOT_WITNESSED = "not-witnessed"
 # ---------------------------------------------------------------------------
 
 
+# Each contract's ``check(v, eps_eq, eps_nz)`` returns the tested magnitude and
+# whether it passes, elementwise when ``v`` is a numpy array of values.
+_Checked = tuple[float | Array, bool | Array]
+
+
 @dataclass(frozen=True)
 class Exact:
     """The expectation must equal ``value`` (complex distance <= eps_eq)."""
 
     value: complex
 
+    def check(self, v: complex | Array, eps_eq: float, eps_nz: float) -> _Checked:
+        m = abs(v - self.value)
+        return m, m <= eps_eq
+
 
 @dataclass(frozen=True)
 class Zero:
     """The expectation must vanish (modulus <= eps_eq)."""
 
+    def check(self, v: complex | Array, eps_eq: float, eps_nz: float) -> _Checked:
+        m = abs(v)
+        return m, m <= eps_eq
+
 
 @dataclass(frozen=True)
 class NonZero:
     """The expectation must be bounded away from zero (modulus > eps_nz)."""
+
+    def check(self, v: complex | Array, eps_eq: float, eps_nz: float) -> _Checked:
+        m = abs(v)
+        return m, m > eps_nz
 
 
 Contract = Union[Exact, Zero, NonZero]
@@ -310,28 +327,18 @@ class BatteryReport:
 
 
 def evaluate_battery(rho: DensityMatrix, battery: ParadoxBattery) -> BatteryReport:
-    """Evaluate every battery item on ``rho`` and apply its contract.
-
-    Exact(c) passes when |value - c| <= eps_eq, Zero when |value| <= eps_eq,
-    NonZero when the (companion-combined) magnitude exceeds eps_nz.  The
-    overall report passes only if every item does.
+    """Evaluate every battery item on ``rho`` and apply its contract's
+    ``check``; a NonZero item with a companion tests the combined magnitude.
+    The overall report passes only if every item does.
     """
     results = []
     for item in battery.items:
-        value = expectation(rho, item.observable)
+        value = tested = expectation(rho, item.observable)
         companion_value = None
-        if isinstance(item.contract, Exact):
-            magnitude = abs(value - item.contract.value)
-            passed = magnitude <= battery.eps_eq
-        elif isinstance(item.contract, Zero):
-            magnitude = abs(value)
-            passed = magnitude <= battery.eps_eq
-        else:
-            magnitude = abs(value)
-            if item.companion is not None:
-                companion_value = expectation(rho, item.companion)
-                magnitude = float(np.hypot(abs(value), abs(companion_value)))
-            passed = magnitude > battery.eps_nz
+        if item.companion is not None:
+            companion_value = expectation(rho, item.companion)
+            tested = np.hypot(abs(value), abs(companion_value))
+        magnitude, passed = item.contract.check(tested, battery.eps_eq, battery.eps_nz)
         results.append(
             ItemResult(
                 label=item.observable.label(),
@@ -339,7 +346,7 @@ def evaluate_battery(rho: DensityMatrix, battery: ParadoxBattery) -> BatteryRepo
                 value=value,
                 companion_value=companion_value,
                 magnitude=float(magnitude),
-                passed=passed,
+                passed=bool(passed),
             )
         )
     return BatteryReport(tuple(results), passed=all(r.passed for r in results))
@@ -759,14 +766,7 @@ def classical_assignment_search(
             s = [1] * n_axes
             s[2 * (f.site - 1) + (0 if f.name == "Z" else 1)] = grid.size
             term = term * grid.reshape(s)
-        c = item.contract
-        if isinstance(c, Exact):
-            cond = np.abs(term - c.value) <= tol
-        elif isinstance(c, Zero):
-            cond = np.abs(term) <= tol
-        else:
-            cond = np.abs(term) > eps_nz
-        mask &= cond
+        mask &= item.contract.check(term, tol, eps_nz)[1]
     out = []
     for row in np.argwhere(mask):
         vals = tuple(

@@ -206,15 +206,9 @@ def run_protocol(
         k, s, u = uniforms(seed, np.arange(lo, hi), np.arange(3)[:, None])
         k = (k >= 0.5).astype(np.uint8)
         s = (s >= 0.5).astype(np.uint8)
-        a = np.empty(hi - lo, dtype=np.int8)
-        b = np.empty(hi - lo, dtype=np.int8)
-        for kk in (0, 1):
-            for ss in (0, 1):
-                m = (k == kk) & (s == ss)
-                o = np.searchsorted(cum[kk, ss], u[m], side="right")
-                a[m] = (1 - 2 * (o >> 1)).astype(np.int8)
-                b[m] = (1 - 2 * (o & 1)).astype(np.int8)
-        return k, a, s, b
+        # Outcome index = entries of the round's cumulative row <= u (the row is nondecreasing).
+        o = np.count_nonzero(cum[k, s] <= u[:, None], axis=1)
+        return k, (1 - 2 * (o >> 1)).astype(np.int8), s, (1 - 2 * (o & 1)).astype(np.int8)
 
     if workers == 1:
         k, a, s, b = chunk(0, n_rounds)

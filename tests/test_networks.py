@@ -399,6 +399,16 @@ def test_connectivity_chain_and_split():
     ok, comps = connectivity_check(split)
     assert not ok
     assert comps == [["A", "B"], ["C", "D"]]
+    # a later source joins two groups; owners listed out of declaration order
+    merged = NetworkSpec(
+        parties=("A", "B", "C", "D", "E"),
+        sources=(
+            SourceSpec(_epr_spec(), ("C", "A")),
+            SourceSpec(_epr_spec(), ("D", "B")),
+            SourceSpec(_epr_spec(), ("D", "C")),
+        ),
+    )
+    assert connectivity_check(merged) == (False, [["A", "B", "C", "D"], ["E"]])
 
 
 def test_connectivity_multipartite_source_and_isolated_party():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qew import oracle
 from qew.networks import sample_branch, swap_branches
 from qew.oracle import (
     SamplerConfig,
@@ -21,7 +24,7 @@ from qew.oracle import (
 )
 from qew.qmat import partial_trace, uniforms
 from qew.states import apply_blind_channel, epr_state, ghz_state, werner_mix
-from qew.witnesses import witness_epr, witness_ghz, witness_qudit, witness_w
+from qew.witnesses import witness_epr, witness_family, witness_ghz, witness_qudit, witness_w
 
 
 def test_sampler_config_validation():
@@ -191,6 +194,71 @@ def test_maximize_qudit_bound():
 def test_maximize_unknown_kind():
     with pytest.raises(ValueError):
         maximize_witness("chsh", SamplerConfig(sites=(2, 2)), 10)
+
+
+def test_maximize_scores_each_probe_once(monkeypatch):
+    calls = []
+    pure_lhs = oracle._pure_lhs
+
+    def counted(*args):
+        calls.append(args[0])
+        return pure_lhs(*args)
+
+    monkeypatch.setattr(oracle, "_pure_lhs", counted)
+    # epr on (2, 2): two qubit factors, one angle and one phase each, so P = 4
+    # coordinates; a golden-section search makes 2 + 48 = 50 probes
+    iters, refine_top, sweeps = 3, 2, 2
+    maximize_witness("epr", SamplerConfig(sites=(2, 2), seed=1), iters, sweeps=sweeps, refine_top=refine_top)
+    assert len(calls) == iters + min(refine_top, iters) * sweeps * 4 * 50 == 803
+
+
+@pytest.mark.parametrize(
+    "witness, cfg, iters, kw, value, digest",
+    [
+        ("epr", SamplerConfig(sites=(2, 2), seed=1), 5, {}, "0x1.0000000000000p-51",
+         "0f40f96f64258034ea3840ae98f81a38b53973753d8971cb0c9ece218d349486"),
+        ("qudit", SamplerConfig(sites=(3, 3), seed=7), 5, {}, "0x1.0000000000000p-51",
+         "d9af5b7a74f4021ec974de3d60b5e393881d0ba4f3abd83f8065068be7d0dd15"),
+        ("ghz", SamplerConfig(sites=(2, 2, 2, 2), seed=3), 4, {"sweeps": 1}, "-0x1.3be2b87180000p-18",
+         "35c32494f0d497f79a4568a799a54cc5dd4c50b4a75c30793ced67322067d31b"),
+        ("w", SamplerConfig(sites=(2, 2, 2), seed=7, partition=(1, 3)), 6, {"refine_top": 2},
+         "0x1.fffff87680024p-2", "7959f8a15ec6aa4e567513658575970329cb347977a5017e160e136fc7240979"),
+    ],
+    ids=["epr", "qudit", "ghz4", "w-partition"],
+)
+def test_maximize_result_is_pinned(witness, cfg, iters, kw, value, digest):
+    """Fixed searches give pinned values and state bytes, so any move of the
+    starts, the sweep order or the acceptance rule shows here."""
+    val, state = maximize_witness(witness, cfg, iters, **kw)
+    assert val.hex() == value
+    assert hashlib.sha256(state.mat.tobytes()).hexdigest() == digest
+
+
+def test_structure_table_is_built_once():
+    table = oracle._blocks_for("biseparable", (2, 3, 2), None)
+    assert oracle._blocks_for("biseparable", (2, 3, 2), None) is table
+    assert table[1] == (((1, 2), 6), ((3,), 2))
+    assert oracle._blocks_for("separable", (2, 3), (1,)) == ((((1,), 2), ((2,), 3)),)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([("epr", None, None), ("ghz", 3, None), ("ghz", 4, None), ("w", None, None),
+                     ("qudit", 2, 3), ("qudit", 3, 3), ("qudit", 2, 4)]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+)
+def test_separable_sets_never_cross_the_bound(family, terms, seed, iters):
+    name, n, d = family
+    fam = witness_family(name)
+    cfg = SamplerConfig(sites=fam.sites(n, d), terms=terms, seed=seed)
+    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    for i in range(5):
+        assert fam.witness(sampler(cfg, i)).lhs <= fam.bound + 1e-9
+    val, state = maximize_witness(name, cfg, iters)
+    assert val <= fam.bound + 1e-9
+    assert fam.witness(state).lhs <= fam.bound + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,23 @@ def test_battery_validation():
         BatteryItem(obs((1, "Z")), Exact(1.0), companion=obs((1, "X")))
 
 
+def test_contract_rule_is_one_for_scalars_and_arrays():
+    # binary tolerances, so the values at the boundaries are exact
+    eps_eq, eps_nz = 2.0**-20, 2.0**-10
+    vals = np.array([1.0, 1.0 + 2.0**-20, 1.0 + 2.0**-19, 0.0, 2.0**-20 * 1j, 2.0**-10, -2.0**-9])
+    rules = {
+        Exact(1.0): [True, True, False, False, False, False, False],
+        Zero(): [False, False, False, True, True, False, False],
+        NonZero(): [True, True, True, False, False, False, True],
+    }
+    for contract, expected in rules.items():
+        mags, passed = contract.check(vals, eps_eq, eps_nz)
+        assert passed.tolist() == expected
+        for v, m, p in zip(vals, mags, passed):
+            # numpy's and Python's complex moduli may differ in the last bit
+            assert contract.check(complex(v), eps_eq, eps_nz) == (pytest.approx(m, rel=1e-15), p)
+
+
 def test_reindex_battery_shifts_sites():
     b = reindex_battery(battery_epr(), 3)
     assert b.items[0].observable.label() == "Z@4 Z@5"

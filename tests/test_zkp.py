@@ -182,6 +182,20 @@ def test_runs_are_deterministic_and_worker_independent():
     assert not np.array_equal(t1.b, t_other.b)
 
 
+def test_outcomes_are_the_per_round_inverse_cdf():
+    """Each round's (a, b) is the cumulative-table entry its uniform falls in,
+    as a per-round ``searchsorted`` reads it."""
+    fixed = FixedOutcomesStrategy((1, -1), ((0.7, 0.2 + 0.1j), (0.2 - 0.1j, 0.3)))
+    for strategy in (HonestStrategy(EPR, visibility=0.7), SeparableDiagStrategy(0.3), fixed):
+        t = run_protocol(strategy, 2000, seed=11)
+        cum = np.cumsum(_prob_table(strategy), axis=-1)
+        cum[..., -1] = 1.0
+        u = uniforms(11, np.arange(2000), 2)
+        o = np.array([np.searchsorted(cum[k, s], x, side="right") for k, s, x in zip(t.k, t.s, u)])
+        assert np.array_equal(t.a, 1 - 2 * (o >> 1))
+        assert np.array_equal(t.b, 1 - 2 * (o & 1))
+
+
 def test_transcript_depends_only_on_the_state():
     # two different mixtures realizing the same (fully dephased) state
     flip = BlindChannel(
