@@ -63,6 +63,8 @@ from .zkp import (
 __all__ = ["main", "build_parser"]
 
 ORACLE_SLACK = 1e-9
+# Rows one scan-visibility run may print: 10^6 rows are about 72 MB of CSV.
+MAX_SCAN_ROWS = 10**6
 
 
 class InputError(ValueError):
@@ -190,12 +192,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
         rho = werner_mix(rho, args.noise)
     fam = witness_family(family)
     wrep = fam.witness(rho, eps_eq=args.tol_eq)
-    battery = fam.battery(rho.sites, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
+    brep = evaluate_battery(rho, fam.battery(rho.sites), eps_eq=args.tol_eq, eps_nz=args.tol_nz)
     report = {
         "family": family,
         "state": spec_to_dict(spec),
         "witness": _witness_dict(wrep),
-        "battery": _battery_dict(evaluate_battery(rho, battery)),
+        "battery": _battery_dict(brep),
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0
@@ -215,6 +217,8 @@ def cmd_scan_visibility(args: argparse.Namespace) -> int:
             f"offdiag range must lie within [0, 1/2], got start={start} stop={stop}"
         )
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    if count > MAX_SCAN_ROWS:
+        raise InputError(f"row budget exceeded: {count} rows exceed {MAX_SCAN_ROWS}")
     values = np.minimum(start + step * np.arange(count), 0.5)
     lines = ["offdiag,v_witness,v_chsh,v_svetlichny3"]
     for c in values:
@@ -316,8 +320,10 @@ def cmd_network(args: argparse.Namespace) -> int:
     spec = parse_network_spec(_load_json(args.spec))
     channel = channel_from_dict(_load_json(args.channel)) if args.channel else None
     rho = generate_cluster(spec, channel)
-    batteries = source_batteries(spec, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
-    reports = [evaluate_battery(rho, b) for b in batteries]
+    reports = [
+        evaluate_battery(rho, b, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
+        for b in source_batteries(spec)
+    ]
     connected, components = connectivity_check(spec)
     report = {
         "parties": list(spec.parties),
@@ -388,8 +394,6 @@ def _add_tolerances(p: argparse.ArgumentParser) -> None:
                    help="equality/zero tolerance (default %(default)s)")
     p.add_argument("--tol-nz", type=float, default=EPS_NZ, metavar="E",
                    help="nonzero threshold (default %(default)s)")
-    p.add_argument("--leakage-tol", type=float, default=LEAKAGE_TOL, metavar="E",
-                   help="subspace-support tolerance (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--family", choices=("auto", "epr", "ghz", "w", "qudit"),
                    default="auto", help="witness family (default: infer)")
     _add_tolerances(w)
+    w.add_argument("--leakage-tol", type=float, default=LEAKAGE_TOL, metavar="E",
+                   help="subspace-support tolerance for --family auto (default %(default)s)")
     w.add_argument("--out", metavar="PATH", help="write the JSON report here")
     w.set_defaults(func=cmd_witness)
 

@@ -58,14 +58,7 @@ from .states import (
     spec_to_dict,
     subspace_elements,
 )
-from .witnesses import (
-    EPS_EQ,
-    EPS_NZ,
-    LEAKAGE_TOL,
-    ParadoxBattery,
-    reindex_battery,
-    witness_family,
-)
+from .witnesses import LEAKAGE_TOL, ParadoxBattery, reindex_battery, witness_family
 
 __all__ = [
     "CpGate",
@@ -204,15 +197,9 @@ def network_to_dict(spec: NetworkSpec) -> dict:
 
 
 def build_network_state(spec: NetworkSpec) -> DensityMatrix:
-    """Tensor product of all source states in declared qubit order."""
-    dims = tuple(d for _owner, d in qubit_owners(spec))
-    if int(np.prod(dims)) > MAX_DIM:
-        raise ValueError(
-            f"qubit budget exceeded: total dimension {int(np.prod(dims))} > {MAX_DIM}"
-        )
-    states = [build_state(src.state) for src in spec.sources]
-    flags = frozenset().union(*(rho.flags for rho in states))
-    return as_density(tensor_product(*(rho.mat for rho in states)), dims, flags)
+    """Tensor product of all source states in declared qubit order: the
+    network with its gates left out, under no channel."""
+    return generate_cluster(NetworkSpec(spec.parties, spec.sources))
 
 
 def cp_gate(theta: float) -> Array:
@@ -238,23 +225,30 @@ def _gates_diagonal(spec: NetworkSpec, dims: tuple[int, ...]) -> Array:
 
 
 def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> DensityMatrix:
-    """Apply all controlled-phase gates, then the blind channel.
+    """Tensor the source states, apply all controlled-phase gates, then the
+    blind channel.
 
     The gate layer is the rank-1 Schur multiplier g g^dag of its phase
     vector g, and the channel is a Schur multiplier too (see
     :mod:`qew.states`), so the two commute and their product is applied to
-    the source state in one elementwise step.  Gates with angles outside
-    (0, pi) are allowed but flag the output.
+    the product of the sources in one elementwise step; only the result is
+    validated.  Gates with angles outside (0, pi) are allowed but flag the
+    output.
     """
-    rho = build_network_state(spec)
-    phases = _gates_diagonal(spec, rho.sites)
-    m = np.outer(phases, phases.conj())
-    if ch is not None:
-        m = m * ch.multiplier(rho.sites)
-    flags = set(rho.flags)
+    dims = tuple(d for _owner, d in qubit_owners(spec))
+    if int(np.prod(dims)) > MAX_DIM:
+        raise ValueError(
+            f"qubit budget exceeded: total dimension {int(np.prod(dims))} > {MAX_DIM}"
+        )
+    states = [build_state(src.state) for src in spec.sources]
+    flags = set().union(*(rho.flags for rho in states))
     if any(not 0.0 < g.theta < np.pi for g in spec.cp_gates):
         flags.add("gate-angle-boundary")
-    return as_density(m * rho.mat, rho.sites, flags)
+    phases = _gates_diagonal(spec, dims)
+    m = np.outer(phases, phases.conj())
+    if ch is not None:
+        m = m * ch.multiplier(dims)
+    return as_density(m * tensor_product(*(rho.mat for rho in states)), dims, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +416,7 @@ def sample_branch(
 # ---------------------------------------------------------------------------
 
 
-def source_batteries(
-    spec: NetworkSpec,
-    *,
-    eps_eq: float = EPS_EQ,
-    eps_nz: float = EPS_NZ,
-    imag_companion: bool = True,
-) -> list[ParadoxBattery]:
+def source_batteries(spec: NetworkSpec, *, imag_companion: bool = True) -> list[ParadoxBattery]:
     """One paradox battery per source, re-indexed to global qubit numbers.
 
     Each source contributes its family's battery (pairwise ZZ equalities,
@@ -440,9 +428,7 @@ def source_batteries(
     offset = 0
     for src in spec.sources:
         dims = src.state.site_dims()
-        battery = witness_family(src.state.family()).battery(
-            dims, eps_eq=eps_eq, eps_nz=eps_nz, imag_companion=imag_companion
-        )
+        battery = witness_family(src.state.family()).battery(dims, imag_companion=imag_companion)
         out.append(reindex_battery(battery, offset))
         offset += len(dims)
     return out

@@ -50,6 +50,7 @@ __all__ = [
     "qudit_ghz_state",
     "spec_to_dict",
     "subspace_elements",
+    "uniform_sites",
     "w_state",
     "werner_mix",
 ]
@@ -103,13 +104,19 @@ def parse_state_spec(data: Mapping) -> StateSpec:
         attr, parse = _FIELDS[key]
         values[attr] = parse(key, data[key])
     spec = StateSpec(kind=kind, **values)
-    n, d = entry.shape(spec)
+    uniform_sites(*entry.shape(spec))
+    return spec
+
+
+def uniform_sites(n: int, d: int) -> tuple[int, ...]:
+    """The sites ``(d,) * n`` of n d-level sites, refused before the tuple is
+    built when their total dimension exceeds ``MAX_DIM``."""
     # d ** n is never formed for many sites: 2 ** 13 already exceeds MAX_DIM
     if n >= MAX_DIM.bit_length() or (n > 0 and d**n > MAX_DIM):
         raise ValueError(
             f"dimension budget exceeded: {n} sites of dimension {d} exceed {MAX_DIM}"
         )
-    return spec
+    return (d,) * n
 
 
 def spec_to_dict(spec: StateSpec) -> dict:

@@ -40,7 +40,7 @@ from .qmat import (
     obs,
     tensor_product,
 )
-from .states import SubspaceView, subspace_elements
+from .states import SubspaceView, subspace_elements, uniform_sites
 
 __all__ = [
     "EPS_EQ",
@@ -154,20 +154,17 @@ class BatteryItem:
 
 @dataclass(frozen=True)
 class ParadoxBattery:
-    """Ordered battery of contracted observables with its tolerances.
+    """Ordered battery of contracted observables: the paradox, nothing else.
 
-    ``eps_eq`` applies to Exact/Zero items, ``eps_nz`` to NonZero items.
-    A battery must contain at least one NonZero item — that line is what
-    separable states cannot reproduce once they satisfy the rest.
+    How precisely the lines are checked belongs to the evaluation: see the
+    ``eps_eq``/``eps_nz`` keywords of :func:`evaluate_battery`.  A battery
+    must contain at least one NonZero item — that line is what separable
+    states cannot reproduce once they satisfy the rest.
     """
 
     items: tuple[BatteryItem, ...]
-    eps_eq: float = EPS_EQ
-    eps_nz: float = EPS_NZ
 
     def __post_init__(self) -> None:
-        if self.eps_eq <= 0 or self.eps_nz <= 0:
-            raise ValueError("tolerances must be positive")
         if not any(isinstance(i.contract, NonZero) for i in self.items):
             raise ValueError("a battery needs at least one NonZero item")
 
@@ -187,15 +184,11 @@ def reindex_battery(battery: ParadoxBattery, offset: int) -> ParadoxBattery:
         tuple(
             BatteryItem(shift(i.observable), i.contract, shift(i.companion))
             for i in battery.items
-        ),
-        eps_eq=battery.eps_eq,
-        eps_nz=battery.eps_nz,
+        )
     )
 
 
-def _ring_battery(
-    n: int, d: int, z: str, x: str, y: str | None, eps_eq: float, eps_nz: float
-) -> ParadoxBattery:
+def _ring_battery(n: int, d: int, z: str, x: str, y: str | None) -> ParadoxBattery:
     """z^k (x) z^(d-k) = 1 for k = 1..d-1 and z/x, x/z zeros on the ring pairs
     (1,n), (1,2), ..., (n-1,n), closed by the all-x NonZero line; with ``y``
     given, that line's companion has y on site n in place of x."""
@@ -214,35 +207,25 @@ def _ring_battery(
     comp = obs(*[(j, x) for j in range(1, n)], (n, y)) if y else None
     items.append(BatteryItem(obs(*[(j, x) for j in range(1, n + 1)]), NonZero(), companion=comp))
     # at n = 2 the ring pairs coincide; keep the first of each repeated line
-    return ParadoxBattery(tuple(dict.fromkeys(items)), eps_eq=eps_eq, eps_nz=eps_nz)
+    return ParadoxBattery(tuple(dict.fromkeys(items)))
 
 
-def battery_epr(
-    *, eps_eq: float = EPS_EQ, eps_nz: float = EPS_NZ, imag_companion: bool = True
-) -> ParadoxBattery:
+def battery_epr(*, imag_companion: bool = True) -> ParadoxBattery:
     """The four-line two-qubit battery: ZZ=1, ZX=0, XZ=0, XX!=0."""
-    return battery_ghz(2, eps_eq=eps_eq, eps_nz=eps_nz, imag_companion=imag_companion)
+    return battery_ghz(2, imag_companion=imag_companion)
 
 
-def battery_ghz(
-    n: int,
-    *,
-    eps_eq: float = EPS_EQ,
-    eps_nz: float = EPS_NZ,
-    imag_companion: bool = True,
-) -> ParadoxBattery:
+def battery_ghz(n: int, *, imag_companion: bool = True) -> ParadoxBattery:
     """Ring battery for n-qubit GHZ-type states.
 
     ZZ equalities and ZX/XZ zeros on the ring pairs (1,n), (1,2), ...,
     (n-1,n), closed by the all-X NonZero line.  At n = 2 the ring pairs
     coincide and the list deduplicates to :func:`battery_epr`.
     """
-    return _ring_battery(n, 2, "Z", "X", "Y" if imag_companion else None, eps_eq, eps_nz)
+    return _ring_battery(n, 2, "Z", "X", "Y" if imag_companion else None)
 
 
-def battery_w(
-    *, eps_eq: float = EPS_EQ, eps_nz: float = EPS_NZ, imag_companion: bool = True
-) -> ParadoxBattery:
+def battery_w(*, imag_companion: bool = True) -> ParadoxBattery:
     """Six-line battery for the three-qubit W-type family.
 
     ZZZ = -1 pins the odd-excitation subspace, three single-X zeros kill
@@ -266,12 +249,10 @@ def battery_w(
             companion=obs((1, "X"), (3, "Y")) if imag_companion else None,
         ),
     ]
-    return ParadoxBattery(tuple(items), eps_eq=eps_eq, eps_nz=eps_nz)
+    return ParadoxBattery(tuple(items))
 
 
-def battery_qudit_2(
-    d: int, *, eps_eq: float = EPS_EQ, eps_nz: float = EPS_NZ
-) -> ParadoxBattery:
+def battery_qudit_2(d: int) -> ParadoxBattery:
     """Two-qudit battery: :func:`battery_qudit_n` at n = 2 with one line fewer.
 
     For d > 2 the k = d-1 clock line clock^(d-1) (x) clock is the adjoint
@@ -279,18 +260,14 @@ def battery_qudit_2(
     holds on the other, and the line is dropped.  At d = 2 the two lines are
     one and it stays: without it the product state |++> would pass.
     """
-    full = battery_qudit_n(2, d, eps_eq=eps_eq, eps_nz=eps_nz)
+    full = battery_qudit_n(2, d)
     if d == 2:
         return full
     adjoint = BatteryItem(obs((1, "clock", d - 1), (2, "clock", 1)), Exact(1.0))
-    return ParadoxBattery(
-        tuple(i for i in full.items if i != adjoint), eps_eq=eps_eq, eps_nz=eps_nz
-    )
+    return ParadoxBattery(tuple(i for i in full.items if i != adjoint))
 
 
-def battery_qudit_n(
-    n: int, d: int, *, eps_eq: float = EPS_EQ, eps_nz: float = EPS_NZ
-) -> ParadoxBattery:
+def battery_qudit_n(n: int, d: int) -> ParadoxBattery:
     """Ring battery for n qudits: clock-power equalities plus shift lines.
 
     Clock-power pairs run over k = 1..d-1 on every ring pair; the mixed
@@ -299,7 +276,7 @@ def battery_qudit_n(
     coincide); note the two-qudit list then keeps the k = d-1 equality that
     :func:`battery_qudit_2` omits.
     """
-    return _ring_battery(n, d, "clock", "shift", None, eps_eq, eps_nz)
+    return _ring_battery(n, d, "clock", "shift", None)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +303,20 @@ class BatteryReport:
         return tuple(r for r in self.items if not r.passed)
 
 
-def evaluate_battery(rho: DensityMatrix, battery: ParadoxBattery) -> BatteryReport:
+def evaluate_battery(
+    rho: DensityMatrix,
+    battery: ParadoxBattery,
+    *,
+    eps_eq: float = EPS_EQ,
+    eps_nz: float = EPS_NZ,
+) -> BatteryReport:
     """Evaluate every battery item on ``rho`` and apply its contract's
-    ``check``; a NonZero item with a companion tests the combined magnitude.
-    The overall report passes only if every item does.
+    ``check``: ``eps_eq`` bounds the Exact/Zero distances, ``eps_nz`` is
+    the NonZero threshold.  A NonZero item with a companion tests the
+    combined magnitude.  The overall report passes only if every item does.
     """
+    if eps_eq <= 0 or eps_nz <= 0:
+        raise ValueError("tolerances must be positive")
     results = []
     for item in battery.items:
         value = tested = expectation(rho, item.observable)
@@ -338,7 +324,7 @@ def evaluate_battery(rho: DensityMatrix, battery: ParadoxBattery) -> BatteryRepo
         if item.companion is not None:
             companion_value = expectation(rho, item.companion)
             tested = np.hypot(abs(value), abs(companion_value))
-        magnitude, passed = item.contract.check(tested, battery.eps_eq, battery.eps_nz)
+        magnitude, passed = item.contract.check(tested, eps_eq, eps_nz)
         results.append(
             ItemResult(
                 label=item.observable.label(),
@@ -505,9 +491,11 @@ class WitnessFamily:
     """What the CLI and the network checks need to know about one family.
 
     ``witness(rho, eps_eq=...)`` stays at or below ``bound`` on the
-    ``sampler`` set ("separable" or "biseparable").  ``battery(sites, **tol)``
-    builds the paradox battery for a member on ``sites``; ``sites(n, d)``
-    gives the sites of a member, with None for the family's default n or d.
+    ``sampler`` set ("separable" or "biseparable").  ``battery(sites,
+    imag_companion=True)`` builds the paradox battery for a member on
+    ``sites``; it carries no tolerances, which :func:`evaluate_battery`
+    takes.  ``sites(n, d)`` gives the sites of a member, with None for the
+    family's default n or d.
     """
 
     witness: Callable[..., WitnessReport]
@@ -517,11 +505,11 @@ class WitnessFamily:
     sites: Callable[[int | None, int | None], tuple[int, ...]]
 
 
-def _qudit_battery(sites: Sequence[int], *, imag_companion: bool = True, **tol) -> ParadoxBattery:
+def _qudit_battery(sites: Sequence[int], *, imag_companion: bool = True) -> ParadoxBattery:
     # clock/shift expectations are complex: the modulus needs no companion
     if len(sites) == 2:
-        return battery_qudit_2(sites[0], **tol)
-    return battery_qudit_n(len(sites), sites[0], **tol)
+        return battery_qudit_2(sites[0])
+    return battery_qudit_n(len(sites), sites[0])
 
 
 def witness_family(name: str) -> WitnessFamily:
@@ -534,11 +522,12 @@ def witness_family(name: str) -> WitnessFamily:
         "epr": WitnessFamily(witness_epr, 0.0, lambda sites, **kw: battery_epr(**kw),
                              "separable", lambda n, d: (2, 2)),
         "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites, **kw: battery_ghz(len(sites), **kw),
-                             "biseparable", lambda n, d: (2,) * (3 if n is None else n)),
+                             "biseparable", lambda n, d: uniform_sites(3 if n is None else n, 2)),
         "w": WitnessFamily(witness_w, 0.5, lambda sites, **kw: battery_w(**kw),
                            "biseparable", lambda n, d: (2, 2, 2)),
         "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery, "separable",
-                               lambda n, d: (3 if d is None else d,) * (2 if n is None else n)),
+                               lambda n, d: uniform_sites(2 if n is None else n,
+                                                          3 if d is None else d)),
     }
     try:
         return table[name]

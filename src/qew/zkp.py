@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 MIN_CELL_ROUNDS = 30
+# Rounds one run_protocol call may simulate: ten times the 10^6 of the
+# largest documented run, at about 80 bytes of peak memory per round.
+MAX_ROUNDS = 10**7
 DEFAULT_Z = 5.0
 
 # Challenge/setting bit -> measured Pauli (0 is x, 1 is z).
@@ -197,6 +200,8 @@ def run_protocol(
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
+    if n_rounds > MAX_ROUNDS:
+        raise ValueError(f"round budget exceeded: {n_rounds} rounds exceed {MAX_ROUNDS}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cum = np.cumsum(_prob_table(strategy), axis=-1)

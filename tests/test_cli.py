@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -12,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qew.cli import main
+from qew.cli import MAX_SCAN_ROWS, main
 from qew.witnesses import critical_visibility
-from qew.zkp import read_transcript
+from qew.states import MAX_DIM
+from qew.zkp import MAX_ROUNDS, read_transcript
 
 SCI12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -350,6 +352,88 @@ def test_network_spec_error(tmp_path, capsys):
         code, out, err = _run(capsys, "network", path)
         assert code == 2 and out == "" and f"'{field}'" in err, (change, err)
         assert "Traceback" not in err
+
+
+def test_network_has_no_leakage_flag(capsys):
+    # a network report reads no subspace support, so the flag would be dead
+    for command, has_flag in (("network", False), ("witness", True)):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert "--tol-eq" in usage and ("--leakage-tol" in usage) == has_flag
+
+
+# Reports at two set tolerance pairs.  Each pair moves a different set of
+# battery verdicts away from the defaults, so the digests pin where the
+# tolerances reach as well as the report bytes.
+_PINNED_REPORTS = {
+    ("witness", "0.25", "0.5"): "8908e76fb9ec1cc9de2a19d3abe5c9c3e3602ab2a03f1e187d96c35e722683f2",
+    ("witness", "1e-3", "0.9"): "3ca80c5ffd93db44bd1bf532c455c7879dfae5662fc599ee7e2458ffe7cde600",
+    ("network", "0.25", "0.5"): "1afee7855d72927d36f18f96a520413ecb74510fbd9eba17f6465a3133e3e906",
+    ("network", "1e-3", "0.9"): "f151cf6a433cc25c7977396cb1a03df38a552282ae393fc1d663dc36552ef016",
+}
+
+
+def test_reports_at_set_tolerances_are_pinned(tmp_path, capsys):
+    ghz = _write(tmp_path, "ghz.json", {"kind": "ghz", "n": 3, "theta": 0.7})
+    net = _write(
+        tmp_path, "net.json",
+        {
+            "parties": ["A", "B", "C"],
+            "sources": [
+                {"state": {"kind": "epr", "theta": 0.6}, "owners": ["A", "B"]},
+                {"state": {"kind": "ghz", "n": 3, "theta": 0.7}, "owners": ["A", "B", "C"]},
+                {"state": {"kind": "w", "a": [0.4, 0.5, 0.6, 0.4795831523312719]},
+                 "owners": ["A", "B", "C"]},
+            ],
+            "cp_gates": [{"party": "A", "theta": 1.2, "qubits": [1, 3]}],
+        },
+    )
+    still = [[0.0, 0.0]] * 8
+    flip = [[0.0, 0.0]] * 3 + [[0.0, np.pi]] + [[0.0, 0.0]] * 4
+    channel = _write(
+        tmp_path, "ch.json",
+        {"terms": [{"p": 0.7, "site_phases": still}, {"p": 0.3, "site_phases": flip}]},
+    )
+    argv = {
+        "witness": ["witness", ghz, "--noise", "0.8"],
+        "network": ["network", net, "--channel", channel],
+    }
+    for (command, eq, nz), digest in _PINNED_REPORTS.items():
+        code, out, _ = _run(capsys, *argv[command], "--tol-eq", eq, "--tol-nz", nz)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, eq, nz)
+
+
+def test_non_positive_tolerances_refused(tmp_path, capsys):
+    for command, path in (("witness", _epr_file(tmp_path)), ("network", _chain_network(tmp_path))):
+        for flag in (("--tol-eq", "0"), ("--tol-nz", "-1")):
+            code, out, err = _run(capsys, command, path, *flag)
+            assert (code, out, err) == (2, "", "error: tolerances must be positive\n")
+
+
+# ---------------------------------------------------------------------------
+# size budgets
+# ---------------------------------------------------------------------------
+
+
+def test_size_arguments_over_budget_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    strategy = _write(
+        tmp_path, "honest.json",
+        {"kind": "honest", "state": {"kind": "epr", "theta": np.pi / 4}},
+    )
+    for argv, budget in (
+        (["oracle", "--witness", "ghz", "--n", "40", "--seed", "1"], MAX_DIM),
+        (["oracle", "--witness", "ghz", "--n", "13", "--seed", "1"], MAX_DIM),
+        (["oracle", "--witness", "qudit", "--n", "2", "--d", "100000", "--seed", "1"], MAX_DIM),
+        (["zkp", strategy, "--n", str(10**12), "--seed", "1"], MAX_ROUNDS),
+        (["scan-visibility", "--step", "1e-12"], MAX_SCAN_ROWS),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "budget" in err and str(budget) in err and "Traceback" not in err, (argv, err)
+    assert not list(tmp_path.glob("*.txt"))  # no transcript was started
 
 
 # ---------------------------------------------------------------------------

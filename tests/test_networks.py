@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qew.networks import (
     CpGate,
@@ -117,6 +120,47 @@ def test_parse_and_round_trip():
     assert spec.sources[1].owners == ("A", "A", "B")
     assert spec.cp_gates[0].qubits == (3, 4)
     assert network_to_dict(spec) == data
+
+
+@st.composite
+def _network_dicts(draw):
+    parties = [f"P{j}" for j in range(draw(st.integers(1, 3)))]
+    angle = st.floats(-4.0, 4.0)
+
+    def unit(size):
+        raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
+        return [float(x) for x in np.sqrt(raw / raw.sum())]
+
+    sources, owners = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("epr", "ghz", "w", "qudit_ghz")))
+        if kind == "epr":
+            state, dims = {"kind": "epr", "theta": draw(angle)}, [2, 2]
+        elif kind == "ghz":
+            n = draw(st.integers(2, 3))
+            state, dims = {"kind": "ghz", "n": n, "theta": draw(angle)}, [2] * n
+        elif kind == "w":
+            state, dims = {"kind": "w", "a": unit(4)}, [2, 2, 2]
+        else:
+            d = draw(st.integers(2, 3))
+            state, dims = {"kind": "qudit_ghz", "n": 2, "d": d, "alpha": unit(d)}, [d, d]
+        held = [draw(st.sampled_from(parties)) for _ in dims]
+        sources.append({"state": state, "owners": held})
+        owners += zip(held, dims)
+    gates = []
+    for party in parties:
+        qubits = [q for q, (o, d) in enumerate(owners, start=1) if o == party and d == 2]
+        if len(qubits) >= 2 and draw(st.booleans()):
+            pair = draw(st.lists(st.sampled_from(qubits), min_size=2, max_size=2, unique=True))
+            gates.append({"party": party, "theta": draw(angle), "qubits": pair})
+    return {"parties": parties, "sources": sources, "cp_gates": gates}
+
+
+@given(_network_dicts())
+def test_network_dict_roundtrip(data):
+    spec = parse_network_spec(json.loads(json.dumps(data)))
+    assert network_to_dict(spec) == data
+    assert parse_network_spec(network_to_dict(spec)) == spec
 
 
 def test_parse_missing_key():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,6 +296,32 @@ def test_compose_matches_sequential_application():
     sites = rho.sites
     product = a.multiplier(sites) * b.multiplier(sites)
     assert np.max(np.abs(compose_blind_channels(a, b).multiplier(sites) - product)) <= 1e-12
+
+
+@st.composite
+def _channel_dicts(draw):
+    sites = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    raw_p = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+    phase = st.floats(-10.0, 10.0)
+    return {
+        "terms": [
+            {"p": float(p), "site_phases": [[draw(phase) for _ in range(d)] for d in sites]}
+            for p in np.asarray(raw_p) / sum(raw_p)
+        ]
+    }
+
+
+@given(_channel_dicts())
+def test_channel_dict_roundtrip(data):
+    ch = channel_from_dict(json.loads(json.dumps(data)))
+    back = {
+        "terms": [
+            {"p": t.p, "site_phases": [list(phases) for phases in t.site_phases]}
+            for t in ch.terms
+        ]
+    }
+    assert back == data
+    assert ch.site_dims() == tuple(len(p) for p in data["terms"][0]["site_phases"])
 
 
 def test_channel_from_dict_qudit_sites():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,15 +268,22 @@ def test_battery_qudit_n_item_count():
 
 def test_battery_validation():
     with pytest.raises(ValueError, match="NonZero"):
-        ParadoxBattery(
-            (BatteryItem(obs((1, "Z"), (2, "Z")), Exact(1.0)),),
-            eps_eq=1e-9,
-            eps_nz=1e-6,
-        )
+        ParadoxBattery((BatteryItem(obs((1, "Z"), (2, "Z")), Exact(1.0)),))
     with pytest.raises(ValueError, match="positive"):
-        battery_epr(eps_eq=0.0)
+        evaluate_battery(epr_state(np.pi / 4), battery_epr(), eps_eq=0.0)
     with pytest.raises(ValueError, match="companion"):
         BatteryItem(obs((1, "Z")), Exact(1.0), companion=obs((1, "X")))
+
+
+def test_tolerances_are_arguments_of_the_evaluation():
+    # the battery is its lines only; one battery, three verdicts
+    assert [f.name for f in dataclasses.fields(ParadoxBattery)] == ["items"]
+    rho = werner_mix(epr_state(np.pi / 4), 0.8)  # ZZ = XX = 0.8
+    battery = battery_epr()
+    assert not evaluate_battery(rho, battery).passed
+    assert evaluate_battery(rho, battery, eps_eq=0.25).passed
+    rep = evaluate_battery(rho, battery, eps_eq=0.25, eps_nz=0.9)
+    assert [r.label for r in rep.failures()] == ["X@1 X@2"]
 
 
 def test_contract_rule_is_one_for_scalars_and_arrays():

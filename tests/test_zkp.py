@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qew.qmat import uniforms
 from qew.states import BlindChannel, ChannelTerm, StateSpec
@@ -260,6 +261,25 @@ def test_transcript_validation():
         Transcript(0, n, good.k + 2, good.a, good.s, good.b)
     with pytest.raises(ValueError, match=r"\+/-1"):
         Transcript(0, n, good.k, good.a * 0, good.s, good.b)
+
+
+@st.composite
+def _transcripts(draw):
+    n = draw(st.integers(1, 60))
+    bits = st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n)
+    signs = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
+    k, s = (np.array(draw(bits), dtype=np.uint8) for _ in range(2))
+    a, b = (np.array(draw(signs), dtype=np.int8) for _ in range(2))
+    return Transcript(draw(st.integers(-(2**70), 2**70)), n, k, a, s, b)
+
+
+@given(_transcripts())
+def test_transcript_text_roundtrip(t):
+    back = parse_transcript(format_transcript(t))
+    assert (back.seed, back.n_rounds) == (t.seed, t.n_rounds)
+    for name in ("k", "a", "s", "b"):
+        want, got = getattr(t, name), getattr(back, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_transcript_round_trip(tmp_path):
