@@ -33,6 +33,7 @@ from .qmat import (
     BELL_LABELS,
     PAULI_X,
     PAULI_Z,
+    ZERO_PROB,
     Array,
     DensityMatrix,
     _sandwich,
@@ -78,9 +79,6 @@ __all__ = [
     "source_batteries",
     "swap_branches",
 ]
-
-ZERO_BRANCH = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # network description
@@ -276,13 +274,13 @@ class ReductionResult:
             raise ValueError(f"branch probability {self.probability} outside (0, 1]")
 
 
-def _require_edge_support(rho: DensityMatrix, leakage_tol: float, what: str) -> None:
+def _require_edge_support(rho: DensityMatrix, what: str) -> None:
     family = "epr" if rho.sites == (2, 2) else "ghz"
     leak = subspace_elements(rho, family).leakage
-    if leak > leakage_tol:
+    if leak > LEAKAGE_TOL:
         raise ValueError(
             f"{what} requires support on the edge subspace; leakage {leak:.3e} "
-            f"exceeds {leakage_tol:.1e}"
+            f"exceeds {LEAKAGE_TOL:.1e}"
         )
 
 
@@ -290,8 +288,6 @@ def reduce_ghz_to_epr(
     rho: DensityMatrix,
     keep: tuple[int, int],
     outcomes: Sequence[int] | None = None,
-    *,
-    leakage_tol: float = LEAKAGE_TOL,
 ) -> ReductionResult | list[ReductionResult]:
     """Measure all qubits except ``keep`` in the +/- basis and correct.
 
@@ -312,7 +308,7 @@ def reduce_ghz_to_epr(
             raise ValueError(f"keep index {q} out of range")
     if n < 3:
         raise ValueError("nothing to measure: state already has 2 qubits")
-    _require_edge_support(rho, leakage_tol, "reduction")
+    _require_edge_support(rho, "reduction")
     i, j = min(i, j), max(i, j)
     others = [q for q in range(1, n + 1) if q not in (i, j)]
 
@@ -322,7 +318,7 @@ def reduce_ghz_to_epr(
         # <v| rho |v> over all measured sites at once (a joint projection).
         sub = _sandwich(rho, others, vec)
         p = float(np.real(np.trace(sub)))
-        if p <= ZERO_BRANCH:
+        if p <= ZERO_PROB:
             raise ValueError(f"branch {bits} has zero probability")
         state = as_density(sub / p, (2, 2))
         corrections: tuple[tuple[str, int], ...] = ()
@@ -351,16 +347,11 @@ _SWAP_CORRECTIONS: dict[str, tuple[tuple[str, int], ...]] = {
 _PAULI_BY_NAME = {"Z": PAULI_Z, "X": PAULI_X}
 
 
-def swap_branches(
-    rho_ab: DensityMatrix,
-    rho_cd: DensityMatrix,
-    *,
-    leakage_tol: float = LEAKAGE_TOL,
-) -> list[ReductionResult]:
+def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[ReductionResult]:
     """All nonzero Bell branches of an entanglement swap, corrected.
 
     The two pair states (on qubits A,B and C,D) must live in the
-    |00>/|11> span up to ``leakage_tol``.  B and C are jointly measured in
+    |00>/|11> span up to ``LEAKAGE_TOL``.  B and C are jointly measured in
     the Bell basis; the table at the top of this module maps each outcome
     to its correction.  On every returned branch the output coherence is
     rho_00;11 * rho'_00;11 / norm (the psi branches see the conjugate of
@@ -369,7 +360,7 @@ def swap_branches(
     for rho, name in ((rho_ab, "first"), (rho_cd, "second")):
         if rho.sites != (2, 2):
             raise ValueError(f"{name} input must be a two-qubit state, got {rho.sites}")
-        _require_edge_support(rho, leakage_tol, "entanglement swap")
+        _require_edge_support(rho, "entanglement swap")
     joint = as_density(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2))
     branches = joint_measure_two_sites(joint, (2, 3), bell_basis())
     out = []
@@ -385,17 +376,11 @@ def swap_branches(
     return out
 
 
-def entanglement_swap(
-    rho_ab: DensityMatrix,
-    rho_cd: DensityMatrix,
-    outcome: str,
-    *,
-    leakage_tol: float = LEAKAGE_TOL,
-) -> ReductionResult:
+def entanglement_swap(rho_ab: DensityMatrix, rho_cd: DensityMatrix, outcome: str) -> ReductionResult:
     """Single corrected Bell branch of the swap; see :func:`swap_branches`."""
     if outcome not in BELL_LABELS:
         raise ValueError(f"outcome must be one of {BELL_LABELS}, got {outcome!r}")
-    for br in swap_branches(rho_ab, rho_cd, leakage_tol=leakage_tol):
+    for br in swap_branches(rho_ab, rho_cd):
         if br.outcome == outcome:
             return br
     raise ValueError(f"branch {outcome!r} has zero probability")
@@ -416,7 +401,7 @@ def sample_branch(
 # ---------------------------------------------------------------------------
 
 
-def source_batteries(spec: NetworkSpec, *, imag_companion: bool = True) -> list[ParadoxBattery]:
+def source_batteries(spec: NetworkSpec) -> list[ParadoxBattery]:
     """One paradox battery per source, re-indexed to global qubit numbers.
 
     Each source contributes its family's battery (pairwise ZZ equalities,
@@ -428,7 +413,7 @@ def source_batteries(spec: NetworkSpec, *, imag_companion: bool = True) -> list[
     offset = 0
     for src in spec.sources:
         dims = src.state.site_dims()
-        battery = witness_family(src.state.family()).battery(dims, imag_companion=imag_companion)
+        battery = witness_family(src.state.family()).battery(dims)
         out.append(reindex_battery(battery, offset))
         offset += len(dims)
     return out

@@ -168,36 +168,20 @@ def sample_biseparable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
     return _sample_mixture("biseparable", cfg, index)
 
 
-def random_blind_channel(
-    sites: Sequence[int],
-    terms: int,
-    seed: int,
-    index: int = 0,
-    *,
-    conjugate_pairs: bool = False,
-) -> BlindChannel:
+def random_blind_channel(sites: Sequence[int], terms: int, seed: int, index: int = 0) -> BlindChannel:
     """Random phase channel with Dirichlet weights and uniform (0, pi) phases.
 
     Term t reads one slot of stream draws: its weight, then one phase per
-    level of every site.  With ``conjugate_pairs`` each drawn term is
-    emitted twice at half weight, once with negated phases — the mixture's
-    coherence factors are then real (useful when a test needs phase
-    scrambling that preserves real parts).
+    level of every site.
     """
     sites = tuple(int(d) for d in sites)
     width = 1 + sum(sites)
     u = uniforms(seed, index, np.arange(terms * width)).reshape(terms, width)
     ends = list(itertools.accumulate(sites, initial=1))
-    out: list[ChannelTerm] = []
-    for w, row in zip(_dirichlet(u[:, 0]).tolist(), (np.pi * u).tolist()):
-        phases = tuple(tuple(row[a:b]) for a, b in zip(ends, ends[1:]))
-        if conjugate_pairs:
-            neg = tuple(tuple(-x for x in site) for site in phases)
-            out.append(ChannelTerm(w / 2.0, phases))
-            out.append(ChannelTerm(w / 2.0, neg))
-        else:
-            out.append(ChannelTerm(w, phases))
-    return BlindChannel(tuple(out))
+    return BlindChannel(tuple(
+        ChannelTerm(w, tuple(tuple(row[a:b]) for a, b in zip(ends, ends[1:])))
+        for w, row in zip(_dirichlet(u[:, 0]).tolist(), (np.pi * u).tolist())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +192,10 @@ def random_blind_channel(
 # plus linear population terms), so their maxima over the separable or
 # biseparable convex hulls sit at extreme points: pure product states.  The
 # search climbs one flat vector of factor angles and phases per start, one
-# coordinate at a time.
+# coordinate at a time: the REFINE_TOP best starts, SWEEPS passes each.
+
+SWEEPS = 3
+REFINE_TOP = 8
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -276,21 +263,15 @@ def _pure_lhs(kind: str, vec: Array, sites: tuple[int, ...]) -> float:
 _WITNESS_SET = {"epr": "separable", "qudit": "separable", "ghz": "biseparable", "w": "biseparable"}
 
 
-def maximize_witness(
-    witness: str,
-    cfg: SamplerConfig,
-    iters: int,
-    *,
-    sweeps: int = 3,
-    refine_top: int = 8,
-) -> tuple[float, DensityMatrix]:
+def maximize_witness(witness: str, cfg: SamplerConfig, iters: int) -> tuple[float, DensityMatrix]:
     """Search the (bi)separable set for the largest witness left-hand side.
 
     ``iters`` random pure-product starts are scored (for ``ghz``/``w`` the
-    starts cycle through the bipartitions); the best few are refined by
-    coordinate-wise golden-section sweeps over the factor angles.  Fully
-    deterministic for a given ``cfg.seed``; ties keep the lowest start
-    index.  Returns the best value and the state attaining it.
+    starts cycle through the bipartitions); the best ``REFINE_TOP`` are
+    refined by ``SWEEPS`` coordinate-wise golden-section sweeps over the
+    factor angles.  Fully deterministic for a given ``cfg.seed``; ties keep
+    the lowest start index.  Returns the best value and the state attaining
+    it.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -318,9 +299,9 @@ def maximize_witness(
     # Refine by value descending, index ascending on ties.
     order = sorted(range(iters), key=lambda i: (-vals[i], i))
     best_val, best_s, best_x = -np.inf, 0, None
-    for i in order[: max(1, refine_top)]:
+    for i in order[:REFINE_TOP]:
         (s, x), cur = start(i), vals[i]
-        for _ in range(sweeps):
+        for _ in range(SWEEPS):
             for j in range(x.size):
                 cand, val = _golden_ascent(lambda v: score(s, moved(x, j, v)), his[s][j])
                 if val >= cur:

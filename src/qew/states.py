@@ -110,9 +110,11 @@ def parse_state_spec(data: Mapping) -> StateSpec:
 
 def uniform_sites(n: int, d: int) -> tuple[int, ...]:
     """The sites ``(d,) * n`` of n d-level sites, refused before the tuple is
-    built when their total dimension exceeds ``MAX_DIM``."""
+    built when n is negative or their total dimension exceeds ``MAX_DIM``."""
+    if n < 0:
+        raise ValueError(f"site count must be non-negative, got n={n}")
     # d ** n is never formed for many sites: 2 ** 13 already exceeds MAX_DIM
-    if n >= MAX_DIM.bit_length() or (n > 0 and d**n > MAX_DIM):
+    if n >= MAX_DIM.bit_length() or d**n > MAX_DIM:
         raise ValueError(
             f"dimension budget exceeded: {n} sites of dimension {d} exceed {MAX_DIM}"
         )

@@ -210,44 +210,37 @@ def _ring_battery(n: int, d: int, z: str, x: str, y: str | None) -> ParadoxBatte
     return ParadoxBattery(tuple(dict.fromkeys(items)))
 
 
-def battery_epr(*, imag_companion: bool = True) -> ParadoxBattery:
+def battery_epr() -> ParadoxBattery:
     """The four-line two-qubit battery: ZZ=1, ZX=0, XZ=0, XX!=0."""
-    return battery_ghz(2, imag_companion=imag_companion)
+    return battery_ghz(2)
 
 
-def battery_ghz(n: int, *, imag_companion: bool = True) -> ParadoxBattery:
+def battery_ghz(n: int) -> ParadoxBattery:
     """Ring battery for n-qubit GHZ-type states.
 
     ZZ equalities and ZX/XZ zeros on the ring pairs (1,n), (1,2), ...,
-    (n-1,n), closed by the all-X NonZero line.  At n = 2 the ring pairs
-    coincide and the list deduplicates to :func:`battery_epr`.
+    (n-1,n), closed by the all-X NonZero line with its X...XY companion.
+    At n = 2 the ring pairs coincide and the list deduplicates to
+    :func:`battery_epr`.
     """
-    return _ring_battery(n, 2, "Z", "X", "Y" if imag_companion else None)
+    return _ring_battery(n, 2, "Z", "X", "Y")
 
 
-def battery_w(*, imag_companion: bool = True) -> ParadoxBattery:
+def battery_w() -> ParadoxBattery:
     """Six-line battery for the three-qubit W-type family.
 
     ZZZ = -1 pins the odd-excitation subspace, three single-X zeros kill
     the cross-subspace elements, and two two-site XX lines are the
     entanglement witnesses (nonzero on the family, jointly unreachable
-    classically).
+    classically), each with its XY companion.
     """
     items = [
         BatteryItem(obs((1, "Z"), (2, "Z"), (3, "Z")), Exact(-1.0)),
         BatteryItem(obs((1, "X"), (2, "Z"), (3, "Z")), Zero()),
         BatteryItem(obs((1, "Z"), (2, "X"), (3, "Z")), Zero()),
         BatteryItem(obs((1, "Z"), (2, "Z"), (3, "X")), Zero()),
-        BatteryItem(
-            obs((1, "X"), (2, "X")),
-            NonZero(),
-            companion=obs((1, "X"), (2, "Y")) if imag_companion else None,
-        ),
-        BatteryItem(
-            obs((1, "X"), (3, "X")),
-            NonZero(),
-            companion=obs((1, "X"), (3, "Y")) if imag_companion else None,
-        ),
+        BatteryItem(obs((1, "X"), (2, "X")), NonZero(), companion=obs((1, "X"), (2, "Y"))),
+        BatteryItem(obs((1, "X"), (3, "X")), NonZero(), companion=obs((1, "X"), (3, "Y"))),
     ]
     return ParadoxBattery(tuple(items))
 
@@ -458,26 +451,19 @@ def witness_w(
 
 def witness_qudit(
     rho: DensityMatrix,
-    n: int | None = None,
-    d: int | None = None,
     *,
     eps_eq: float = EPS_EQ,
 ) -> WitnessReport:
     """Qudit witness on the |j..j> ladder: 2 sum |coh| + sum pops - 1 <= 0.
 
     The bound holds for every biseparable state of n uniform d-level
-    sites; at d = 2 the expression reduces to :func:`witness_ghz`.  ``n``
-    and ``d``, when given, are cross-checked against the state.
+    sites; at d = 2 the expression reduces to :func:`witness_ghz`.
     """
     dims = set(rho.sites)
     if len(dims) != 1:
         raise ValueError(f"uniform local dimensions required, got {rho.sites}")
     if rho.n_sites < 2:
         raise ValueError("need at least 2 sites")
-    if n is not None and n != rho.n_sites:
-        raise ValueError(f"state has {rho.n_sites} sites, expected n={n}")
-    if d is not None and d != rho.sites[0]:
-        raise ValueError(f"state has local dimension {rho.sites[0]}, expected d={d}")
     return _ladder_witness(rho, "qudit", eps_eq)
 
 
@@ -486,26 +472,42 @@ def witness_qudit(
 # ---------------------------------------------------------------------------
 
 
+_SitesRule = Callable[[int | None, int | None], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class WitnessFamily:
     """What the CLI and the network checks need to know about one family.
 
     ``witness(rho, eps_eq=...)`` stays at or below ``bound`` on the
-    ``sampler`` set ("separable" or "biseparable").  ``battery(sites,
-    imag_companion=True)`` builds the paradox battery for a member on
-    ``sites``; it carries no tolerances, which :func:`evaluate_battery`
-    takes.  ``sites(n, d)`` gives the sites of a member, with None for the
-    family's default n or d.
+    ``sampler`` set ("separable" or "biseparable").  ``battery(sites)``
+    builds the paradox battery for a member on ``sites``; it carries no
+    tolerances, which :func:`evaluate_battery` takes.  ``sites(n, d)`` gives
+    the sites of a member, with None for the family's default n or d; a
+    value the family fixes is refused when given.
     """
 
     witness: Callable[..., WitnessReport]
     bound: float
-    battery: Callable[..., ParadoxBattery]
+    battery: Callable[[Sequence[int]], ParadoxBattery]
     sampler: str
-    sites: Callable[[int | None, int | None], tuple[int, ...]]
+    sites: _SitesRule
 
 
-def _qudit_battery(sites: Sequence[int], *, imag_companion: bool = True) -> ParadoxBattery:
+def _uniform(n: int, d: int, settable: str) -> _SitesRule:
+    """``sites(n, d)`` of a family of n d-level sites by default; only the
+    values named in ``settable`` may be given."""
+
+    def sites(n_arg: int | None, d_arg: int | None) -> tuple[int, ...]:
+        for name, arg, default in (("n", n_arg, n), ("d", d_arg, d)):
+            if arg is not None and name not in settable:
+                raise ValueError(f"the family fixes {name} = {default}; --{name} {arg} does not apply")
+        return uniform_sites(n if n_arg is None else n_arg, d if d_arg is None else d_arg)
+
+    return sites
+
+
+def _qudit_battery(sites: Sequence[int]) -> ParadoxBattery:
     # clock/shift expectations are complex: the modulus needs no companion
     if len(sites) == 2:
         return battery_qudit_2(sites[0])
@@ -519,15 +521,14 @@ def witness_family(name: str) -> WitnessFamily:
     rebinding of one of them (to trace its calls, say) is seen here too.
     """
     table = {
-        "epr": WitnessFamily(witness_epr, 0.0, lambda sites, **kw: battery_epr(**kw),
-                             "separable", lambda n, d: (2, 2)),
-        "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites, **kw: battery_ghz(len(sites), **kw),
-                             "biseparable", lambda n, d: uniform_sites(3 if n is None else n, 2)),
-        "w": WitnessFamily(witness_w, 0.5, lambda sites, **kw: battery_w(**kw),
-                           "biseparable", lambda n, d: (2, 2, 2)),
+        "epr": WitnessFamily(witness_epr, 0.0, lambda sites: battery_epr(), "separable",
+                             _uniform(2, 2, "")),
+        "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites: battery_ghz(len(sites)),
+                             "biseparable", _uniform(3, 2, "n")),
+        "w": WitnessFamily(witness_w, 0.5, lambda sites: battery_w(), "biseparable",
+                           _uniform(3, 2, "")),
         "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery, "separable",
-                               lambda n, d: uniform_sites(2 if n is None else n,
-                                                          3 if d is None else d)),
+                               _uniform(2, 3, "nd")),
     }
     try:
         return table[name]
@@ -554,7 +555,6 @@ class NoiseWitnessReport:
 def noise_witness(
     rho: DensityMatrix,
     *,
-    xx_coefficient: float = 2.0,
     eps_eq: float = EPS_EQ,
 ) -> NoiseWitnessReport:
     """Correlation-only witness s = 2<XX> + <ZZ> > 1 for noisy two-qubit states.
@@ -563,8 +563,7 @@ def noise_witness(
     so the verdict line s > 1 reproduces the critical visibility
     1/(1 + 4 rho_00;11).  The <ZX> and <XZ> values are reported with a
     ``zero_lines_ok`` check but do not enter the verdict.  The coefficient
-    on <XX> is exposed because a factor-4 variant of the same witness is in
-    circulation; only 2 matches the visibility threshold above.
+    on <XX> is 2, the one that matches the visibility threshold above.
     """
     if rho.sites != (2, 2):
         raise ValueError(f"two-qubit state required, got sites {rho.sites}")
@@ -572,7 +571,7 @@ def noise_witness(
     xx = float(np.real(expectation(rho, obs((1, "X"), (2, "X")))))
     zx = float(np.real(expectation(rho, obs((1, "Z"), (2, "X")))))
     xz = float(np.real(expectation(rho, obs((1, "X"), (2, "Z")))))
-    s = xx_coefficient * xx + zz
+    s = 2.0 * xx + zz
     return NoiseWitnessReport(
         s=s,
         zz=zz,
@@ -612,18 +611,14 @@ def _equatorial(phi: float) -> Array:
     return np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
 
 
-def svetlichny_value(
-    rho: DensityMatrix,
-    phis: Sequence[float],
-    primed_shift: float = np.pi / 2.0,
-) -> float:
+def svetlichny_value(rho: DensityMatrix, phis: Sequence[float]) -> float:
     """Svetlichny combination with equatorial settings cos(phi) X + sin(phi) Y.
 
-    Each party measures A(phi_j) or the primed A(phi_j + primed_shift); the
+    Each party measures A(phi_j) or the primed A(phi_j + pi/2); the
     eight triple correlations are summed with + on the settings with at
     most one prime and - on the rest, and the magnitude is returned.  On
     white-noise GHZ mixtures the optimum sits at phi_1+phi_2+phi_3 = 3 pi/4
-    with the pi/2 prime shift and equals 8 sqrt(2) v |rho_000;111|.
+    and equals 8 sqrt(2) v |rho_000;111|.
     """
     if rho.sites != (2, 2, 2):
         raise ValueError(f"three-qubit state required, got sites {rho.sites}")
@@ -632,7 +627,7 @@ def svetlichny_value(
         raise ValueError(f"need 3 angles, got {len(phis)}")
     total = 0.0
     for primes in itertools.product((0, 1), repeat=3):
-        mats = [_equatorial(phis[i] + primes[i] * primed_shift) for i in range(3)]
+        mats = [_equatorial(phis[i] + primes[i] * np.pi / 2.0) for i in range(3)]
         corr = float(np.real(np.trace(rho.mat @ tensor_product(*mats))))
         total += corr if sum(primes) <= 1 else -corr
     return abs(total)

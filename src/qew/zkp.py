@@ -349,9 +349,9 @@ def parse_transcript(text: str) -> Transcript:
         raise ValueError(f"bad transcript header: {lines[0]!r}") from None
     if lines[1] != "round,k,a,s,b":
         raise ValueError(f"bad column header: {lines[1]!r}")
-    rows = np.array(
-        [[int(x) for x in ln.split(",")] for ln in lines[2:]], dtype=np.int64
-    )
+    fields = [[int(x) for x in ln.split(",")] for ln in lines[2:]]
+    # no rows at all is the N = 0 table, not a table of no columns
+    rows = np.array(fields or np.empty((0, 5)), dtype=np.int64)
     if rows.shape != (n, 5):
         raise ValueError(f"expected {n} data rows of 5 fields, got shape {rows.shape}")
     if not np.array_equal(rows[:, 0], np.arange(n)):

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qew.cli import MAX_SCAN_ROWS, main
 from qew.witnesses import critical_visibility
@@ -477,6 +482,26 @@ def test_oracle_violation_exit_code(capsys, monkeypatch):
     assert json.loads(out)["violations"] == 1
 
 
+@pytest.mark.parametrize(
+    "witness, flags, named",
+    [
+        ("epr", ["--n", "40", "--d", "7"], "--n"),
+        ("epr", ["--n", "2"], "--n"),
+        ("epr", ["--d", "2"], "--d"),
+        ("w", ["--n", "3"], "--n"),
+        ("w", ["--d", "3"], "--d"),
+        ("ghz", ["--n", "4", "--d", "3"], "--d"),
+    ],
+)
+def test_oracle_refuses_flags_the_family_fixes(capsys, witness, flags, named):
+    code, out, err = _run(
+        capsys, "oracle", "--witness", witness, *flags, "--samples", "1", "--iters", "1",
+        "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 def test_oracle_sample_count_validated(capsys):
     code, _, err = _run(
         capsys, "oracle", "--witness", "epr", "--samples", "0", "--seed", "1"
@@ -494,3 +519,110 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert "usage: qew" in done.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+# ---------------------------------------------------------------------------
+
+_CHANNEL = {
+    "terms": [
+        {"p": 0.5, "site_phases": [[0.0, 0.0], [0.0, 0.0]]},
+        {"p": 0.5, "site_phases": [[0.0, 3.0], [0.0, 0.0]]},
+    ]
+}
+# One valid file of each kind, with the subcommand that reads it
+# ("channel" is read by `qew witness --channel`).
+_VALID_INPUTS = (
+    ("witness", {"kind": "epr", "theta": 0.7}),
+    ("witness", {"kind": "ghz", "n": 3, "theta": 0.7}),
+    ("witness", {"kind": "w", "a": [0.5, 0.5, 0.5, 0.5]}),
+    ("witness", {"kind": "qudit_ghz", "n": 2, "d": 3, "alpha": [0.6, 0.64, 0.48]}),
+    ("channel", _CHANNEL),
+    ("network", {
+        "parties": ["A", "B", "C"],
+        "sources": [
+            {"state": {"kind": "epr", "theta": 0.7}, "owners": ["A", "B"]},
+            {"state": {"kind": "ghz", "n": 3, "theta": 0.7}, "owners": ["B", "C", "C"]},
+        ],
+        "cp_gates": [{"party": "B", "theta": 1.0, "qubits": [2, 3]}],
+    }),
+    ("zkp", {"kind": "honest", "state": {"kind": "epr", "theta": 0.7}, "channel": _CHANNEL,
+             "noise": 0.9}),
+    ("zkp", {"kind": "separable_diag", "p0": 0.4}),
+    ("zkp", {"kind": "fixed_outcomes", "outcomes": [1, -1],
+             "verifier_qubit": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], 0.5]]}),
+)
+# Keys that may be left out, or set to null where that means "left out".
+_OPTIONAL_KEYS = {"cp_gates", "channel", "noise", "p0", "verifier_qubit"}
+
+
+def _fields(node, at=()):
+    """(path, value) of every entry below a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield at + (key,), value
+        yield from _fields(value, at + (key,))
+
+
+@st.composite
+def _malformed_inputs(draw):
+    """A valid input with one entry broken: a wrong type, a non-finite number,
+    a huge integer in place of an integer, or a required key deleted."""
+    command, doc = draw(st.sampled_from(_VALID_INPUTS))
+    doc = copy.deepcopy(doc)
+    path, value = draw(st.sampled_from(list(_fields(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    wrong = [
+        st.booleans(),
+        st.integers() if isinstance(value, str) else st.text(max_size=4),
+        st.just([]) if isinstance(value, dict) else st.just({}),
+    ]
+    if key not in _OPTIONAL_KEYS:
+        wrong.append(st.none())
+    if isinstance(value, (int, float)):
+        wrong.append(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    if isinstance(value, int):
+        wrong.append(st.integers(2**63, 10**40) | st.integers(-(10**40), -(2**63)))
+    if isinstance(key, str) and key not in _OPTIONAL_KEYS and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(st.one_of(wrong))
+    return command, doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_inputs())
+def test_malformed_input_files_exit_2_with_one_error_line(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if command == "channel":
+            argv = ["witness", _write(Path(tmp), "epr.json", {"kind": "epr", "theta": 0.7}),
+                    "--channel", path]
+        elif command == "zkp":
+            argv = ["zkp", path, "--n", "400", "--seed", "1",
+                    "--transcript", os.path.join(tmp, "t.txt")]
+        else:
+            argv = [command, path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_valid_inputs_behind_the_malformed_ones_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    epr = _epr_file(tmp_path)
+    for command, doc in _VALID_INPUTS:
+        path = _write(tmp_path, "input.json", doc)
+        argv = {"channel": ["witness", epr, "--channel", path],
+                "zkp": ["zkp", path, "--n", "400", "--seed", "1"]}.get(command, [command, path])
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and err == "", (command, doc, err)

@@ -34,10 +34,11 @@ from qew.states import (
     apply_blind_channel,
     epr_state,
     ghz_state,
+    subspace_elements,
     w_state,
     werner_mix,
 )
-from qew.witnesses import evaluate_battery
+from qew.witnesses import LEAKAGE_TOL, evaluate_battery
 
 
 def _epr_spec(theta=np.pi / 4):
@@ -303,10 +304,13 @@ def test_reduce_validation():
 
 
 def test_reduce_leakage_tolerance_kwarg():
+    # white noise puts 3/4 of its weight outside the GHZ edge subspace
     rho = werner_mix(ghz_state(3, 0.8), 1.0 - 1e-9)
     assert isinstance(reduce_ghz_to_epr(rho, (1, 2), outcomes=(0,)), ReductionResult)
+    leaky = werner_mix(ghz_state(3, 0.8), 1.0 - 1e-7)
+    assert subspace_elements(leaky, "ghz").leakage > LEAKAGE_TOL
     with pytest.raises(ValueError, match="leakage"):
-        reduce_ghz_to_epr(rho, (1, 2), outcomes=(0,), leakage_tol=1e-12)
+        reduce_ghz_to_epr(leaky, (1, 2), outcomes=(0,))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from qew.oracle import (
     sample_separable,
 )
 from qew.qmat import partial_trace, uniforms
-from qew.states import apply_blind_channel, epr_state, ghz_state, werner_mix
+from qew.states import epr_state, ghz_state, werner_mix
 from qew.witnesses import witness_epr, witness_family, witness_ghz, witness_qudit, witness_w
 
 
@@ -134,7 +134,7 @@ def test_draws_raise_no_runtime_warning():
         sample_separable(SamplerConfig(sites=(2, 3), terms=3, seed=2**63 + 5), 7)
         sample_biseparable(SamplerConfig(sites=(2, 2, 2), terms=3, seed=-4), 2**40)
         random_blind_channel((2, 3), 3, seed=2**64 - 1, index=9)
-        maximize_witness("w", SamplerConfig(sites=(2, 2, 2), seed=5), 4, sweeps=1, refine_top=1)
+        maximize_witness("w", SamplerConfig(sites=(2, 2, 2), seed=5), 4)
         sample_branch(branches, seed=2**63, index=3)
 
 
@@ -149,12 +149,6 @@ def test_random_blind_channel_reproducible():
     assert a == b
     assert len(a.terms) == 3
     assert sum(t.p for t in a.terms) == pytest.approx(1.0)
-
-
-def test_conjugate_pair_channel_keeps_coherence_real():
-    ch = random_blind_channel((2, 2), 4, seed=9, conjugate_pairs=True)
-    out = apply_blind_channel(epr_state(np.pi / 4), ch)
-    assert abs(out.mat[0, 3].imag) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +201,29 @@ def test_maximize_scores_each_probe_once(monkeypatch):
     monkeypatch.setattr(oracle, "_pure_lhs", counted)
     # epr on (2, 2): two qubit factors, one angle and one phase each, so P = 4
     # coordinates; a golden-section search makes 2 + 48 = 50 probes
-    iters, refine_top, sweeps = 3, 2, 2
-    maximize_witness("epr", SamplerConfig(sites=(2, 2), seed=1), iters, sweeps=sweeps, refine_top=refine_top)
-    assert len(calls) == iters + min(refine_top, iters) * sweeps * 4 * 50 == 803
+    iters = 3
+    maximize_witness("epr", SamplerConfig(sites=(2, 2), seed=1), iters)
+    assert len(calls) == iters + min(oracle.REFINE_TOP, iters) * oracle.SWEEPS * 4 * 50 == 1803
 
 
 @pytest.mark.parametrize(
-    "witness, cfg, iters, kw, value, digest",
+    "witness, cfg, iters, value, digest",
     [
-        ("epr", SamplerConfig(sites=(2, 2), seed=1), 5, {}, "0x1.0000000000000p-51",
+        ("epr", SamplerConfig(sites=(2, 2), seed=1), 5, "0x1.0000000000000p-51",
          "0f40f96f64258034ea3840ae98f81a38b53973753d8971cb0c9ece218d349486"),
-        ("qudit", SamplerConfig(sites=(3, 3), seed=7), 5, {}, "0x1.0000000000000p-51",
+        ("qudit", SamplerConfig(sites=(3, 3), seed=7), 5, "0x1.0000000000000p-51",
          "d9af5b7a74f4021ec974de3d60b5e393881d0ba4f3abd83f8065068be7d0dd15"),
-        ("ghz", SamplerConfig(sites=(2, 2, 2, 2), seed=3), 4, {"sweeps": 1}, "-0x1.3be2b87180000p-18",
-         "35c32494f0d497f79a4568a799a54cc5dd4c50b4a75c30793ced67322067d31b"),
-        ("w", SamplerConfig(sites=(2, 2, 2), seed=7, partition=(1, 3)), 6, {"refine_top": 2},
-         "0x1.fffff87680024p-2", "7959f8a15ec6aa4e567513658575970329cb347977a5017e160e136fc7240979"),
+        ("ghz", SamplerConfig(sites=(2, 2, 2, 2), seed=3), 4, "0x1.0000000000000p-52",
+         "0f30203fd1edcbbc30f6a8269916cecddd29d3626673990d8e91053a71a87c9c"),
+        ("w", SamplerConfig(sites=(2, 2, 2), seed=7, partition=(1, 3)), 6, "0x1.fffffb333d158p-2",
+         "7d344a337cb033656ce2c75c0ffbc66790aa027bbf279fab0cd00de634e5f396"),
     ],
     ids=["epr", "qudit", "ghz4", "w-partition"],
 )
-def test_maximize_result_is_pinned(witness, cfg, iters, kw, value, digest):
+def test_maximize_result_is_pinned(witness, cfg, iters, value, digest):
     """Fixed searches give pinned values and state bytes, so any move of the
     starts, the sweep order or the acceptance rule shows here."""
-    val, state = maximize_witness(witness, cfg, iters, **kw)
+    val, state = maximize_witness(witness, cfg, iters)
     assert val.hex() == value
     assert hashlib.sha256(state.mat.tobytes()).hexdigest() == digest
 

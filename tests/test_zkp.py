@@ -265,7 +265,7 @@ def test_transcript_validation():
 
 @st.composite
 def _transcripts(draw):
-    n = draw(st.integers(1, 60))
+    n = draw(st.integers(0, 60))
     bits = st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n)
     signs = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
     k, s = (np.array(draw(bits), dtype=np.uint8) for _ in range(2))
@@ -312,6 +312,13 @@ def test_parse_transcript_errors():
     swapped = lines[:2] + [lines[3], lines[2]] + lines[4:]
     with pytest.raises(ValueError, match="in order"):
         parse_transcript("\n".join(swapped))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("row", ["0,1,1,0", "0,1,1,0,1,1"])
+def test_parse_transcript_refuses_rows_of_4_or_6_fields(n, row):
+    with pytest.raises(ValueError, match="data rows"):
+        parse_transcript(f"# seed=1 N={n}\nround,k,a,s,b\n{row}\n")
 
 
 def test_min_cell_rounds_constant():
