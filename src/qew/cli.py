@@ -26,7 +26,6 @@ from .networks import (
     source_batteries,
 )
 from .oracle import SamplerConfig, maximize_witness, sample_biseparable, sample_separable
-from .qmat import DensityMatrix
 from .states import (
     _integer,
     _list,
@@ -36,13 +35,12 @@ from .states import (
     channel_from_dict,
     parse_state_spec,
     spec_to_dict,
-    subspace_elements,
     werner_mix,
 )
 from .witnesses import (
     EPS_EQ,
     EPS_NZ,
-    LEAKAGE_TOL,
+    FAMILY_NAMES,
     BatteryReport,
     Exact,
     WitnessReport,
@@ -155,39 +153,12 @@ def _battery_dict(rep: BatteryReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _infer_family(rho: DensityMatrix, leakage_tol: float) -> str:
-    sites = rho.sites
-    if len(set(sites)) != 1:
-        raise InputError(f"cannot infer a family for mixed site dimensions {sites}")
-    if sites[0] > 2:
-        return "qudit"
-    if len(sites) == 2:
-        return "epr"
-    if len(sites) != 3:
-        return "ghz"
-    # three qubits: decide by which subspace actually carries the state
-    ghz_ok = subspace_elements(rho, "ghz").leakage <= leakage_tol
-    w_ok = subspace_elements(rho, "w").leakage <= leakage_tol
-    if ghz_ok and not w_ok:
-        return "ghz"
-    if w_ok and not ghz_ok:
-        return "w"
-    raise InputError(
-        "state support matches neither (or both of) the ghz and w subspaces; "
-        "pass an explicit --family"
-    )
-
-
 def cmd_witness(args: argparse.Namespace) -> int:
     spec = parse_state_spec(_load_json(args.state))
     rho = build_state(spec)
     if args.channel:
         rho = apply_blind_channel(rho, channel_from_dict(_load_json(args.channel)))
-    family = args.family
-    if family == "auto":
-        # infer from the support of the (channel image of the) family state;
-        # the --noise admixture is a robustness modifier, not a family change
-        family = _infer_family(rho, args.leakage_tol)
+    family = spec.family() if args.family == "auto" else args.family
     if args.noise is not None:
         rho = werner_mix(rho, args.noise)
     fam = witness_family(family)
@@ -408,11 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--channel", metavar="PATH", help="blind-channel JSON file")
     w.add_argument("--noise", type=float, metavar="V",
                    help="mix in white noise at visibility V in [0, 1]")
-    w.add_argument("--family", choices=("auto", "epr", "ghz", "w", "qudit"),
-                   default="auto", help="witness family (default: infer)")
+    w.add_argument("--family", choices=("auto", *FAMILY_NAMES), default="auto",
+                   help="witness family (default: the one the state's kind names)")
     _add_tolerances(w)
-    w.add_argument("--leakage-tol", type=float, default=LEAKAGE_TOL, metavar="E",
-                   help="subspace-support tolerance for --family auto (default %(default)s)")
     w.add_argument("--out", metavar="PATH", help="write the JSON report here")
     w.set_defaults(func=cmd_witness)
 
@@ -444,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle",
                        help="sample (bi)separable states against a witness bound")
-    o.add_argument("--witness", choices=("epr", "ghz", "w", "qudit"), required=True)
+    o.add_argument("--witness", choices=FAMILY_NAMES, required=True)
     o.add_argument("--samples", type=int, default=10000)
     o.add_argument("--seed", type=int, required=True)
     o.add_argument("--n", type=int, help="site count (ghz/qudit)")

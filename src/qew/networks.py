@@ -275,8 +275,8 @@ class ReductionResult:
 
 
 def _require_edge_support(rho: DensityMatrix, what: str) -> None:
-    family = "epr" if rho.sites == (2, 2) else "ghz"
-    leak = subspace_elements(rho, family).leakage
+    # the ghz subspace of two qubits is the EPR pair's |00>/|11>
+    leak = subspace_elements(rho, "ghz").leakage
     if leak > LEAKAGE_TOL:
         raise ValueError(
             f"{what} requires support on the edge subspace; leakage {leak:.3e} "
@@ -297,8 +297,7 @@ def reduce_ghz_to_epr(
     branches get a Z on the first kept qubit; afterwards every branch
     carries the input's |0..0>/|1..1> coherence unchanged.
     """
-    if any(d != 2 for d in rho.sites):
-        raise ValueError(f"qubit state required, got sites {rho.sites}")
+    _require_edge_support(rho, "reduction")
     n = rho.n_sites
     i, j = keep
     if i == j:
@@ -308,7 +307,6 @@ def reduce_ghz_to_epr(
             raise ValueError(f"keep index {q} out of range")
     if n < 3:
         raise ValueError("nothing to measure: state already has 2 qubits")
-    _require_edge_support(rho, "reduction")
     i, j = min(i, j), max(i, j)
     others = [q for q in range(1, n + 1) if q not in (i, j)]
 

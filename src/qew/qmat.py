@@ -185,9 +185,6 @@ class DensityMatrix:
     def n_sites(self) -> int:
         return len(self.sites)
 
-    def diagonal(self) -> Array:
-        return np.real(np.diag(self.mat)).copy()
-
     def with_flags(self, *names: str) -> "DensityMatrix":
         return DensityMatrix(self.sites, self.mat, self.flags | frozenset(names))
 

@@ -110,9 +110,12 @@ def parse_state_spec(data: Mapping) -> StateSpec:
 
 def uniform_sites(n: int, d: int) -> tuple[int, ...]:
     """The sites ``(d,) * n`` of n d-level sites, refused before the tuple is
-    built when n is negative or their total dimension exceeds ``MAX_DIM``."""
+    built when n is negative, d is below 2 or their total dimension exceeds
+    ``MAX_DIM``."""
     if n < 0:
         raise ValueError(f"site count must be non-negative, got n={n}")
+    if d < 2:
+        raise ValueError(f"local dimension must be at least 2, got d={d}")
     # d ** n is never formed for many sites: 2 ** 13 already exceeds MAX_DIM
     if n >= MAX_DIM.bit_length() or d**n > MAX_DIM:
         raise ValueError(
@@ -513,26 +516,26 @@ class SubspaceView:
 
 
 def family_basis(family: str, sites: Sequence[int]) -> tuple[int, ...]:
-    """Flat indices of the subspace basis for a family on the given sites."""
+    """Flat indices of the subspace basis for a family on the given sites,
+    and the one check that the sites fit the family."""
     sites = tuple(sites)
-    n = len(sites)
-    if family in ("epr", "ghz", "qudit"):
-        d = sites[0]
-        if any(s != d for s in sites):
-            raise ValueError(f"family {family!r} needs uniform site dimensions, got {sites}")
-        if family == "epr" and (n != 2 or d != 2):
-            raise ValueError(f"family 'epr' is a two-qubit family, got sites {sites}")
-        if family == "ghz" and d != 2:
-            raise ValueError(f"family 'ghz' is a qubit family, got sites {sites}")
-        if family in ("epr", "ghz"):
-            return (0, 2**n - 1)
-        return tuple(basis_index((j,) * n, sites) for j in range(d))
     if family == "w":
         if sites != (2, 2, 2):
             raise ValueError(f"family 'w' is a three-qubit family, got sites {sites}")
         # the odd-excitation block: |001>, |010>, |100>, |111>
         return (1, 2, 4, 7)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("epr", "ghz", "qudit"):
+        raise ValueError(f"unknown family {family!r}")
+    n = len(sites)
+    if n < 2 or len(set(sites)) != 1:
+        raise ValueError(f"family {family!r} needs 2 or more sites of one dimension, got {sites}")
+    if family == "epr" and n != 2:
+        raise ValueError(f"family 'epr' is a two-qubit family, got sites {sites}")
+    if family != "qudit" and sites[0] != 2:
+        raise ValueError(f"family {family!r} is a qubit family, got sites {sites}")
+    # the ladder |j...j>, j < d, at flat index j (1 + d + ... + d^(n-1))
+    step = sum(sites[0] ** k for k in range(n))
+    return tuple(j * step for j in range(sites[0]))
 
 
 def subspace_elements(rho: DensityMatrix, family: str) -> SubspaceView:

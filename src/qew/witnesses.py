@@ -45,6 +45,7 @@ from .states import SubspaceView, subspace_elements, uniform_sites
 __all__ = [
     "EPS_EQ",
     "EPS_NZ",
+    "FAMILY_NAMES",
     "LEAKAGE_TOL",
     "MAX_ASSIGNMENT_CELLS",
     "BatteryItem",
@@ -391,26 +392,16 @@ def _ladder_witness(rho: DensityMatrix, family: str, eps_eq: float) -> WitnessRe
     return _report(lhs - 1.0, 0.0, view, eps_eq)
 
 
-def witness_epr(
-    rho: DensityMatrix,
-    *,
-    eps_eq: float = EPS_EQ,
-) -> WitnessReport:
+def witness_epr(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     """Two-qubit coherence witness: 2|rho_00;11| + rho_00 + rho_11 - 1 <= 0.
 
     Every separable two-qubit state obeys the bound; any state of the
     EPR-type family with surviving |00>/|11> coherence exceeds it.
     """
-    if rho.sites != (2, 2):
-        raise ValueError(f"two-qubit state required, got sites {rho.sites}")
     return _ladder_witness(rho, "epr", eps_eq)
 
 
-def witness_ghz(
-    rho: DensityMatrix,
-    *,
-    eps_eq: float = EPS_EQ,
-) -> WitnessReport:
+def witness_ghz(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     """n-qubit biseparability witness on the |0..0>/|1..1> pair.
 
     Same functional form as :func:`witness_epr`; the bound 0 holds for
@@ -418,18 +409,10 @@ def witness_ghz(
     certifies genuine multipartite entanglement.  n = 2 coincides with
     :func:`witness_epr`.
     """
-    if any(d != 2 for d in rho.sites):
-        raise ValueError(f"qubit sites required, got {rho.sites}")
-    if rho.n_sites < 2:
-        raise ValueError("need at least 2 sites")
     return _ladder_witness(rho, "ghz", eps_eq)
 
 
-def witness_w(
-    rho: DensityMatrix,
-    *,
-    eps_eq: float = EPS_EQ,
-) -> WitnessReport:
+def witness_w(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     """W-type witness: four coherence moduli of the odd-excitation block.
 
     lhs = |rho_001;111| + |rho_010;100| + |rho_001;010| + |rho_100;111|.
@@ -437,8 +420,6 @@ def witness_w(
     bound); ``alt_bound`` reports the stricter 1/4 threshold that the
     family's generic members clear.
     """
-    if rho.sites != (2, 2, 2):
-        raise ValueError(f"three-qubit state required, got sites {rho.sites}")
     view = subspace_elements(rho, "w")
     lhs = (
         abs(view.coherences[(1, 7)])
@@ -449,21 +430,12 @@ def witness_w(
     return _report(lhs, 0.5, view, eps_eq, alt_bound=0.25)
 
 
-def witness_qudit(
-    rho: DensityMatrix,
-    *,
-    eps_eq: float = EPS_EQ,
-) -> WitnessReport:
+def witness_qudit(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     """Qudit witness on the |j..j> ladder: 2 sum |coh| + sum pops - 1 <= 0.
 
     The bound holds for every biseparable state of n uniform d-level
     sites; at d = 2 the expression reduces to :func:`witness_ghz`.
     """
-    dims = set(rho.sites)
-    if len(dims) != 1:
-        raise ValueError(f"uniform local dimensions required, got {rho.sites}")
-    if rho.n_sites < 2:
-        raise ValueError("need at least 2 sites")
     return _ladder_witness(rho, "qudit", eps_eq)
 
 
@@ -514,13 +486,10 @@ def _qudit_battery(sites: Sequence[int]) -> ParadoxBattery:
     return battery_qudit_n(len(sites), sites[0])
 
 
-def witness_family(name: str) -> WitnessFamily:
-    """The table entry of a witness family: ``epr``, ``ghz``, ``w`` or ``qudit``.
-
-    Entries are made at lookup from the module-level functions, so a
-    rebinding of one of them (to trace its calls, say) is seen here too.
-    """
-    table = {
+def _family_table() -> dict[str, WitnessFamily]:
+    # made at each call from the module-level functions, so a rebinding of
+    # one of them (to trace its calls, say) is seen by the next lookup
+    return {
         "epr": WitnessFamily(witness_epr, 0.0, lambda sites: battery_epr(), "separable",
                              _uniform(2, 2, "")),
         "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites: battery_ghz(len(sites)),
@@ -530,8 +499,15 @@ def witness_family(name: str) -> WitnessFamily:
         "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery, "separable",
                                _uniform(2, 3, "nd")),
     }
+
+
+FAMILY_NAMES = tuple(_family_table())
+
+
+def witness_family(name: str) -> WitnessFamily:
+    """The table entry of a witness family, one of ``FAMILY_NAMES``."""
     try:
-        return table[name]
+        return _family_table()[name]
     except KeyError:
         raise ValueError(f"unknown witness family {name!r}") from None
 

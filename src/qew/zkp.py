@@ -342,16 +342,20 @@ def parse_transcript(text: str) -> Transcript:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("#"):
         raise ValueError("transcript must start with a '# seed=... N=...' header")
-    header = dict(part.split("=") for part in lines[0].lstrip("# ").split())
     try:
+        # a token without "=" is a pair of length 1, which dict() refuses
+        header = dict(part.split("=") for part in lines[0].lstrip("# ").split())
         seed, n = int(header["seed"]), int(header["N"])
     except (KeyError, ValueError):
         raise ValueError(f"bad transcript header: {lines[0]!r}") from None
     if lines[1] != "round,k,a,s,b":
         raise ValueError(f"bad column header: {lines[1]!r}")
-    fields = [[int(x) for x in ln.split(",")] for ln in lines[2:]]
-    # no rows at all is the N = 0 table, not a table of no columns
-    rows = np.array(fields or np.empty((0, 5)), dtype=np.int64)
+    try:
+        fields = [[int(x) for x in ln.split(",")] for ln in lines[2:]]
+        # no rows at all is the N = 0 table, not a table of no columns
+        rows = np.array(fields or np.empty((0, 5)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(_bad_row(text)) from None
     if rows.shape != (n, 5):
         raise ValueError(f"expected {n} data rows of 5 fields, got shape {rows.shape}")
     if not np.array_equal(rows[:, 0], np.arange(n)):
@@ -364,6 +368,19 @@ def parse_transcript(text: str) -> Transcript:
         s=rows[:, 3].astype(np.uint8),
         b=rows[:, 4].astype(np.int8),
     )
+
+
+def _bad_row(text: str) -> str:
+    """Name the first data row that is not 5 int64 fields by its line number
+    (blank lines count); only a table that failed to parse is searched."""
+    for i, ln in [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()][2:]:
+        try:
+            if np.array([int(x) for x in ln.split(",")], dtype=np.int64).shape == (5,):
+                continue
+        except (ValueError, OverflowError):
+            return f"line {i}: data row fields must be 64-bit integers, got {ln!r}"
+        return f"line {i}: data row needs 5 fields, got {ln!r}"
+    return "malformed data rows"
 
 
 def write_transcript(t: Transcript, path) -> None:

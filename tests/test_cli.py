@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -18,9 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qew.cli import MAX_SCAN_ROWS, main
+from qew.cli import MAX_SCAN_ROWS, build_parser, main
 from qew.witnesses import critical_visibility
-from qew.states import MAX_DIM
+from qew.states import MAX_DIM, parse_state_spec
 from qew.zkp import MAX_ROUNDS, read_transcript
 
 SCI12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
@@ -110,14 +111,15 @@ def test_witness_w_family_inferred(tmp_path, capsys):
 
 
 def test_witness_ambiguous_support_needs_family(tmp_path, capsys):
-    # |111> sits in both three-qubit subspaces
+    # |111> sits in both three-qubit subspaces; the spec's kind still names
+    # one family, so no --family is needed
     state = _write(tmp_path, "top.json", {"kind": "ghz", "n": 3, "theta": np.pi / 2})
-    code, _, err = _run(capsys, "witness", state)
-    assert code == 2
-    assert "family" in err
-    code, out, _ = _run(capsys, "witness", state, "--family", "ghz")
+    code, out, _ = _run(capsys, "witness", state)
     assert code == 0
-    assert json.loads(out)["witness"]["verdict"] == "not-witnessed"
+    rep = json.loads(out)
+    assert rep["family"] == "ghz"
+    assert rep["witness"]["verdict"] == "not-witnessed"
+    assert _run(capsys, "witness", state, "--family", "ghz")[1] == out
 
 
 def test_witness_qudit(tmp_path, capsys):
@@ -131,6 +133,38 @@ def test_witness_qudit(tmp_path, capsys):
     assert rep["family"] == "qudit"
     assert rep["witness"]["lhs"] == pytest.approx(2.0)
     assert rep["witness"]["verdict"] == "entangled"
+
+
+# Specs where the state's support once picked another family than its kind
+# (the first seven), then one spec of each kind where the two agreed.
+_ONE_FAMILY_SPECS = [
+    {"kind": "ghz", "n": 2, "theta": 0.4},
+    {"kind": "ghz", "n": 3, "theta": np.pi / 2},
+    {"kind": "w", "a": [0.0, 0.0, 0.0, 1.0]},
+    {"kind": "qudit_ghz", "n": 2, "d": 2, "alpha": [0.6, 0.8]},
+    {"kind": "qudit_ghz", "n": 3, "d": 2, "alpha": [0.6, 0.8]},
+    {"kind": "qudit_ghz", "n": 4, "d": 2, "alpha": [0.6, 0.8]},
+    {"kind": "qudit_ghz", "n": 3, "d": 2, "alpha": [0.0, 1.0]},
+    {"kind": "epr", "theta": np.pi / 4},
+    {"kind": "ghz", "n": 3, "theta": 0.5},
+    {"kind": "w", "a": [0.5, 0.5, 0.5, 0.5]},
+    {"kind": "qudit_ghz", "n": 2, "d": 3, "alpha": [0.6, 0.8, 0.0]},
+]
+
+
+@pytest.mark.parametrize("spec", _ONE_FAMILY_SPECS, ids=json.dumps)
+def test_witness_and_network_read_one_family(tmp_path, capsys, spec):
+    code, out, err = _run(capsys, "witness", _write(tmp_path, "state.json", spec))
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["family"] == parse_state_spec(spec).family()
+    parties = [f"P{i}" for i in range(len(parse_state_spec(spec).site_dims()))]
+    network = {"parties": parties, "sources": [{"state": spec, "owners": parties}]}
+    code, out, err = _run(capsys, "network", _write(tmp_path, "net.json", network))
+    assert code == 0, err
+    (source,) = json.loads(out)["sources"]
+    labels = [i["label"] for i in rep["battery"]["items"]]
+    assert labels == [i["label"] for i in source["battery"]["items"]]
 
 
 def test_witness_out_file_and_out_dir(tmp_path, capsys, monkeypatch):
@@ -166,6 +200,12 @@ def test_witness_input_errors(tmp_path, capsys):
     infinite_n = _write(tmp_path, "inf.json", {"kind": "ghz", "n": float("inf"), "theta": 0.7})
     code, out, err = _run(capsys, "witness", infinite_n)
     assert code == 2 and out == "" and "'n'" in err
+    # a local dimension below 2 is named as such, not as over budget
+    for d in (-100, 0, 1):
+        qudit = _write(tmp_path, "qd.json", {"kind": "qudit_ghz", "n": 2, "d": d, "alpha": [1]})
+        code, out, err = _run(capsys, "witness", qudit)
+        assert code == 2 and out == "" and f"dimension must be at least 2, got d={d}" in err
+        assert "budget" not in err
     # wrongly typed channel fields name the field instead of raising TypeError
     zero = [0.0, 0.0]
     for field, channel in (
@@ -359,13 +399,28 @@ def test_network_spec_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_network_has_no_leakage_flag(capsys):
-    # a network report reads no subspace support, so the flag would be dead
-    for command, has_flag in (("network", False), ("witness", True)):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        usage = capsys.readouterr().out
-        assert "--tol-eq" in usage and ("--leakage-tol" in usage) == has_flag
+# Every option string of every subcommand, help aside: a new or removed flag
+# is a deliberate edit here, as tests/test_signatures.py is for keywords.
+CLI_OPTIONS = {
+    "witness": {"--channel", "--noise", "--family", "--tol-eq", "--tol-nz", "--out"},
+    "scan-visibility": {"--start", "--stop", "--step", "--out"},
+    "zkp": {"--n", "--seed", "--z", "--workers", "--transcript", "--out"},
+    "network": {"--channel", "--tol-eq", "--tol-nz", "--out"},
+    "oracle": {"--witness", "--samples", "--seed", "--n", "--d", "--terms", "--iters", "--out"},
+}
+
+
+def test_network_has_no_leakage_flag():
+    # Neither report reads a support tolerance: a network report reads no
+    # subspace support, and qew witness takes its family from the state's
+    # kind.  The allowlist pins that along with every other option.
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 # Reports at two set tolerance pairs.  Each pair moves a different set of

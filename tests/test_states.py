@@ -26,6 +26,7 @@ from qew.states import (
     qudit_ghz_state,
     spec_to_dict,
     subspace_elements,
+    uniform_sites,
     w_state,
     werner_mix,
 )
@@ -138,6 +139,13 @@ def test_parse_state_spec_errors():
         parse_state_spec({"kind": "bell"})
     with pytest.raises(ValueError, match="kind"):
         parse_state_spec({"kind": ["epr"]})
+    # a local dimension below 2 is refused by name, before the budget check
+    for d in (-100, 0, 1):
+        with pytest.raises(ValueError, match=f"dimension must be at least 2, got d={d}"):
+            parse_state_spec({"kind": "qudit_ghz", "n": 2, "d": d, "alpha": [1.0]})
+    for n, d in ((2, -5), (3, 0), (0, 1)):
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            uniform_sites(n, d)
     with pytest.raises(ValueError, match="4 amplitudes"):
         parse_state_spec({"kind": "w", "a": [0.6, 0.8, 0.0]})
     # wrong types and non-finite or non-integral numbers name the field
@@ -438,4 +446,8 @@ def test_family_basis_validation():
         family_basis("qudit", (2, 3))
     with pytest.raises(ValueError):
         family_basis("bell", (2, 2))
+    # one site (or none) is no family member
+    for family, sites in (("epr", (2,)), ("ghz", (2,)), ("qudit", (3,)), ("ghz", ())):
+        with pytest.raises(ValueError, match="2 or more sites"):
+            family_basis(family, sites)
     assert family_basis("qudit", (3, 3, 3)) == (0, 13, 26)

@@ -95,6 +95,9 @@ def test_epr_witness_outside_subspace():
 def test_epr_witness_shape_check():
     with pytest.raises(ValueError):
         witness_epr(ghz_state(3, 0.4))
+    # the qubit ladder of one site is no GHZ state
+    with pytest.raises(ValueError, match="2 or more sites"):
+        witness_ghz(pure_density(np.array([1.0, 0.0]), (2,)))
 
 
 def test_ghz_witness_values():
@@ -177,6 +180,8 @@ def test_qudit_witness_matches_epr_at_d_two():
 def test_qudit_witness_argument_checks():
     with pytest.raises(ValueError):
         witness_qudit(pure_density(np.kron([1, 0], [1.0, 0, 0]), (2, 3)))
+    with pytest.raises(ValueError, match="2 or more sites"):
+        witness_qudit(pure_density(np.array([1.0, 0.0, 0.0]), (3,)))
 
 
 # ---------------------------------------------------------------------------

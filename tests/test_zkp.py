@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,18 @@ def test_parse_transcript_errors():
     swapped = lines[:2] + [lines[3], lines[2]] + lines[4:]
     with pytest.raises(ValueError, match="in order"):
         parse_transcript("\n".join(swapped))
+    # a malformed row or header token is named, with blank lines counted
+    with pytest.raises(ValueError, match=r"bad transcript header: '# seed=1 N'"):
+        parse_transcript("# seed=1 N\n" + "\n".join(lines[1:]))
+    for bad, why in (
+        ("1,0,1", "needs 5 fields"),
+        ("1,0,1,1,1,1", "needs 5 fields"),
+        ("1,0,x,1,1", "fields must be 64-bit integers"),
+        (f"1,0,{2**63},1,1", "fields must be 64-bit integers"),
+    ):
+        text = "\n".join(lines[:3] + ["", bad] + lines[4:])
+        with pytest.raises(ValueError, match=f"line 5: data row {why}, got '{re.escape(bad)}'"):
+            parse_transcript(text)
 
 
 @pytest.mark.parametrize("n", [0, 1])
