@@ -25,7 +25,7 @@ from .networks import (
     parse_network_spec,
     source_batteries,
 )
-from .oracle import SamplerConfig, maximize_witness, sample_biseparable, sample_separable
+from .oracle import SamplerConfig, _sample_block, block_length, maximize_witness
 from .states import (
     _integer,
     _list,
@@ -61,12 +61,28 @@ from .zkp import (
 __all__ = ["main", "build_parser"]
 
 ORACLE_SLACK = 1e-9
+# Seeds are read as unsigned 64-bit integers: the random source folds any
+# other integer into that range, so two different seeds could name one stream.
+MAX_SEED = 2**64 - 1
 # Rows one scan-visibility run may print: 10^6 rows are about 72 MB of CSV.
 MAX_SCAN_ROWS = 10**6
 
 
 class InputError(ValueError):
     """Bad file, malformed JSON, or out-of-range argument (exit code 2)."""
+
+
+def _seed(text: str) -> int:
+    """An argparse type: a seed in 0..2^64-1."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed <= MAX_SEED:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in 0..{MAX_SEED} (2^64 - 1), got {text!r}"
+        )
+    return seed
 
 
 def _load_json(path: str) -> dict:
@@ -326,16 +342,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise InputError(f"need at least one sample, got {args.samples}")
     fam = witness_family(kind)
     sites = fam.sites(args.n, args.d)
-    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
     cfg = SamplerConfig(sites=sites, terms=args.terms, seed=args.seed)
     t0 = time.perf_counter()
-    max_lhs = -np.inf
+    max_lhs, argmax_index, first_violation = -np.inf, None, None
     violations = 0
-    for i in range(args.samples):
-        rep = fam.witness(sampler(cfg, i))
-        max_lhs = max(max_lhs, rep.lhs)
-        if rep.lhs > fam.bound + ORACLE_SLACK:
-            violations += 1
+    step = block_length(cfg)
+    for start in range(0, args.samples, step):
+        indices = np.arange(start, min(start + step, args.samples), dtype=np.uint64)
+        lhs = fam.lhs(_sample_block(fam.sampler, cfg, indices), sites)
+        at = int(np.argmax(lhs))  # the lowest index on ties
+        if lhs[at] > max_lhs:
+            max_lhs, argmax_index = lhs[at], start + at
+        over = np.flatnonzero(lhs > fam.bound + ORACLE_SLACK)
+        violations += over.size
+        if first_violation is None and over.size:
+            first_violation = start + int(over[0])
     search_max, _ = maximize_witness(kind, cfg, args.iters)
     if search_max > fam.bound + ORACLE_SLACK:
         violations += 1
@@ -347,8 +368,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "samples": args.samples,
         "bound": fam.bound,
         "max_lhs": float(max_lhs),
+        "argmax_index": argmax_index,
         "search_max": float(search_max),
         "violations": violations,
+        "first_violation": first_violation,
         "runtime_s": time.perf_counter() - t0,
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -396,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     z = sub.add_parser("zkp", help="simulate the interactive proof and verify it")
     z.add_argument("strategy", help="prover strategy JSON file")
     z.add_argument("--n", type=int, default=10000, help="number of rounds")
-    z.add_argument("--seed", type=int, required=True, help="protocol randomness seed")
+    z.add_argument("--seed", type=_seed, required=True, help="protocol randomness seed, 0..2^64-1")
     z.add_argument("--z", type=float, default=5.0, help="z-test threshold")
     z.add_argument("--workers", type=int, default=1)
     z.add_argument("--transcript", metavar="PATH", default="zkp_transcript.txt",
@@ -415,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample (bi)separable states against a witness bound")
     o.add_argument("--witness", choices=FAMILY_NAMES, required=True)
     o.add_argument("--samples", type=int, default=10000)
-    o.add_argument("--seed", type=int, required=True)
+    o.add_argument("--seed", type=_seed, required=True, help="sampler seed, 0..2^64-1")
     o.add_argument("--n", type=int, help="site count (ghz/qudit)")
     o.add_argument("--d", type=int, help="local dimension (qudit)")
     o.add_argument("--terms", type=int, default=4, help="mixture terms per sample")

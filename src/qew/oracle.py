@@ -23,14 +23,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density, uniforms
+from .qmat import Array, DensityMatrix, _density_fault, basis_index, pure_density, uniforms
 from .states import BlindChannel, ChannelTerm
 
 __all__ = [
+    "BLOCK_ENTRIES",
     "PptReport",
     "SamplerConfig",
     "all_bipartitions",
     "bisect_threshold",
+    "block_length",
     "maximize_witness",
     "partial_transpose",
     "ppt_check",
@@ -41,6 +43,9 @@ __all__ = [
 
 NPT_EIG_TOL = -1e-10
 MAX_TERMS = 16
+# Complex entries that one array of a sample block may hold (32 MB); a block
+# holds at least one sample, however large.
+BLOCK_ENTRIES = 2**21
 
 
 @dataclass(frozen=True)
@@ -123,29 +128,56 @@ def _blocks_for(
     return tuple(tuple((blk, math.prod(sites[i - 1] for i in blk)) for blk in s) for s in structures)
 
 
-def _sample_mixture(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix:
-    """Dirichlet-weighted mixture of pure products, each term over one
-    structure of ``_blocks_for(shape, ...)`` with Haar-random blocks.
+def _sample_block(shape: str, cfg: SamplerConfig, indices: Array) -> Array:
+    """Samples ``indices`` (a uint64 array) of the ``"separable"`` or the
+    ``"biseparable"`` stream as one validated (B, D, D) stack.
 
-    Term t reads a slot of 2 + 2 D draws: its weight, its structure pick, and
-    a modulus and a phase draw per amplitude of each block in turn (block
-    dimensions sum to <= D), which make the complex Gaussians of a Haar vector.
+    Sample i is a Dirichlet-weighted mixture of pure products, each term over
+    one structure of ``_blocks_for(shape, ...)`` with Haar-random blocks.  Its
+    term t reads a slot of 2 + 2 D draws at ``(cfg.seed, i)``: its weight, its
+    structure pick, and a modulus and a phase draw per amplitude of each block
+    in turn (block dimensions sum to <= D), which make the complex Gaussians
+    of a Haar vector.  Every step acts on each sample alone, so a sample's
+    bits do not depend on the block it is drawn in.
     """
-    sites, dim = cfg.sites, math.prod(cfg.sites)
+    sites, dim, terms = cfg.sites, math.prod(cfg.sites), cfg.terms
     structures = _blocks_for(shape, sites, cfg.partition)
-    u = uniforms(cfg.seed, index, np.arange(cfg.terms * (2 + 2 * dim))).reshape(cfg.terms, -1)
-    picks = (u[:, 1] * len(structures)).astype(int)
-    g = np.sqrt(-2.0 * np.log1p(-u[:, 2::2])) * np.exp(2j * np.pi * u[:, 3::2])
-    vecs = np.empty((cfg.terms, dim), dtype=complex)
+    u = uniforms(cfg.seed, indices[:, None], np.arange(terms * (2 + 2 * dim)))
+    u = u.reshape(len(indices), terms, -1)
+    picks = (u[..., 1] * len(structures)).astype(int).ravel()
+    g = np.sqrt(-2.0 * np.log1p(-u[..., 2::2])) * np.exp(2j * np.pi * u[..., 3::2])
+    g = g.reshape(-1, dim)
+    vecs = np.empty_like(g)
     for pick in np.unique(picks):
         rows, at, blocks = picks == pick, 0, []
         for blk, d in structures[pick]:
             blocks.append((blk, g[rows, at : at + d]))
             at += d
         vecs[rows] = _assemble_product(blocks, sites)
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    mat = (vecs.T * _dirichlet(u[:, 0])) @ vecs.conj()
-    return as_density(mat, sites)
+    vecs = vecs.reshape(len(indices), terms, dim)
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    mats = (vecs.swapaxes(1, 2) * _dirichlet(u[..., 0])[:, None, :]) @ vecs.conj()
+    fault = _density_fault(mats)
+    if fault is not None:
+        raise ValueError(f"sample {indices[fault[0]]}: {fault[1]}")
+    return mats
+
+
+def block_length(cfg: SamplerConfig) -> int:
+    """Samples per block of a ``cfg`` campaign: as many as keep each array of
+    the block within ``BLOCK_ENTRIES`` complex entries, and at least one.
+
+    A sample holds a D x D matrix, T x D term vectors and T (2 + 2 D) draws,
+    so none of its arrays is larger than D max(D, 2 T) complex entries.
+    """
+    dim = math.prod(cfg.sites)
+    return max(1, BLOCK_ENTRIES // (dim * max(dim, 2 * cfg.terms)))
+
+
+def _sample(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix:
+    """Sample ``index`` alone: the block of one."""
+    mats = _sample_block(shape, cfg, np.array([index], dtype=np.uint64))
+    return DensityMatrix(cfg.sites, mats[0])
 
 
 def sample_separable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
@@ -154,7 +186,7 @@ def sample_separable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
     Each mixture term is a tensor product of Haar-random local pure states,
     so every output is separable by construction.
     """
-    return _sample_mixture("separable", cfg, index)
+    return _sample("separable", cfg, index)
 
 
 def sample_biseparable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
@@ -165,7 +197,7 @@ def sample_biseparable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:
     is product.  With ``cfg.partition`` unset, each term draws its own
     bipartition uniformly, giving a generic biseparable mixture.
     """
-    return _sample_mixture("biseparable", cfg, index)
+    return _sample("biseparable", cfg, index)
 
 
 def random_blind_channel(sites: Sequence[int], terms: int, seed: int, index: int = 0) -> BlindChannel:

@@ -170,7 +170,8 @@ class DensityMatrix:
     D x D matrix with D = prod(sites).  ``flags`` carries advisory markers
     such as ``"boundary"`` (the state sits on the separable edge of its
     family).  Construct through :func:`as_density` or :func:`pure_density`
-    so the invariants are actually checked.
+    so the invariants are actually checked (the oracle's samplers wrap a
+    matrix of a stack they checked as a whole).
     """
 
     sites: tuple[int, ...]
@@ -189,6 +190,42 @@ class DensityMatrix:
         return DensityMatrix(self.sites, self.mat, self.flags | frozenset(names))
 
 
+def _density_fault(m: Array) -> tuple[int, str] | None:
+    """The first matrix of ``m``, one D x D matrix or a stack of them along
+    axis 0, that is not a density matrix within the module tolerances: its
+    position in the stack and why, or None when every one is.
+
+    Each matrix is checked for finiteness, Hermiticity and unit trace, then
+    for the PSD floor; the matrix named, and its reason, are the ones that
+    checking the stack one matrix at a time would stop at first.
+    """
+    s = m.reshape(-1, *m.shape[-2:])
+    sh = s.conj().swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf; refused just below
+        herm_err = np.abs(s - sh)
+    tr = s.trace(axis1=1, axis2=2)
+    # np.hypot of the parts is Python's abs(complex) to the bit
+    tr_err = np.hypot(tr.real - 1.0, tr.imag)
+    k = len(s)
+    # a NaN or inf entry makes herm_err NaN or inf, so finiteness needs no extra pass
+    if not (herm_err.max() <= HERM_TOL and tr_err.max() <= TRACE_TOL):
+        herm_err = herm_err.max(axis=(1, 2))
+        k = int(np.argmin((herm_err <= HERM_TOL) & (tr_err <= TRACE_TOL)))
+        s, sh = s[:k], sh[:k]
+    # Lowest eigenvalue of each symmetrized matrix before k; the floor absorbs fp noise.
+    low = np.linalg.eigvalsh((s + sh) / 2.0)[:, 0]
+    if k and low.min() < PSD_FLOOR:
+        i = int(np.argmax(low < PSD_FLOOR))
+        return i, f"matrix is not PSD (min eigenvalue {low[i]:.3e})"
+    if k == len(tr):
+        return None
+    if not math.isfinite(herm_err[k]):
+        return k, "matrix entries must be finite"
+    if herm_err[k] > HERM_TOL:
+        return k, f"matrix is not Hermitian (max deviation {herm_err[k]:.3e})"
+    return k, f"trace is {complex(tr[k])}, expected 1"
+
+
 def as_density(
     mat: Array,
     sites: Sequence[int],
@@ -196,30 +233,20 @@ def as_density(
 ) -> DensityMatrix:
     """Validate ``mat`` as a density matrix over ``sites`` and wrap it.
 
-    Raises ``ValueError`` when the matrix is not Hermitian/trace-one/PSD
-    within the module tolerances, or when dimensions do not line up.
+    Raises ``ValueError`` when the matrix is not finite, Hermitian, of unit
+    trace and PSD within the module tolerances, or when dimensions do not
+    line up.
     """
-    sites = tuple(int(d) for d in sites)
-    if any(d < 2 for d in sites):
+    sites = tuple(map(int, sites))
+    if sites and min(sites) < 2:
         raise ValueError(f"every site dimension must be >= 2, got {sites}")
-    dim = int(np.prod(sites))
+    dim = math.prod(sites)
     m = np.asarray(mat, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"matrix shape {m.shape} does not match sites {sites}")
-    with np.errstate(invalid="ignore"):  # inf - inf; refused just below
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-    # a NaN or inf entry makes herm_err NaN or inf, so this needs no extra pass
-    if not math.isfinite(herm_err):
-        raise ValueError("matrix entries must be finite")
-    if herm_err > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace is {tr}, expected 1")
-    # Eigenvalues of the symmetrized matrix; the floor absorbs fp noise.
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    if evals[0] < PSD_FLOOR:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {evals[0]:.3e})")
+    fault = _density_fault(m)
+    if fault is not None:
+        raise ValueError(fault[1])
     return DensityMatrix(sites, m, frozenset(flags))
 
 

@@ -22,6 +22,7 @@ types hand out M through ``multiplier(sites)``, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -538,14 +539,31 @@ def family_basis(family: str, sites: Sequence[int]) -> tuple[int, ...]:
     return tuple(j * step for j in range(sites[0]))
 
 
+@functools.cache
+def _subspace_index(family: str, sites: tuple[int, ...]) -> tuple[
+    tuple[int, ...], tuple[tuple[int, int], ...], Array
+]:
+    """The family basis, its index pairs (a, b) with a < b in basis order,
+    and the flat matrix positions of the populations, then of the
+    coherences, in those orders.  Built once per key."""
+    basis = family_basis(family, sites)
+    pairs = tuple(itertools.combinations(basis, 2))
+    dim = math.prod(sites)
+    flat = np.array([a * dim + a for a in basis] + [a * dim + b for a, b in pairs])
+    flat.flags.writeable = False  # one copy serves every caller
+    return basis, pairs, flat
+
+
+def _subspace_entries(mats: Array, family: str, sites: tuple[int, ...]) -> Array:
+    """The populations, then the coherences, of a matrix, or of a stack over
+    leading axes, along a last axis; see :func:`_subspace_index`."""
+    return mats.reshape(*mats.shape[:-2], -1).take(_subspace_index(family, sites)[2], axis=-1)
+
+
 def subspace_elements(rho: DensityMatrix, family: str) -> SubspaceView:
     """Extract the family's populations and coherences plus the leakage."""
-    basis = family_basis(family, rho.sites)
-    pops = {b: float(np.real(rho.mat[b, b])) for b in basis}
-    cohs = {
-        (a, b): complex(rho.mat[a, b])
-        for i, a in enumerate(basis)
-        for b in basis[i + 1 :]
-    }
+    basis, pairs, _flat = _subspace_index(family, rho.sites)
+    entries = _subspace_entries(rho.mat, family, rho.sites).tolist()
+    pops = {b: z.real for b, z in zip(basis, entries)}
     leakage = float(max(0.0, 1.0 - sum(pops.values())))
-    return SubspaceView(basis, pops, cohs, leakage)
+    return SubspaceView(basis, pops, dict(zip(pairs, entries[len(basis) :])), leakage)

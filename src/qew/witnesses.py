@@ -40,7 +40,13 @@ from .qmat import (
     obs,
     tensor_product,
 )
-from .states import SubspaceView, subspace_elements, uniform_sites
+from .states import (
+    SubspaceView,
+    _subspace_entries,
+    _subspace_index,
+    subspace_elements,
+    uniform_sites,
+)
 
 __all__ = [
     "EPS_EQ",
@@ -379,17 +385,60 @@ def _report(
     )
 
 
-def _ladder_witness(rho: DensityMatrix, family: str, eps_eq: float) -> WitnessReport:
-    """2 sum_{a<b} |rho_ab| + sum_a rho_aa - 1 <= 0 on the family's ladder basis.
+# The formulas below read populations in basis order and coherence moduli in
+# pair order (see :func:`qew.states.subspace_elements`).  Each entry is a
+# number, for one state, or an array with one value per matrix of a stack; the
+# terms are added one at a time in a fixed order, which fixes the rounding.
 
-    The populations are added one at a time in basis order after the
-    coherence term, which fixes the rounding of every family's value.
-    """
-    view = subspace_elements(rho, family)
-    lhs = 2.0 * sum(abs(c) for c in view.coherences.values())
-    for p in view.populations.values():
+
+def _ladder_lhs(pops: Sequence, mods: Sequence):
+    """2 sum_{a<b} |rho_ab| + sum_a rho_aa - 1: the moduli summed, then the
+    populations added one at a time."""
+    lhs = 2.0 * sum(mods)
+    for p in pops:
         lhs += p
-    return _report(lhs - 1.0, 0.0, view, eps_eq)
+    return lhs - 1.0
+
+
+# The W witness's four coherences, and where they sit in the pair order.
+_W_LINES = ((1, 7), (2, 4), (1, 2), (4, 7))
+_W_AT = [_subspace_index("w", (2, 2, 2))[1].index(p) for p in _W_LINES]
+
+
+def _w_lhs(pops: Sequence, mods: Sequence):
+    """|rho_001;111| + |rho_010;100| + |rho_001;010| + |rho_100;111|, in that order."""
+    return sum(mods[k] for k in _W_AT)
+
+
+def _witness(
+    rho: DensityMatrix,
+    family: str,
+    lhs: Callable[[Sequence, Sequence], float],
+    bound: float,
+    eps_eq: float,
+    alt_bound: float | None = None,
+) -> WitnessReport:
+    """Report of the witness formula ``lhs`` on the family subspace of ``rho``."""
+    view = subspace_elements(rho, family)
+    mods = [abs(c) for c in view.coherences.values()]
+    return _report(lhs(view.populations.values(), mods), bound, view, eps_eq, alt_bound)
+
+
+def _stack_lhs(
+    family: str, lhs: Callable[[Sequence, Sequence], Array]
+) -> Callable[[Array, tuple[int, ...]], Array]:
+    """The witness formula ``lhs`` on a (B, D, D) stack over ``sites``: one
+    value per matrix, each the ``lhs`` its report would give."""
+
+    def stack(mats: Array, sites: tuple[int, ...]) -> Array:
+        k = len(_subspace_index(family, sites)[0])
+        entries = _subspace_entries(mats, family, sites)
+        pops, cohs = entries[:, :k].real, entries[:, k:]
+        # np.hypot of the parts is abs(complex) to the bit; np.abs on
+        # complex128 is not, and differs in the last bit on some values
+        return lhs(pops.T, np.hypot(cohs.real, cohs.imag).T)
+
+    return stack
 
 
 def witness_epr(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -398,7 +447,7 @@ def witness_epr(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     Every separable two-qubit state obeys the bound; any state of the
     EPR-type family with surviving |00>/|11> coherence exceeds it.
     """
-    return _ladder_witness(rho, "epr", eps_eq)
+    return _witness(rho, "epr", _ladder_lhs, 0.0, eps_eq)
 
 
 def witness_ghz(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -409,7 +458,7 @@ def witness_ghz(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     certifies genuine multipartite entanglement.  n = 2 coincides with
     :func:`witness_epr`.
     """
-    return _ladder_witness(rho, "ghz", eps_eq)
+    return _witness(rho, "ghz", _ladder_lhs, 0.0, eps_eq)
 
 
 def witness_w(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -420,14 +469,7 @@ def witness_w(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     bound); ``alt_bound`` reports the stricter 1/4 threshold that the
     family's generic members clear.
     """
-    view = subspace_elements(rho, "w")
-    lhs = (
-        abs(view.coherences[(1, 7)])
-        + abs(view.coherences[(2, 4)])
-        + abs(view.coherences[(1, 2)])
-        + abs(view.coherences[(4, 7)])
-    )
-    return _report(lhs, 0.5, view, eps_eq, alt_bound=0.25)
+    return _witness(rho, "w", _w_lhs, 0.5, eps_eq, alt_bound=0.25)
 
 
 def witness_qudit(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -436,7 +478,7 @@ def witness_qudit(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessRepor
     The bound holds for every biseparable state of n uniform d-level
     sites; at d = 2 the expression reduces to :func:`witness_ghz`.
     """
-    return _ladder_witness(rho, "qudit", eps_eq)
+    return _witness(rho, "qudit", _ladder_lhs, 0.0, eps_eq)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +498,10 @@ class WitnessFamily:
     builds the paradox battery for a member on ``sites``; it carries no
     tolerances, which :func:`evaluate_battery` takes.  ``sites(n, d)`` gives
     the sites of a member, with None for the family's default n or d; a
-    value the family fixes is refused when given.
+    value the family fixes is refused when given.  ``lhs(mats, sites)`` is
+    the witness's left-hand side on a (B, D, D) stack of matrices over
+    ``sites``, one value per matrix, each bit for bit the ``lhs`` of its
+    ``witness`` report.
     """
 
     witness: Callable[..., WitnessReport]
@@ -464,6 +509,7 @@ class WitnessFamily:
     battery: Callable[[Sequence[int]], ParadoxBattery]
     sampler: str
     sites: _SitesRule
+    lhs: Callable[[Array, tuple[int, ...]], Array]
 
 
 def _uniform(n: int, d: int, settable: str) -> _SitesRule:
@@ -491,13 +537,13 @@ def _family_table() -> dict[str, WitnessFamily]:
     # one of them (to trace its calls, say) is seen by the next lookup
     return {
         "epr": WitnessFamily(witness_epr, 0.0, lambda sites: battery_epr(), "separable",
-                             _uniform(2, 2, "")),
+                             _uniform(2, 2, ""), _stack_lhs("epr", _ladder_lhs)),
         "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites: battery_ghz(len(sites)),
-                             "biseparable", _uniform(3, 2, "n")),
+                             "biseparable", _uniform(3, 2, "n"), _stack_lhs("ghz", _ladder_lhs)),
         "w": WitnessFamily(witness_w, 0.5, lambda sites: battery_w(), "biseparable",
-                           _uniform(3, 2, "")),
+                           _uniform(3, 2, ""), _stack_lhs("w", _w_lhs)),
         "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery, "separable",
-                               _uniform(2, 3, "nd")),
+                               _uniform(2, 3, "nd"), _stack_lhs("qudit", _ladder_lhs)),
     }
 
 

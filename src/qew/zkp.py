@@ -344,10 +344,13 @@ def parse_transcript(text: str) -> Transcript:
         raise ValueError("transcript must start with a '# seed=... N=...' header")
     try:
         # a token without "=" is a pair of length 1, which dict() refuses
-        header = dict(part.split("=") for part in lines[0].lstrip("# ").split())
+        pairs = [part.split("=") for part in lines[0].lstrip("# ").split()]
+        header = dict(pairs)
+        if len(pairs) != 2:  # a repeated key, or a key besides seed and N
+            raise ValueError
         seed, n = int(header["seed"]), int(header["N"])
     except (KeyError, ValueError):
-        raise ValueError(f"bad transcript header: {lines[0]!r}") from None
+        raise ValueError(f"bad transcript header: {lines[0]!r}, want '# seed=<int> N=<int>'") from None
     if lines[1] != "round,k,a,s,b":
         raise ValueError(f"bad column header: {lines[1]!r}")
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,8 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qew import cli, networks, oracle, qmat, states, witnesses, zkp
 from qew.cli import MAX_SCAN_ROWS, build_parser, main
-from qew.witnesses import critical_visibility
+from qew.oracle import SamplerConfig, sample_biseparable, sample_separable
+from qew.witnesses import critical_visibility, witness_family
 from qew.states import MAX_DIM, parse_state_spec
 from qew.zkp import MAX_ROUNDS, read_transcript
 
@@ -315,6 +318,23 @@ def test_zkp_seed_required(tmp_path, capsys):
         main(["zkp", strategy, "--n", "200"])
 
 
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, monkeypatch):
+    # the random source folds a seed mod 2^64, so -1 and 2^64 - 1 would draw
+    # the same rounds under different headers
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    strategy = _write(tmp_path, "s.json", {"kind": "separable_diag"})
+    for command in (["oracle", "--witness", "epr", "--samples", "2", "--iters", "1"],
+                    ["zkp", strategy, "--n", "400"]):
+        for seed in ("-1", str(2**64), "1.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--seed", seed])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and f"0..{2**64 - 1}" in err and "Traceback" not in err, err
+        assert not list(tmp_path.glob("*.txt"))  # no transcript was started
+        code, out, _ = _run(capsys, *command, "--seed", str(2**64 - 1))
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+
+
 def test_zkp_strategy_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
     bad = _write(tmp_path, "bad.json", {"kind": "teleport"})
@@ -535,6 +555,71 @@ def test_oracle_violation_exit_code(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["violations"] == 1
+
+
+def _replay(witness, sites, terms, seed, index):
+    """The witness value of one sample, drawn alone from ``(seed, index)``."""
+    fam = witness_family(witness)
+    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    return fam.witness(sampler(SamplerConfig(sites=tuple(sites), terms=terms, seed=seed), index)).lhs
+
+
+@pytest.mark.parametrize("argv", [["--witness", "epr"], ["--witness", "w"],
+                                  ["--witness", "ghz", "--n", "4"], ["--witness", "qudit", "--d", "3"]])
+def test_oracle_argmax_replays_to_max_lhs(capsys, monkeypatch, argv):
+    code, out, _ = _run(capsys, "oracle", *argv, "--samples", "300", "--seed", "11", "--iters", "1")
+    rep = json.loads(out)
+    assert code == 0 and rep["first_violation"] is None
+    replay = _replay(rep["witness"], rep["sites"], rep["terms"], rep["seed"], rep["argmax_index"])
+    assert replay == rep["max_lhs"]
+    # blocks of 7 samples give the same report, the lowest index on ties included
+    monkeypatch.setattr(cli, "block_length", lambda cfg: 7)
+    code, again, _ = _run(capsys, "oracle", *argv, "--samples", "300", "--seed", "11", "--iters", "1")
+    rep.pop("runtime_s")
+    assert {k: v for k, v in json.loads(again).items() if k != "runtime_s"} == rep
+
+
+def test_oracle_reports_its_first_violation(capsys, monkeypatch):
+    values = [_replay("epr", (2, 2), 4, 5, i) for i in range(40)]
+    bound = sorted(values)[-6]  # five samples cross it
+    crossing = [i for i, v in enumerate(values) if v > bound + 1e-9]
+    assert len(crossing) == 5
+    fam = dataclasses.replace(witness_family("epr"), bound=bound)
+    monkeypatch.setattr(cli, "witness_family", lambda name: fam)
+    monkeypatch.setattr(cli, "block_length", lambda cfg: 4)
+    code, out, _ = _run(capsys, "oracle", "--witness", "epr", "--samples", "40", "--seed", "5", "--iters", "1")
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["first_violation"] == crossing[0]
+    assert rep["violations"] == 5 + (rep["search_max"] > bound + 1e-9)
+    assert rep["argmax_index"] == values.index(max(values))
+
+
+def test_oracle_campaign_draws_its_samples_in_blocks(capsys, monkeypatch):
+    """A 500-sample campaign makes no per-sample call: falling back to one
+    sampler, as_density or witness call per sample fails here."""
+    counts = {}
+    originals = {
+        "as_density": qmat.as_density,
+        "sample_separable": oracle.sample_separable,
+        "sample_biseparable": oracle.sample_biseparable,
+        **{f"witness_{w}": getattr(witnesses, f"witness_{w}") for w in ("epr", "ghz", "w", "qudit")},
+    }
+    for name, fn in originals.items():
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        for module in (qmat, states, witnesses, oracle, networks, zkp, cli):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    for argv in (["--witness", "epr"], ["--witness", "ghz", "--n", "4"], ["--witness", "w"]):
+        counts.clear()
+        code, _, _ = _run(capsys, "oracle", *argv, "--samples", "500", "--seed", "2", "--iters", "1")
+        assert code == 0
+        # maximize_witness returns its best state through as_density once
+        assert counts == {"as_density": 1}, argv
 
 
 @pytest.mark.parametrize(

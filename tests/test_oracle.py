@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qew import oracle
 from qew.networks import sample_branch, swap_branches
@@ -23,7 +23,7 @@ from qew.oracle import (
     sample_separable,
 )
 from qew.qmat import partial_trace, uniforms
-from qew.states import epr_state, ghz_state, werner_mix
+from qew.states import MAX_DIM, epr_state, ghz_state, werner_mix
 from qew.witnesses import witness_epr, witness_family, witness_ghz, witness_qudit, witness_w
 
 
@@ -235,10 +235,14 @@ def test_structure_table_is_built_once():
     assert oracle._blocks_for("separable", (2, 3), (1,)) == ((((1,), 2), ((2,), 3)),)
 
 
+# The seven families and shapes the bound properties run over.
+_FAMILIES = [("epr", None, None), ("ghz", 3, None), ("ghz", 4, None), ("w", None, None),
+             ("qudit", 2, 3), ("qudit", 3, 3), ("qudit", 2, 4)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from([("epr", None, None), ("ghz", 3, None), ("ghz", 4, None), ("w", None, None),
-                     ("qudit", 2, 3), ("qudit", 3, 3), ("qudit", 2, 4)]),
+    st.sampled_from(_FAMILIES),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
     st.integers(1, 3),
@@ -253,6 +257,93 @@ def test_separable_sets_never_cross_the_bound(family, terms, seed, iters):
     val, state = maximize_witness(name, cfg, iters)
     assert val <= fam.bound + 1e-9
     assert fam.witness(state).lhs <= fam.bound + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_FAMILIES),
+    st.integers(1, oracle.MAX_TERMS),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 41),
+    st.integers(1, 40),
+)
+# numpy sums 8 or more terms in an unrolled order, so those must be covered
+@example(("qudit", 2, 3), 8, 1, 0, 12)
+@example(("ghz", 4, None), 16, 2**64 - 1, 2**64 - 41, 40)
+def test_block_path_equals_per_index_path(family, terms, seed, start, length):
+    name, n, d = family
+    fam = witness_family(name)
+    cfg = SamplerConfig(sites=fam.sites(n, d), terms=terms, seed=seed)
+    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    indices = np.arange(start, start + length, dtype=np.uint64)
+    stack = oracle._sample_block(fam.sampler, cfg, indices)
+    lhs = fam.lhs(stack, cfg.sites)
+    assert stack.shape == (length, *(2 * (np.prod(cfg.sites),)))
+    for j, i in enumerate(indices.tolist()):
+        rho = sampler(cfg, i)
+        assert np.array_equal(stack[j], rho.mat)
+        assert lhs[j] == fam.witness(rho).lhs
+
+
+@pytest.mark.parametrize(
+    "name, sites, terms, seed, mats, lhs",
+    [
+        ("epr", (2, 2), 4, 1,
+         "c57394c3bd7d2084f49df068a0c4acae714e195e8e448db62b5527565ebdba69",
+         "522f3e8af333abe0f5b4972363eac3419c676fa8fbe9eaa4bdc9373562e67fc6"),
+        ("qudit", (3, 3), 16, 2**64 - 1,
+         "da89551abcfd47c53faacf52fdf51d21a9f8e5177bcdc12c0bb223e45980cc2c",
+         "007f096997db344c1db8875494b53c5dfbb6627e52c7fcebc6a979cd48b941e8"),
+        ("ghz", (2, 2, 2, 2), 9, 7,
+         "aaae6f3ca3cdd85b9ea3ff27ff75700d1712659676bf5a5428c76d2b500e4d6b",
+         "c9eddadf0037d983350a349a7641465eecd077d47807ab9f9e88408ce657a994"),
+        ("w", (2, 2, 2), 8, 3,
+         "a28138a25ab1c69972f72ed9247f12a15fb715a7c333eb68abde7d312d1f8ecf",
+         "13f1db4cf6d033bd6f0fcc4fae3cfa750d3f119ad038e0b6b8ff64fa3f058046"),
+    ],
+    ids=["epr", "qudit", "ghz4", "w"],
+)
+def test_sample_stream_is_pinned(name, sites, terms, seed, mats, lhs):
+    """Samples 0..19 and their witness values, pinned to the bit: a change to
+    the draws, their order, the mixing or a witness's rounding shows here."""
+    fam = witness_family(name)
+    cfg = SamplerConfig(sites=sites, terms=terms, seed=seed)
+    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    rhos = [sampler(cfg, i) for i in range(20)]
+    assert hashlib.sha256(b"".join(r.mat.tobytes() for r in rhos)).hexdigest() == mats
+    values = np.array([fam.witness(r).lhs for r in rhos])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == lhs
+    assert np.array_equal(fam.lhs(oracle._sample_block(fam.sampler, cfg, np.arange(20, dtype=np.uint64)), sites), values)
+
+
+def test_block_rule_bounds_every_dimension():
+    # a block exceeds the budget only when one sample does
+    for dim in range(2, MAX_DIM + 1):
+        for terms in (1, oracle.MAX_TERMS):
+            b = oracle.block_length(SamplerConfig(sites=(dim,), terms=terms))
+            assert b >= 1
+            assert b == 1 or b * dim * max(dim, 2 * terms) <= oracle.BLOCK_ENTRIES
+            assert b * dim * dim <= max(oracle.BLOCK_ENTRIES, dim * dim)
+
+
+def test_block_names_the_failing_sample(monkeypatch):
+    dirichlet = oracle._dirichlet
+
+    def heavy_third(u):
+        w = dirichlet(u)
+        w[2] *= 1.5  # the third sample of the block no longer has unit trace
+        return w
+
+    monkeypatch.setattr(oracle, "_dirichlet", heavy_third)
+    cfg = SamplerConfig(sites=(2, 2), terms=3, seed=4)
+    with pytest.raises(ValueError, match=r"^sample 12: trace is \(1\.5"):
+        oracle._sample_block("separable", cfg, np.arange(10, 15, dtype=np.uint64))
+
+
+def test_negative_sample_index_is_refused():
+    cfg = SamplerConfig(sites=(2, 2), terms=2)
+    with pytest.raises(OverflowError):
+        sample_separable(cfg, -1)
 
 
 # ---------------------------------------------------------------------------

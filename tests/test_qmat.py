@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -112,6 +113,38 @@ def test_as_density_validates():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="finite"):
                     as_density(m, (2, 2))
+
+
+def test_a_stack_is_checked_as_its_matrices_one_by_one():
+    def refusal(m):
+        try:
+            as_density(m, (2, 2))
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    herm = good.copy()
+    herm[0, 1] = 0.3
+    bad = {
+        "finite": good + np.diag([np.nan, 0, 0, 0]),
+        "herm": herm,
+        "trace": np.diag([0.5, 0.4, 0.0, 0.0]).astype(complex),
+        "psd": np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),
+    }
+    # one matrix: the messages as_density always gave
+    assert refusal(herm) == "matrix is not Hermitian (max deviation 3.000e-01)"
+    assert refusal(bad["trace"]) == "trace is (0.9+0j), expected 1"
+    assert refusal(bad["psd"]) == "matrix is not PSD (min eigenvalue -5.000e-01)"
+    assert refusal(bad["finite"]) == "matrix entries must be finite"
+    # a stack names the matrix, and the reason, a one-by-one check stops at
+    # first, whichever kinds of fault sit behind it
+    for first, later in itertools.permutations(bad, 2):
+        for at in range(4):
+            stack = np.array([good] * 6)
+            stack[at], stack[at + 2] = bad[first], bad[later]
+            assert qmat._density_fault(stack) == (at, refusal(bad[first]))
+    assert qmat._density_fault(np.array([good] * 3)) is None
 
 
 def test_pure_density_norm_check():

@@ -304,8 +304,10 @@ def test_parse_transcript_errors():
     lines = text.splitlines()
     with pytest.raises(ValueError, match="header"):
         parse_transcript("\n".join(lines[1:]))
-    with pytest.raises(ValueError, match="bad transcript header"):
-        parse_transcript("# sid=1 N=40\n" + "\n".join(lines[1:]))
+    # a key other than seed and N, or a repeated one, names the header
+    for header in ("# sid=1 N=40", "# seed=1 N=40 seed=9", "# seed=1 N=40 foo=bar", "# seed=1 seed=1"):
+        with pytest.raises(ValueError, match=f"bad transcript header: '{header}'"):
+            parse_transcript(header + "\n" + "\n".join(lines[1:]))
     with pytest.raises(ValueError, match="column header"):
         parse_transcript(lines[0] + "\nk,a,s,b\n" + "\n".join(lines[2:]))
     with pytest.raises(ValueError, match="data rows"):
