@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -264,8 +265,15 @@ def _parse_strategy(data: Mapping) -> HonestStrategy | SeparableDiagStrategy | F
 
 
 def _cells_dict(cells) -> dict:
+    """Per-cell statistics; a z-score of +/-inf (a nonzero deviation over a
+    zero standard error) is written as null."""
     return {
-        name: {"count": c.count, "estimate": c.estimate, "std_error": c.std_error}
+        name: {
+            "count": c.count,
+            "estimate": c.estimate,
+            "std_error": c.std_error,
+            "z": c.z if math.isfinite(c.z) else None,
+        }
         for name, c in cells.items()
     }
 
@@ -283,6 +291,7 @@ def cmd_zkp(args: argparse.Namespace) -> int:
     leak = leakage_view(transcript)
     report = {
         "accepted": verdict.accepted,
+        "failed": list(verdict.failed),
         "z_threshold": verdict.z_threshold,
         "n_rounds": transcript.n_rounds,
         "seed": transcript.seed,

@@ -568,6 +568,7 @@ class NoiseWitnessReport:
     s: float
     zz: float
     xx: float
+    yy: float
     zx: float
     xz: float
     zero_lines_ok: bool
@@ -579,25 +580,29 @@ def noise_witness(
     *,
     eps_eq: float = EPS_EQ,
 ) -> NoiseWitnessReport:
-    """Correlation-only witness s = 2<XX> + <ZZ> > 1 for noisy two-qubit states.
+    """Correlation witness s = <XX> - <YY> + <ZZ> > 1 for two-qubit states.
 
-    On white-noise mixtures of the EPR-type family, s = v(1 + 4 rho_00;11),
-    so the verdict line s > 1 reproduces the critical visibility
-    1/(1 + 4 rho_00;11).  The <ZX> and <XZ> values are reported with a
-    ``zero_lines_ok`` check but do not enter the verdict.  The coefficient
-    on <XX> is 2, the one that matches the visibility threshold above.
+    s = 4F - 1 with F the fidelity to (|00> + |11>)/sqrt(2).  On a product
+    state with Bloch vectors r1, r2 it is r1 . (D r2) with D = diag(1, -1, 1),
+    at most |r1| |r2| <= 1, and a separable state is a mixture of products,
+    so s > 1 witnesses entanglement.  On white-noise mixtures of the EPR-type
+    family, s = v(1 + 4 rho_00;11), so the verdict line s > 1 reproduces the
+    critical visibility 1/(1 + 4 rho_00;11).  The <ZX> and <XZ> values are
+    reported with a ``zero_lines_ok`` check but do not enter the verdict.
     """
     if rho.sites != (2, 2):
         raise ValueError(f"two-qubit state required, got sites {rho.sites}")
     zz = float(np.real(expectation(rho, obs((1, "Z"), (2, "Z")))))
     xx = float(np.real(expectation(rho, obs((1, "X"), (2, "X")))))
+    yy = float(np.real(expectation(rho, obs((1, "Y"), (2, "Y")))))
     zx = float(np.real(expectation(rho, obs((1, "Z"), (2, "X")))))
     xz = float(np.real(expectation(rho, obs((1, "X"), (2, "Z")))))
-    s = 2.0 * xx + zz
+    s = xx - yy + zz
     return NoiseWitnessReport(
         s=s,
         zz=zz,
         xx=xx,
+        yy=yy,
         zx=zx,
         xz=xz,
         zero_lines_ok=max(abs(zx), abs(xz)) <= eps_eq,

@@ -23,6 +23,8 @@ how the rounds are batched or parallelized.
 
 from __future__ import annotations
 
+import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -53,7 +55,9 @@ __all__ = [
 
 MIN_CELL_ROUNDS = 30
 # Rounds one run_protocol call may simulate: ten times the 10^6 of the
-# largest documented run, at about 80 bytes of peak memory per round.
+# largest documented run.  Peak traced memory per round, measured at 10^6
+# rounds (16 bytes of transcript text each): 80 bytes to simulate, 58 to
+# write the transcript and 145 to read it back.
 MAX_ROUNDS = 10**7
 DEFAULT_Z = 5.0
 
@@ -178,9 +182,9 @@ class Transcript:
             arr = getattr(self, name)
             if arr.shape != (self.n_rounds,):
                 raise ValueError(f"field {name} has shape {arr.shape}, expected ({self.n_rounds},)")
-        if not (np.isin(self.k, (0, 1)).all() and np.isin(self.s, (0, 1)).all()):
+        if not (((self.k == 0) | (self.k == 1)).all() and ((self.s == 0) | (self.s == 1)).all()):
             raise ValueError("challenges and settings must be bits")
-        if not (np.isin(self.a, (-1, 1)).all() and np.isin(self.b, (-1, 1)).all()):
+        if not (((self.a == -1) | (self.a == 1)).all() and ((self.b == -1) | (self.b == 1)).all()):
             raise ValueError("outcomes must be +/-1")
 
 
@@ -236,30 +240,50 @@ def run_protocol(
 
 @dataclass(frozen=True)
 class CellStats:
+    """One (k, s) cell: its rounds, the mean of a*b over them, that mean's
+    standard error, and ``z``, the mean's deviation from the cell's target
+    (+1 for zz, 0 for the others) in standard errors.  A zero deviation has
+    z = 0 and a nonzero one over a zero standard error has z = +/-inf."""
+
     count: int
     estimate: float
     std_error: float
+    z: float
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """``failed`` names the cells whose test failed, in ``CELLS`` order; it
+    is empty exactly when the proof is accepted."""
+
     accepted: bool
     cells: Mapping[str, CellStats]
     z_threshold: float
+    failed: tuple[str, ...]
+
+
+# The value each cell is tested against: xx must sit away from it, the
+# other cells at it (within z standard errors).
+_TARGET = {"zz": 1.0, "zx": 0.0, "xz": 0.0, "xx": 0.0}
 
 
 def _cell_stats(t: Transcript) -> dict[str, CellStats]:
-    prod = (t.a.astype(np.int64) * t.b.astype(np.int64)).astype(float)
+    # A sum of +/-1 is exact in float64, so each mean is the same float as
+    # the mean over the cell's rounds taken one cell at a time.
+    code = 2 * (t.k == 1) + (t.s == 1)
+    counts = np.bincount(code, minlength=4)
+    sums = np.bincount(code, weights=t.a * t.b, minlength=4)
     out = {}
     for name, (k, s) in CELLS.items():
-        m = (t.k == k) & (t.s == s)
-        n = int(m.sum())
+        n = int(counts[2 * k + s])
         if n == 0:
-            out[name] = CellStats(0, float("nan"), float("nan"))
+            out[name] = CellStats(0, float("nan"), float("nan"), float("nan"))
             continue
-        est = float(prod[m].mean())
+        est = float(sums[2 * k + s] / n)
         se = float(np.sqrt(max(0.0, 1.0 - est * est) / n))
-        out[name] = CellStats(n, est, se)
+        dev = est - _TARGET[name]
+        z = 0.0 if dev == 0 else math.copysign(math.inf, dev) if se == 0 else dev / se
+        out[name] = CellStats(n, est, se, z)
     return out
 
 
@@ -277,13 +301,12 @@ def verify_transcript(t: Transcript, z: float = DEFAULT_Z) -> Verdict:
             raise ValueError(
                 f"undersampled cell {name}: {c.count} rounds (need >= {MIN_CELL_ROUNDS})"
             )
-    ok = (
-        abs(cells["zz"].estimate - 1.0) <= z * cells["zz"].std_error
-        and abs(cells["zx"].estimate) <= z * cells["zx"].std_error
-        and abs(cells["xz"].estimate) <= z * cells["xz"].std_error
-        and abs(cells["xx"].estimate) > z * cells["xx"].std_error
+    failed = tuple(
+        name
+        for name, c in cells.items()
+        if (abs(c.estimate - _TARGET[name]) <= z * c.std_error) == (name == "xx")
     )
-    return Verdict(accepted=ok, cells=cells, z_threshold=z)
+    return Verdict(accepted=not failed, cells=cells, z_threshold=z, failed=failed)
 
 
 @dataclass(frozen=True)
@@ -330,15 +353,54 @@ def leakage_view(t: Transcript) -> LeakageView:
 # ---------------------------------------------------------------------------
 
 
+# Row tails ",k,a,s,b\n" by the code 8k + 4[a = -1] + 2s + [b = -1], NUL-padded
+# to one width.
+_TAILS = np.array(
+    [
+        list(f",{k},{a},{s},{b}\n".encode("ascii").ljust(11, b"\0"))
+        for k in (0, 1) for a in (1, -1) for s in (0, 1) for b in (1, -1)
+    ],
+    dtype=np.uint8,
+)
+
+
+def _transcript_bytes(t: Transcript) -> bytes:
+    """The transcript file's bytes.  Each row is laid out in a fixed-width
+    table: the round index right-aligned behind NUL bytes, then its tail;
+    dropping every NUL byte leaves the rows in order."""
+    n = t.n_rounds
+    width = len(str(max(n - 1, 0)))
+    table = np.zeros((n, width + _TAILS.shape[1]), dtype=np.uint8)
+    q = np.arange(n)
+    for col in range(width - 1, -1, -1):
+        table[:, col] = q % 10 + 48
+        q //= 10
+    for col in range(width - 1):  # leading zeros: the rounds below 10^(digits to the right)
+        table[: 10 ** (width - 1 - col), col] = 0
+    table[:, width:] = _TAILS[8 * (t.k == 1) + 4 * (t.a == -1) + 2 * (t.s == 1) + (t.b == -1)]
+    head = f"# seed={t.seed} N={n}\nround,k,a,s,b\n".encode("ascii")
+    return head + table[table != 0].tobytes()
+
+
 def format_transcript(t: Transcript) -> str:
     """Line format: header with seed/N, then `round,k,a,s,b` records."""
-    lines = [f"# seed={t.seed} N={t.n_rounds}", "round,k,a,s,b"]
-    for i in range(t.n_rounds):
-        lines.append(f"{i},{t.k[i]},{t.a[i]},{t.s[i]},{t.b[i]}")
-    return "\n".join(lines) + "\n"
+    return _transcript_bytes(t).decode("ascii")
+
+
+# A data row field: optional spaces or tabs, an optional sign, ASCII digits,
+# optional spaces or tabs, with a value in int64's range.
+_FIELD = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+# The bytes of data rows; np.loadtxt also takes other whitespace in a field.
+_ROW_BYTES = b"0123456789+-, \t"
+
+
+def _fields_ok(row: str) -> bool:
+    return all(_FIELD.fullmatch(x) and -(2**63) <= int(x) < 2**63 for x in row.split(","))
 
 
 def parse_transcript(text: str) -> Transcript:
+    """Read the text ``format_transcript`` writes.  Lines of only whitespace
+    are skipped, and each data row is five ``_FIELD`` fields."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("#"):
         raise ValueError("transcript must start with a '# seed=... N=...' header")
@@ -353,11 +415,21 @@ def parse_transcript(text: str) -> Transcript:
         raise ValueError(f"bad transcript header: {lines[0]!r}, want '# seed=<int> N=<int>'") from None
     if lines[1] != "round,k,a,s,b":
         raise ValueError(f"bad column header: {lines[1]!r}")
-    try:
-        fields = [[int(x) for x in ln.split(",")] for ln in lines[2:]]
+    body = lines[2:]
+    try:  # UnicodeEncodeError is a ValueError
+        if "".join(body).encode("ascii").translate(None, _ROW_BYTES):
+            raise ValueError
+        # older numpy reads a field out of int64's range through a float, with a
+        # DeprecationWarning; only a row of 19 or more bytes can hold one
+        if max(map(len, body), default=0) >= 19 and not all(map(_fields_ok, body)):
+            raise ValueError
         # no rows at all is the N = 0 table, not a table of no columns
-        rows = np.array(fields or np.empty((0, 5)), dtype=np.int64)
-    except (ValueError, OverflowError):
+        rows = (
+            np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            if body
+            else np.empty((0, 5), dtype=np.int64)
+        )
+    except ValueError:
         raise ValueError(_bad_row(text)) from None
     if rows.shape != (n, 5):
         raise ValueError(f"expected {n} data rows of 5 fields, got shape {rows.shape}")
@@ -377,18 +449,16 @@ def _bad_row(text: str) -> str:
     """Name the first data row that is not 5 int64 fields by its line number
     (blank lines count); only a table that failed to parse is searched."""
     for i, ln in [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()][2:]:
-        try:
-            if np.array([int(x) for x in ln.split(",")], dtype=np.int64).shape == (5,):
-                continue
-        except (ValueError, OverflowError):
+        if not _fields_ok(ln):
             return f"line {i}: data row fields must be 64-bit integers, got {ln!r}"
-        return f"line {i}: data row needs 5 fields, got {ln!r}"
+        if ln.count(",") != 4:
+            return f"line {i}: data row needs 5 fields, got {ln!r}"
     return "malformed data rows"
 
 
 def write_transcript(t: Transcript, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_transcript(t))
+    with open(path, "wb") as fh:
+        fh.write(_transcript_bytes(t))
 
 
 def read_transcript(path) -> Transcript:

@@ -312,6 +312,24 @@ def test_zkp_cheating_strategies_rejected(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["accepted"] is False
 
 
+def test_zkp_report_names_failed_cells_and_z_scores(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    honest = _write(tmp_path, "h.json", {"kind": "honest", "state": {"kind": "epr", "theta": np.pi / 4}})
+    code, out, _ = _run(capsys, "zkp", honest, "--n", "2000", "--seed", "5")
+    rep = json.loads(out)
+    assert code == 0 and rep["failed"] == []
+    # the sampled zz and xx cells are exact: zero deviation, and a deviation over se = 0
+    assert rep["cells"]["zz"]["z"] == 0.0 and rep["cells"]["xx"]["z"] is None
+    sep = _write(tmp_path, "sep.json", {"kind": "separable_diag", "p0": 0.5})
+    rep = json.loads(_run(capsys, "zkp", sep, "--n", "4000", "--seed", "3")[1])
+    assert rep["accepted"] is False and rep["failed"] == ["xx"]
+    c = rep["cells"]["xx"]
+    assert c["z"] == c["estimate"] / c["std_error"]
+    fixed = _write(tmp_path, "fx.json", {"kind": "fixed_outcomes", "outcomes": [1, 1]})
+    rep = json.loads(_run(capsys, "zkp", fixed, "--n", "4000", "--seed", "5")[1])
+    assert rep["failed"] == ["zz", "xx"] and rep["cells"]["zz"]["z"] < -5
+
+
 def test_zkp_seed_required(tmp_path, capsys):
     strategy = _write(tmp_path, "s.json", {"kind": "separable_diag"})
     with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qew.oracle import SamplerConfig, sample_separable
 from qew.qmat import as_density, expectation, obs, pure_density
 from qew.states import (
     BlindChannel,
@@ -24,6 +25,7 @@ from qew.states import (
 )
 from qew.witnesses import (
     ENTANGLED,
+    EPS_EQ,
     NOT_WITNESSED,
     BatteryItem,
     Exact,
@@ -381,6 +383,22 @@ def test_noise_witness_values():
     assert rep.zero_lines_ok
     assert noise_witness(werner_mix(rho, 1.0 / 3.0)).verdict == NOT_WITNESSED
     assert noise_witness(werner_mix(rho, 0.0)).s == pytest.approx(0.0)
+
+
+def test_noise_witness_leaves_product_states_unwitnessed():
+    """|++><++| has <XX> = 1 and <YY> = <ZZ> = 0: s = 1, on the bound."""
+    plus = np.full(4, 0.5)
+    rep = noise_witness(pure_density(plus, (2, 2)))
+    assert (rep.xx, rep.yy, rep.zz) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    assert rep.s == pytest.approx(1.0, abs=1e-12)
+    assert rep.verdict == NOT_WITNESSED
+
+
+def test_noise_witness_bound_holds_on_separable_samples():
+    # one mixture term: pure products, the separable states nearest the bound
+    cfg = SamplerConfig((2, 2), terms=1, seed=11)
+    values = [noise_witness(sample_separable(cfg, i)).s for i in range(200)]
+    assert max(values) <= 1.0 + EPS_EQ
 
 
 def test_critical_visibility_golden_values():

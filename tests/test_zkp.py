@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qew.qmat import uniforms
 from qew.states import BlindChannel, ChannelTerm, StateSpec
@@ -153,6 +155,33 @@ def test_fixed_outcome_prover_rejected():
     assert not verify_transcript(t).accepted
 
 
+def test_verdict_names_the_failed_cells():
+    honest = verify_transcript(run_protocol(HonestStrategy(EPR), 4000, seed=7))
+    assert honest.failed == ()
+    assert verify_transcript(run_protocol(SeparableDiagStrategy(), 4000, seed=3)).failed == ("xx",)
+    fixed = verify_transcript(run_protocol(FixedOutcomesStrategy(), 4000, seed=5))
+    assert fixed.failed == ("zz", "xx")
+    assert fixed.cells["zz"].z < -DEFAULT_Z
+    noisy = verify_transcript(run_protocol(HonestStrategy(EPR, visibility=0.9), 4000, seed=7))
+    assert noisy.failed == ("zz",) and not noisy.accepted
+
+
+def test_cell_z_scores():
+    """z is the deviation from the cell's target in standard errors: 0 for
+    no deviation, +/-inf for a deviation over a zero standard error."""
+    v = verify_transcript(run_protocol(HonestStrategy(EPR, visibility=0.8), 4000, seed=7))
+    for name, target in (("zz", 1.0), ("zx", 0.0), ("xz", 0.0), ("xx", 0.0)):
+        c = v.cells[name]
+        assert c.z == (c.estimate - target) / c.std_error
+    exact = verify_transcript(run_protocol(HonestStrategy(EPR), 4000, seed=7)).cells
+    assert exact["zz"].z == 0.0 and exact["xx"].z == math.inf  # both exact, se = 0
+    flipped = _flat_transcript(4, k=np.array([1, 1, 0, 0], np.uint8), s=np.array([1, 1, 0, 0], np.uint8),
+                               b=np.array([-1, -1, -1, -1], np.int8))
+    cells = leakage_view(flipped).cells
+    assert cells["zz"].z == -math.inf and cells["xx"].z == -math.inf
+    assert math.isnan(cells["zx"].z)  # an empty cell
+
+
 def test_white_noise_rejected():
     t = run_protocol(HonestStrategy(EPR, visibility=0.0), 4000, seed=9)
     assert not verify_transcript(t).accepted
@@ -283,6 +312,17 @@ def test_transcript_text_roundtrip(t):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@given(_transcripts())
+def test_cell_stats_are_the_per_cell_means(t):
+    cells = leakage_view(t).cells
+    prod = (t.a.astype(np.int64) * t.b.astype(np.int64)).astype(float)
+    for name, (k, s) in CELLS.items():
+        m = (t.k == k) & (t.s == s)
+        assert cells[name].count == m.sum()
+        if m.any():
+            assert cells[name].estimate == float(prod[m].mean())
+
+
 def test_transcript_round_trip(tmp_path):
     t = run_protocol(HonestStrategy(EPR), 500, seed=77)
     back = parse_transcript(format_transcript(t))
@@ -338,3 +378,156 @@ def test_parse_transcript_refuses_rows_of_4_or_6_fields(n, row):
 
 def test_min_cell_rounds_constant():
     assert MIN_CELL_ROUNDS == 30
+
+
+# ---------------------------------------------------------------------------
+# columnar transcript I/O against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_format(t):
+    lines = [f"# seed={t.seed} N={t.n_rounds}", "round,k,a,s,b"]
+    for i in range(t.n_rounds):
+        lines.append(f"{i},{t.k[i]},{t.a[i]},{t.s[i]},{t.b[i]}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_parse(text):
+    """The row-by-row parser the columnar one replaced, one int() per field."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2 or not lines[0].startswith("#"):
+        raise ValueError("transcript must start with a '# seed=... N=...' header")
+    try:
+        pairs = [part.split("=") for part in lines[0].lstrip("# ").split()]
+        header = dict(pairs)
+        if len(pairs) != 2:
+            raise ValueError
+        seed, n = int(header["seed"]), int(header["N"])
+    except (KeyError, ValueError):
+        raise ValueError(f"bad transcript header: {lines[0]!r}, want '# seed=<int> N=<int>'") from None
+    if lines[1] != "round,k,a,s,b":
+        raise ValueError(f"bad column header: {lines[1]!r}")
+    try:
+        fields = [[int(x) for x in ln.split(",")] for ln in lines[2:]]
+        rows = np.array(fields or np.empty((0, 5)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(_reference_bad_row(text)) from None
+    if rows.shape != (n, 5):
+        raise ValueError(f"expected {n} data rows of 5 fields, got shape {rows.shape}")
+    if not np.array_equal(rows[:, 0], np.arange(n)):
+        raise ValueError("round indices must be 0..N-1 in order")
+    return Transcript(
+        seed=seed, n_rounds=n, k=rows[:, 1].astype(np.uint8), a=rows[:, 2].astype(np.int8),
+        s=rows[:, 3].astype(np.uint8), b=rows[:, 4].astype(np.int8),
+    )
+
+
+def _reference_bad_row(text):
+    for i, ln in [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()][2:]:
+        try:
+            if np.array([int(x) for x in ln.split(",")], dtype=np.int64).shape == (5,):
+                continue
+        except (ValueError, OverflowError):
+            return f"line {i}: data row fields must be 64-bit integers, got {ln!r}"
+        return f"line {i}: data row needs 5 fields, got {ln!r}"
+    return "malformed data rows"
+
+
+def _outcome(parse, text):
+    try:
+        t = parse(text)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", t.seed, t.n_rounds) + tuple((getattr(t, f).dtype, getattr(t, f).tolist()) for f in "kasb")
+
+
+_FIELDS = ("+1", " 1", "1 ", "\t-1 ", "+0", "-0", "007", "", " ", "x", "1.0", "1e3", "--1", "+", "- 1",
+           str(2**63), str(2**63 - 1), str(-(2**63)), str(-(2**63) - 1), "0" * 25 + "1", "-" + "0" * 30 + "1",
+           "1" + "0" * 19, "9" * 20, "257", "-255", "2")
+_BLANKS = ("", " ", "\t", " \t ", "\x1f", "\xa0", "\u3000 ")
+
+
+@st.composite
+def _edited_transcripts(draw):
+    """A canonical transcript with a few random edits, most of which the
+    parsers must refuse in the same words."""
+    t = draw(_transcripts())
+    lines = format_transcript(t).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        row = lines[i].split(",")
+        edit = draw(st.sampled_from(("blank", "field", "drop", "extra", "swap", "n", "seed")))
+        if edit == "blank":
+            lines.insert(i, draw(st.sampled_from(_BLANKS)))
+        elif edit == "field" and i >= 2 and len(row) > 1:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_FIELDS))
+            lines[i] = ",".join(row)
+        elif edit == "drop" and len(row) > 1:
+            lines[i] = ",".join(row[:-1])
+        elif edit == "extra" and i >= 2:
+            lines[i] = lines[i] + "," + draw(st.sampled_from(("1", "0", "")))
+        elif edit == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif edit == "n":
+            lines[0] = f"# seed={t.seed} N={t.n_rounds + draw(st.sampled_from((-1, 1)))}"
+        elif edit == "seed":
+            lines[0] = lines[0].replace("seed=", draw(st.sampled_from(("seed=+", "seed= ", "sed="))))
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return ending.join(lines) + draw(st.sampled_from(("", ending, ending + " " + ending)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_transcripts())
+@example("# seed=1 N=2\nround,k,a,s,b\n0,1,1,0,1\n\n  \n1,0,-1,1,+1\n")
+@example("# seed=1 N=1\r\nround,k,a,s,b\r\n 0 ,\t1,-1,0,1\r\n")
+@example("# seed=1 N=1\nround,k,a,s,b\n0,1,1,0\n0,1,1,0,1,1\n")
+@example("# seed=1 N=1\nround,k,a,s,b\n0,1,1,0,1,\n")
+@example("# seed=1 N=1\nround,k,a,s,b\n0,1,1 1,0,1\n")
+@example("# seed=1 N=1\nround,k,a,s,b\n0,1,1,0, ")
+@example("# seed=1 N=1\nround,k,a,s,b\n1" + "0" * 19 + ",1,1,0,1\n")
+@example("# seed=1 N=3\nround,k,a,s,b\n0,1,1,0,1\n1,0,1\n2,0,1,1,1,1,1\n")
+@example(f"# seed=1 N=1\nround,k,a,s,b\n0,1,-{2**63},0,1\n")
+def test_columnar_parser_matches_the_row_parser(text):
+    """Every text gives the same transcript (values and dtypes) or the same
+    error as the row-by-row parser, line numbers included."""
+    assert _outcome(parse_transcript, text) == _outcome(_reference_parse, text)
+
+
+@given(_transcripts())
+def test_columnar_writer_matches_the_row_writer(t):
+    assert format_transcript(t) == _reference_format(t)
+
+
+@pytest.mark.parametrize("field", ["0_1", "\u0661", "\xa01", "1\u3000"])
+def test_parser_takes_only_ascii_decimal_fields(field):
+    """int() also reads underscores, non-ASCII digits and non-ASCII spaces;
+    a data row field is narrower: spaces or tabs, a sign, ASCII digits."""
+    row = f"0,1,{field},0,1"
+    assert _reference_parse(f"# seed=1 N=1\nround,k,a,s,b\n{row}\n").n_rounds == 1
+    want = f"line 3: data row fields must be 64-bit integers, got {row!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        parse_transcript(f"# seed=1 N=1\nround,k,a,s,b\n{row}\n")
+
+
+@pytest.mark.parametrize("field", [str(2**63), str(-(2**63) - 1), "9" * 30])
+def test_out_of_range_fields_never_reach_loadtxt(field):
+    """Older numpy reads such a field through a float instead of refusing it."""
+    text = f"# seed=1 N=2\nround,k,a,s,b\n0,1,1,0,1\n1,1,{field},0,1\n"
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
+        with pytest.raises(ValueError, match="^line 4: data row fields must be 64-bit integers"):
+            parse_transcript(text)
+
+
+def test_transcript_io_memory_budget():
+    """Writing or reading 10^5 rounds peaks at no more than 10 times the
+    text's length in traced allocations."""
+    t = run_protocol(HonestStrategy(EPR), 10**5, seed=3)
+    text = format_transcript(t)
+    for fn, arg in ((format_transcript, t), (parse_transcript, text)):
+        tracemalloc.start()
+        try:
+            fn(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * len(text), (fn.__name__, peak, len(text))
