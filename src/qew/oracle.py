@@ -128,6 +128,35 @@ def _blocks_for(
     return tuple(tuple((blk, math.prod(sites[i - 1] for i in blk)) for blk in s) for s in structures)
 
 
+def _reads(witness: str, sites: tuple[int, ...]) -> tuple[int, ...]:
+    """Flat indices of the amplitudes ``_pure_lhs`` reads, in the order it reads them."""
+    if witness in ("epr", "ghz"):
+        return (0, math.prod(sites) - 1)
+    if witness in ("w", "noise"):
+        want = (2, 2, 2) if witness == "w" else (2, 2)
+        if sites != want:
+            raise ValueError(f"witness {witness!r} needs sites {want}, got {sites}")
+        return (1, 7, 2, 4) if witness == "w" else (0, 3)
+    if witness == "qudit":
+        return tuple(basis_index((j,) * len(sites), sites) for j in range(sites[0]))
+    raise ValueError(f"unknown witness name {witness!r}")
+
+
+@functools.cache
+def _read_table(witness: str, structure: _Structure, sites: tuple[int, ...]) -> tuple[Array, ...]:
+    """Per block of ``structure``, the local index of each amplitude ``witness``
+    reads: read amplitude r of the product is the product, in block order, of
+    entry ``table[b][r]`` of each block b.  Built once per key."""
+    digits = np.unravel_index(_reads(witness, sites), sites)
+    table = tuple(
+        np.ravel_multi_index([digits[i - 1] for i in blk], [sites[i - 1] for i in blk])
+        for blk, _d in structure
+    )
+    for t in table:
+        t.flags.writeable = False  # shared by every caller of the cache
+    return table
+
+
 def _sample_block(shape: str, cfg: SamplerConfig, indices: Array) -> Array:
     """Samples ``indices`` (a uint64 array) of the ``"separable"`` or the
     ``"biseparable"`` stream as one validated (B, D, D) stack.
@@ -224,7 +253,9 @@ def random_blind_channel(sites: Sequence[int], terms: int, seed: int, index: int
 # plus linear population terms), so their maxima over the separable or
 # biseparable convex hulls sit at extreme points: pure product states.  The
 # search climbs one flat vector of factor angles and phases per start, one
-# coordinate at a time: the REFINE_TOP best starts, SWEEPS passes each.
+# coordinate at a time: the REFINE_TOP best starts, SWEEPS passes each.  A
+# coordinate belongs to one block, so a probe rebuilds that block alone and
+# multiplies out only the amplitudes the witness reads.
 
 SWEEPS = 3
 REFINE_TOP = 8
@@ -250,60 +281,114 @@ def _golden_ascent(f: Callable[[float], float], hi: float, iters: int = 48) -> t
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _angles_to_vector(thetas: Array, phases: Array) -> Array:
-    """Hyperspherical parametrization of a unit vector, first entry real."""
-    dim = thetas.size + 1
-    v = np.empty(dim, dtype=complex)
-    run = 1.0
-    for k in range(dim - 1):
-        v[k] = run * np.cos(thetas[k])
-        run *= np.sin(thetas[k])
-    v[dim - 1] = run
-    v[1:] *= np.exp(1j * phases)
+def _moduli(thetas: Array) -> Array:
+    """Moduli of a hyperspherical unit vector: cos t_0, sin t_0 cos t_1, ...,
+    and last the product of every sine, taken as a running product in order."""
+    mods = np.ones(thetas.size + 1)
+    np.cos(thetas, out=mods[:-1])
+    mods[1:] *= np.sin(thetas).cumprod()
+    return mods
+
+
+def _angles_to_vector(y: Array) -> Array:
+    """Unit vector of one block from its slice ``y`` of a search point: d - 1
+    hyperspherical angles, then the d - 1 phases of entries 1..d-1."""
+    h = y.size // 2
+    v = _moduli(y[:h]).astype(complex)
+    v[1:] *= np.exp(1j * y[h:])
     return v
+
+
+def _block_slices(structure: _Structure) -> list[slice]:
+    """Each block's slice of a search point: 2 d - 2 coordinates per block of dimension d."""
+    ends = list(itertools.accumulate((2 * d - 2 for _blk, d in structure), initial=0))
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def _product_vector(structure: _Structure, x: Array, sites: tuple[int, ...]) -> Array:
     """Pure product over ``structure``, each block read from its slice of ``x``."""
-    vecs, at = [], 0
-    for blk, d in structure:
-        vecs.append((blk, _angles_to_vector(x[at : at + d - 1], x[at + d - 1 : at + 2 * d - 2])))
-        at += 2 * d - 2
-    return _assemble_product(vecs, sites)
+    return _assemble_product(
+        [(blk, _angles_to_vector(x[sl])) for (blk, _d), sl in zip(structure, _block_slices(structure))],
+        sites,
+    )
 
 
-def _pure_lhs(kind: str, vec: Array, sites: tuple[int, ...]) -> float:
-    """Witness left-hand side of a pure state, straight from amplitudes."""
+def _multiply_out(parts: Sequence[Array]) -> Array:
+    """The read amplitudes from each block's read entries, multiplied left to
+    right as ``_assemble_product`` multiplies, so the bits are the same."""
+    amps = parts[0]
+    for part in parts[1:]:
+        amps = amps * part
+    return amps
+
+
+def _probe(witness: str, table: tuple[Array, ...], parts: list[Array], b: int, y: Array,
+           k: int) -> Callable[[float], float]:
+    """The witness value along coordinate ``k`` of block ``b``, whose slice of
+    the search point is ``y``; ``parts`` holds each block's entries at
+    ``table``.  Only block b moves: a probe rebuilds its read entries alone
+    and multiplies them out with the product of the blocks before it and the
+    entries of the blocks after it."""
+    t, h, own = table[b], y.size // 2, parts[b]
+    head, tail = [_multiply_out(parts[:b])] if b else [], parts[b + 1 :]
+    if k >= h:
+        # A phase moves one entry of its block: its real modulus times its
+        # phase factor.  A zero imaginary part leaves no rounding to order,
+        # so this scalar product has the bits of _angles_to_vector's.
+        at, mod = t == k - h + 1, _moduli(y[:h])[k - h + 1]
+        if not at.any():  # an entry the witness does not read: the value stays
+            amps = _multiply_out(parts)
+            return lambda v: _pure_lhs(witness, amps)
+
+        def probe(v: float) -> float:
+            part = own.copy()
+            part[at] = mod * np.exp(1j * v)
+            return _pure_lhs(witness, _multiply_out([*head, part, *tail]))
+    else:
+
+        def probe(v: float) -> float:
+            z = y.copy()
+            z[k] = v
+            return _pure_lhs(witness, _multiply_out([*head, _angles_to_vector(z)[t], *tail]))
+
+    return probe
+
+
+def _pure_lhs(kind: str, amps: Array) -> float:
+    """Witness left-hand side of a pure state, from the amplitudes at ``_reads``."""
     if kind in ("epr", "ghz"):
-        a, b = vec[0], vec[-1]
+        a, b = amps
         return 2.0 * abs(a * b) + abs(a) ** 2 + abs(b) ** 2 - 1.0
     if kind == "w":
-        p = vec
-        return float(
-            abs(p[1] * p[7]) + abs(p[2] * p[4]) + abs(p[1] * p[2]) + abs(p[4] * p[7])
-        )
+        p1, p7, p2, p4 = amps
+        return float(abs(p1 * p7) + abs(p2 * p4) + abs(p1 * p2) + abs(p4 * p7))
     if kind == "qudit":
-        d = sites[0]
-        amps = np.array([vec[basis_index((j,) * len(sites), sites)] for j in range(d)])
         mods = np.abs(amps)
-        off = (mods.sum() ** 2 - (mods**2).sum()) / 2.0
-        return float(2.0 * off + (mods**2).sum() - 1.0)
+        total, squares = np.add.reduce(mods), np.add.reduce(mods**2)
+        return float(2.0 * ((total**2 - squares) / 2.0) + squares - 1.0)
+    if kind == "noise":
+        # <XX> - <YY> + <ZZ> of a two-qubit pure state
+        return 2.0 * abs(amps[0] + amps[1]) ** 2 - 1.0
     raise ValueError(f"unknown witness name {kind!r}")
 
 
 # Where each witness bound holds; not read from qew.witnesses, so the check stays outside.
-_WITNESS_SET = {"epr": "separable", "qudit": "separable", "ghz": "biseparable", "w": "biseparable"}
+_WITNESS_SET = {
+    "epr": "separable", "qudit": "separable", "noise": "separable",
+    "ghz": "biseparable", "w": "biseparable",
+}
 
 
 def maximize_witness(witness: str, cfg: SamplerConfig, iters: int) -> tuple[float, DensityMatrix]:
     """Search the (bi)separable set for the largest witness left-hand side.
 
-    ``iters`` random pure-product starts are scored (for ``ghz``/``w`` the
-    starts cycle through the bipartitions); the best ``REFINE_TOP`` are
-    refined by ``SWEEPS`` coordinate-wise golden-section sweeps over the
-    factor angles.  Fully deterministic for a given ``cfg.seed``; ties keep
-    the lowest start index.  Returns the best value and the state attaining
-    it.
+    ``witness`` is a family (``epr``, ``ghz``, ``w``, ``qudit``) or ``noise``,
+    the two-qubit s = <XX> - <YY> + <ZZ>.  ``iters`` random pure-product
+    starts are scored (for ``ghz``/``w`` the starts cycle through the
+    bipartitions); the best ``REFINE_TOP`` are refined by ``SWEEPS``
+    coordinate-wise golden-section sweeps over the factor angles.  Fully
+    deterministic for a given ``cfg.seed``; ties keep the lowest start index.
+    Returns the best value and the state attaining it.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -311,6 +396,8 @@ def maximize_witness(witness: str, cfg: SamplerConfig, iters: int) -> tuple[floa
         raise ValueError(f"unknown witness name {witness!r}")
     sites = cfg.sites
     structures = _blocks_for(_WITNESS_SET[witness], sites, cfg.partition)
+    tables = [_read_table(witness, st, sites) for st in structures]
+    slices = [_block_slices(st) for st in structures]
     # Ranges [0, hi): per block of dimension d, d - 1 angles to pi/2, then d - 1 phases to 2 pi.
     his = [np.concatenate([np.repeat((np.pi / 2.0, 2.0 * np.pi), d - 1) for _, d in st])
            for st in structures]
@@ -319,25 +406,25 @@ def maximize_witness(witness: str, cfg: SamplerConfig, iters: int) -> tuple[floa
         s = i % len(structures)  # starts cycle through the structures
         return s, his[s] * uniforms(cfg.seed, i, np.arange(his[s].size))
 
-    def score(s: int, x: Array) -> float:
-        return _pure_lhs(witness, _product_vector(structures[s], x, sites), sites)
+    def read(s: int, x: Array) -> list[Array]:
+        """Each block's entries at the read indices, in block order."""
+        return [_angles_to_vector(x[sl])[t] for sl, t in zip(slices[s], tables[s])]
 
-    def moved(x: Array, j: int, v: float) -> Array:
-        y = x.copy()
-        y[j] = v
-        return y
-
-    vals = [score(*start(i)) for i in range(iters)]
+    vals = [_pure_lhs(witness, _multiply_out(read(*start(i)))) for i in range(iters)]
     # Refine by value descending, index ascending on ties.
     order = sorted(range(iters), key=lambda i: (-vals[i], i))
     best_val, best_s, best_x = -np.inf, 0, None
     for i in order[:REFINE_TOP]:
         (s, x), cur = start(i), vals[i]
+        parts = read(s, x)
         for _ in range(SWEEPS):
-            for j in range(x.size):
-                cand, val = _golden_ascent(lambda v: score(s, moved(x, j, v)), his[s][j])
-                if val >= cur:
-                    cur, x[j] = val, cand
+            for b, sl in enumerate(slices[s]):
+                y = x[sl]  # a view: moving y moves x
+                for k in range(y.size):
+                    cand, val = _golden_ascent(_probe(witness, tables[s], parts, b, y, k), his[s][sl][k])
+                    if val >= cur:
+                        cur, y[k] = val, cand
+                        parts[b] = _angles_to_vector(y)[tables[s][b]]
         if cur > best_val:
             best_val, best_s, best_x = cur, s, x
     return float(best_val), pure_density(_product_vector(structures[best_s], best_x, sites), sites)

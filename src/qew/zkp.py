@@ -462,5 +462,7 @@ def write_transcript(t: Transcript, path) -> None:
 
 
 def read_transcript(path) -> Transcript:
-    with open(path, "r", encoding="ascii") as fh:
+    # A non-ASCII byte decodes to a lone surrogate, which is neither a line
+    # break nor whitespace, so parse_transcript names the row that holds it.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return parse_transcript(fh.read())

@@ -22,9 +22,17 @@ from qew.oracle import (
     sample_biseparable,
     sample_separable,
 )
-from qew.qmat import partial_trace, uniforms
+from qew.qmat import basis_index, partial_trace, uniforms
 from qew.states import MAX_DIM, epr_state, ghz_state, werner_mix
-from qew.witnesses import witness_epr, witness_family, witness_ghz, witness_qudit, witness_w
+from qew.witnesses import (
+    NOT_WITNESSED,
+    noise_witness,
+    witness_epr,
+    witness_family,
+    witness_ghz,
+    witness_qudit,
+    witness_w,
+)
 
 
 def test_sampler_config_validation():
@@ -226,6 +234,154 @@ def test_maximize_result_is_pinned(witness, cfg, iters, value, digest):
     val, state = maximize_witness(witness, cfg, iters)
     assert val.hex() == value
     assert hashlib.sha256(state.mat.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "witness, sites, seed, value, digest",
+    [
+        ("epr", (2, 2), 1, "0x1.0000000000000p-52",
+         "e18f7abc4c1e279fd6882457bcd8f9b7f235a0a088c15e8c3eeaf6f396c7bed5"),
+        ("epr", (2, 2), 1_000_003, "0x1.0000000000000p-51",
+         "8d8f5124a5d99cecb5b4434d259c8aa40e5f8319f67e160362a01d05aabdf9c7"),
+        ("epr", (2, 2), 2**63 + 5, "0x1.8000000000000p-51",
+         "45d97bad072637ca61ef10d3d1a24401d66dd43d5cca1b2f93d793796805bb42"),
+        ("qudit", (3, 3), 1, "0x0.0p+0",
+         "81fb788adafe23b14dab6e1da4bad1961d53cbab6b727f1ef5a686a79716cbb6"),
+        ("qudit", (3, 3), 1_000_003, "0x0.0p+0",
+         "c959d52f50bd0459f7f9fce1e4900423a28072dbe0277d91c4b490a76eaa1060"),
+        ("qudit", (3, 3), 2**63 + 5, "0x0.0p+0",
+         "ff85da5c9cf48216a8f4358d97fb71c235bb7d919878ee4a4815d41b75703ccb"),
+        ("ghz", (2, 2, 2, 2), 1, "0x0.0p+0",
+         "b5d939badc8ef0f65c7dbc8a8f1aeeb82cdc02270e47e96f4fdec3fc4cf9073c"),
+        ("ghz", (2, 2, 2, 2), 1_000_003, "-0x1.0000000000000p-53",
+         "51bf3d0c349636b8694e1fd40e8eb5dd4b956069c378a1d187578e6d7b7416c1"),
+        ("ghz", (2, 2, 2, 2), 2**63 + 5, "-0x1.0000000000000p-52",
+         "c61bd1e4a0680d95ddd82f36c7265025eccbd5ca75cb3c19a3e50b055a3fdc61"),
+    ],
+)
+def test_one_start_searches_are_pinned(witness, sites, seed, value, digest):
+    """The one-start searches ``qew oracle --iters 1`` runs for the
+    oracle-samples benchmark classes, pinned like the searches above."""
+    val, state = maximize_witness(witness, SamplerConfig(sites=sites, terms=4, seed=seed), 1)
+    assert val.hex() == value
+    assert hashlib.sha256(state.mat.tobytes()).hexdigest() == digest
+
+
+def test_maximize_noise_reaches_its_bound():
+    val, state = maximize_witness("noise", SamplerConfig(sites=(2, 2), seed=3), 40)
+    assert 1.0 - 1e-3 <= val <= 1.0 + 1e-9
+    rep = noise_witness(state)
+    assert rep.s == pytest.approx(val, abs=1e-12)
+    assert rep.verdict == NOT_WITNESSED
+    with pytest.raises(ValueError, match="needs sites"):
+        maximize_witness("noise", SamplerConfig(sites=(2, 3)), 1)
+
+
+def _scalar_angles_to_vector(thetas, phases):
+    """Reference block vector: one angle at a time, with scalar sines and
+    cosines and a running product."""
+    dim = thetas.size + 1
+    v = np.empty(dim, dtype=complex)
+    run = 1.0
+    for k in range(dim - 1):
+        v[k] = run * np.cos(thetas[k])
+        run *= np.sin(thetas[k])
+    v[dim - 1] = run
+    v[1:] *= np.exp(1j * phases)
+    return v
+
+
+def _full_vector(structure, x, sites):
+    """The whole D-vector of the product state at search point ``x``."""
+    vecs, at = [], 0
+    for blk, d in structure:
+        vecs.append((blk, _scalar_angles_to_vector(x[at : at + d - 1], x[at + d - 1 : at + 2 * d - 2])))
+        at += 2 * d - 2
+    return oracle._assemble_product(vecs, sites)
+
+
+def _full_lhs(kind, vec, sites):
+    """Each witness read straight from the full D-vector."""
+    if kind in ("epr", "ghz"):
+        a, b = vec[0], vec[-1]
+        return 2.0 * abs(a * b) + abs(a) ** 2 + abs(b) ** 2 - 1.0
+    if kind == "w":
+        p = vec
+        return float(abs(p[1] * p[7]) + abs(p[2] * p[4]) + abs(p[1] * p[2]) + abs(p[4] * p[7]))
+    if kind == "noise":
+        return 2.0 * abs(vec[0] + vec[3]) ** 2 - 1.0
+    d = sites[0]
+    amps = np.array([vec[basis_index((j,) * len(sites), sites)] for j in range(d)])
+    mods = np.abs(amps)
+    off = (mods.sum() ** 2 - (mods**2).sum()) / 2.0
+    return float(2.0 * off + (mods**2).sum() - 1.0)
+
+
+_SEARCHES = [("epr", (2, 2)), ("noise", (2, 2)), ("ghz", (2, 2, 2)), ("ghz", (2, 2, 2, 2)),
+             ("w", (2, 2, 2)), ("qudit", (2, 2)), ("qudit", (3, 3)), ("qudit", (3, 3, 3)),
+             ("qudit", (4, 4))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SEARCHES), st.data())
+def test_probe_is_bit_exact(search, data):
+    """A probe rebuilds one block and reads a few amplitudes; its value must
+    equal, bit for bit, the value read from the whole product vector."""
+    witness, sites = search
+    structures = oracle._blocks_for(oracle._WITNESS_SET[witness], sites, None)
+    structure = data.draw(st.sampled_from(structures))
+    his = np.concatenate([np.repeat((np.pi / 2.0, 2.0 * np.pi), d - 1) for _, d in structure])
+    # a seeded point in the range, a few coordinates moved to an end of theirs
+    fracs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(his.size + 1)
+    ends = data.draw(st.dictionaries(st.integers(0, his.size - 1), st.sampled_from([0.0, 1.0]), max_size=3))
+    x = his * [ends.get(i, f) for i, f in enumerate(fracs[:-1])]
+    table, slices = oracle._read_table(witness, structure, sites), oracle._block_slices(structure)
+    parts = [oracle._angles_to_vector(x[sl])[t] for sl, t in zip(slices, table)]
+    start = oracle._pure_lhs(witness, oracle._multiply_out(parts))
+    assert _bits(start) == _bits(_full_lhs(witness, _full_vector(structure, x, sites), sites))
+    # every coordinate, moved to one point of its range
+    v = data.draw(st.sampled_from([fracs[-1], 0.0, 1.0]))
+    for b, sl in enumerate(slices):
+        for k in range(sl.stop - sl.start):
+            y = x.copy()
+            y[sl.start + k] = v * his[sl.start + k]
+            got = oracle._probe(witness, table, parts, b, x[sl], k)(y[sl.start + k])
+            assert _bits(got) == _bits(_full_lhs(witness, _full_vector(structure, y, sites), sites))
+    # the returned state is built from the whole vector, bit for bit as before
+    assert oracle._product_vector(structure, x, sites).tobytes() == _full_vector(structure, x, sites).tobytes()
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_probe_rebuilds_only_its_block(monkeypatch):
+    counts = {"assemble": 0, "blocks": 0, "probes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_assemble_product", counted("assemble", oracle._assemble_product))
+    monkeypatch.setattr(oracle, "_angles_to_vector", counted("blocks", oracle._angles_to_vector))
+    monkeypatch.setattr(oracle, "_pure_lhs", counted("probes", oracle._pure_lhs))
+    # qudit on (3, 3, 3): three blocks of dimension 3, four coordinates each
+    iters, blocks, coords = 2, 3, 12
+    refined = min(oracle.REFINE_TOP, iters)
+    maximize_witness("qudit", SamplerConfig(sites=(3, 3, 3), seed=2), iters)
+    # the whole vector is assembled once, for the returned state
+    assert counts["assemble"] == 1
+    line_probes = refined * oracle.SWEEPS * coords * 50
+    assert counts["probes"] == iters + line_probes
+    # at most one block per line probe, besides every block of each start,
+    # of each refined start and of the returned state, and one block per
+    # accepted move (at most one per line search)
+    overhead = (iters + refined + 1) * blocks + refined * oracle.SWEEPS * coords
+    assert counts["blocks"] <= line_probes + overhead
+    # a phase probe moves one entry and builds no block, so most probes build one block at most
+    assert counts["blocks"] < line_probes
 
 
 def test_structure_table_is_built_once():

@@ -338,6 +338,13 @@ def test_transcript_round_trip(tmp_path):
     assert first[1] == "round,k,a,s,b"
 
 
+def test_read_transcript_names_a_non_ascii_row(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"# seed=1 N=1\nround,k,a,s,b\n0,1,\xa01,0,1\n")
+    with pytest.raises(ValueError, match="line 3: data row fields must be 64-bit integers"):
+        read_transcript(path)
+
+
 def test_parse_transcript_errors():
     t = run_protocol(HonestStrategy(EPR), 40, seed=1)
     text = format_transcript(t)
