@@ -14,7 +14,7 @@ Layout:
 
 - :mod:`qew.qmat`      dense complex-matrix kernel (states, observables,
   measurement)
-- :mod:`qew.states`    state families, blind/Kraus channels, white-noise
+- :mod:`qew.states`    state families, blind phase channels, white-noise
   mixing, subspace element extraction
 - :mod:`qew.witnesses` nonlinear inequalities, correlation batteries,
   noise thresholds, Svetlichny evaluation
@@ -32,7 +32,6 @@ from __future__ import annotations
 from .networks import (
     NetworkSpec,
     connectivity_check,
-    entanglement_swap,
     generate_cluster,
     parse_network_spec,
     reduce_ghz_to_epr,
@@ -132,7 +131,6 @@ __all__ = [
     "connectivity_check",
     "reduce_ghz_to_epr",
     "swap_branches",
-    "entanglement_swap",
     "sample_separable",
     "sample_biseparable",
     "maximize_witness",

@@ -30,6 +30,7 @@ from .oracle import SamplerConfig, _sample_block, block_length, maximize_witness
 from .states import (
     _integer,
     _list,
+    _positive,
     _real,
     apply_blind_channel,
     build_state,
@@ -170,7 +171,13 @@ def _battery_dict(rep: BatteryReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_tolerances(args: argparse.Namespace) -> None:
+    _positive("--tol-eq", args.tol_eq)
+    _positive("--tol-nz", args.tol_nz)
+
+
 def cmd_witness(args: argparse.Namespace) -> int:
+    _check_tolerances(args)
     spec = parse_state_spec(_load_json(args.state))
     rho = build_state(spec)
     if args.channel:
@@ -197,9 +204,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_visibility(args: argparse.Namespace) -> int:
-    start, stop, step = args.start, args.stop, args.step
-    if step <= 0:
-        raise InputError(f"step must be positive, got {step}")
+    start, stop, step = args.start, args.stop, _positive("--step", args.step)
     if not (0.0 <= start <= stop <= 0.5 + 1e-12):
         raise InputError(
             f"offdiag range must lie within [0, 1/2], got start={start} stop={stop}"
@@ -279,6 +284,7 @@ def _cells_dict(cells) -> dict:
 
 
 def cmd_zkp(args: argparse.Namespace) -> int:
+    _positive("--z", args.z)
     try:
         strategy = _parse_strategy(_load_json(args.strategy))
     except KeyError as exc:
@@ -313,6 +319,7 @@ def cmd_zkp(args: argparse.Namespace) -> int:
 
 
 def cmd_network(args: argparse.Namespace) -> int:
+    _check_tolerances(args)
     spec = parse_network_spec(_load_json(args.spec))
     channel = channel_from_dict(_load_json(args.channel)) if args.channel else None
     rho = generate_cluster(spec, channel)

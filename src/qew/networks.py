@@ -10,7 +10,7 @@ Two LOCC reductions connect the multipartite families back to shared pairs:
 * :func:`reduce_ghz_to_epr` — measure all but two qubits of a GHZ-type
   state in the +/- basis; an outcome-conditioned sign flip on one kept
   qubit restores the original coherence exactly, on every branch.
-* :func:`entanglement_swap` — Bell-measure the inner qubits of two
+* :func:`swap_branches` — Bell-measure the inner qubits of two
   |00>/|11>-supported pairs; conditional Z/X corrections turn every branch
   into a pair whose coherence is the (normalized) product of the input
   coherences.
@@ -44,7 +44,6 @@ from .qmat import (
     joint_measure_two_sites,
     plusminus_basis,
     tensor_product,
-    uniforms,
 )
 from .states import (
     MAX_DIM,
@@ -66,16 +65,12 @@ __all__ = [
     "NetworkSpec",
     "ReductionResult",
     "SourceSpec",
-    "build_network_state",
     "connectivity_check",
-    "cp_gate",
-    "entanglement_swap",
     "generate_cluster",
     "network_to_dict",
     "parse_network_spec",
     "qubit_owners",
     "reduce_ghz_to_epr",
-    "sample_branch",
     "source_batteries",
     "swap_branches",
 ]
@@ -192,17 +187,6 @@ def network_to_dict(spec: NetworkSpec) -> dict:
 # ---------------------------------------------------------------------------
 # state assembly
 # ---------------------------------------------------------------------------
-
-
-def build_network_state(spec: NetworkSpec) -> DensityMatrix:
-    """Tensor product of all source states in declared qubit order: the
-    network with its gates left out, under no channel."""
-    return generate_cluster(NetworkSpec(spec.parties, spec.sources))
-
-
-def cp_gate(theta: float) -> Array:
-    """diag(1, 1, 1, e^{i theta}) — symmetric two-qubit controlled phase."""
-    return np.diag(np.array([1.0, 1.0, 1.0, np.exp(1j * theta)], dtype=complex))
 
 
 def _gates_diagonal(spec: NetworkSpec, dims: tuple[int, ...]) -> Array:
@@ -372,26 +356,6 @@ def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[Reductio
             state = apply_local_unitaries(state, [(q, _PAULI_BY_NAME[name])])
         out.append(ReductionResult((1, 4), state, corrections, br.probability, label))
     return out
-
-
-def entanglement_swap(rho_ab: DensityMatrix, rho_cd: DensityMatrix, outcome: str) -> ReductionResult:
-    """Single corrected Bell branch of the swap; see :func:`swap_branches`."""
-    if outcome not in BELL_LABELS:
-        raise ValueError(f"outcome must be one of {BELL_LABELS}, got {outcome!r}")
-    for br in swap_branches(rho_ab, rho_cd):
-        if br.outcome == outcome:
-            return br
-    raise ValueError(f"branch {outcome!r} has zero probability")
-
-
-def sample_branch(
-    branches: Sequence[ReductionResult], seed: int, index: int = 0
-) -> ReductionResult:
-    """Pick one branch by its probability; deterministic in (seed, index)."""
-    if not branches:
-        raise ValueError("no branches to sample from")
-    cum = np.cumsum([b.probability for b in branches])
-    return branches[int(np.searchsorted(cum, uniforms(seed, index, 0) * cum[-1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -56,16 +56,12 @@ __all__ = [
     "basis_index",
     "bell_basis",
     "clock_op",
-    "computational_basis",
     "expectation",
     "apply_local_unitaries",
-    "index_digits",
     "joint_measure_two_sites",
     "obs",
-    "partial_trace",
     "pauli",
     "plusminus_basis",
-    "projective_measure",
     "pure_density",
     "realize_observable",
     "shift_op",
@@ -376,7 +372,7 @@ def expectation(rho: DensityMatrix, o: Observable) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# unitaries and channels (the generic pieces; phase channels live in states)
+# local unitaries
 # ---------------------------------------------------------------------------
 
 
@@ -488,24 +484,6 @@ def _measure_branches(
     return branches
 
 
-def projective_measure(
-    rho: DensityMatrix,
-    site: int,
-    basis: Array,
-) -> list[MeasureBranch]:
-    """Measure one site in an orthonormal basis (rows of ``basis``).
-
-    Returns one branch per basis vector with the normalized post state on the
-    remaining sites.  Probabilities sum to 1 within 1e-10.
-    """
-    if not 1 <= site <= rho.n_sites:
-        raise ValueError(f"site {site} out of range")
-    if rho.n_sites < 2:
-        raise ValueError("measuring the only site would leave an empty system")
-    d = rho.sites[site - 1]
-    return _measure_branches(rho, [site], _check_orthonormal(basis, d))
-
-
 def joint_measure_two_sites(
     rho: DensityMatrix,
     sites: tuple[int, int],
@@ -523,32 +501,6 @@ def joint_measure_two_sites(
     if rho.n_sites < 3:
         raise ValueError("need at least one unmeasured site")
     return _measure_branches(rho, [i, j], _check_orthonormal(basis, 4))
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every site not listed in ``keep`` (1-based, order preserved)."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("must keep at least one site")
-    if any(not 1 <= k <= rho.n_sites for k in keep):
-        raise ValueError(f"keep indices {keep} out of range")
-    n = rho.n_sites
-    t = _as_row_col_tensor(rho)
-    # Trace one discarded site at a time, highest position first so the
-    # remaining axis numbers stay valid.
-    discarded = [p for p in range(1, n + 1) if p not in keep]
-    cur_n = n
-    for p in sorted(discarded, reverse=True):
-        t = np.trace(t, axis1=p - 1, axis2=cur_n + p - 1)
-        cur_n -= 1
-    dims = tuple(rho.sites[k - 1] for k in keep)
-    dim = int(np.prod(dims))
-    return as_density(t.reshape(dim, dim), dims, rho.flags)
-
-
-def computational_basis(d: int) -> Array:
-    """Rows are the computational basis vectors of a d-level site."""
-    return np.eye(d, dtype=complex)
 
 
 def plusminus_basis() -> Array:
@@ -584,17 +536,6 @@ def basis_index(digits: Sequence[int], sites: Sequence[int]) -> int:
             raise ValueError(f"digit {j} out of range for dimension {d}")
         idx = idx * d + j
     return idx
-
-
-def index_digits(index: int, sites: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`basis_index`."""
-    out = []
-    for d in reversed(tuple(sites)):
-        out.append(index % d)
-        index //= d
-    if index:
-        raise ValueError("index out of range for the given sites")
-    return tuple(reversed(out))
 
 
 def all_outcome_bits(n: int) -> Iterable[tuple[int, ...]]:

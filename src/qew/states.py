@@ -1,4 +1,4 @@
-"""State families, blind phase channels, Kraus channels and noise mixing.
+"""State families, blind phase channels and noise mixing.
 
 The state families here share one structural idea: a pure state with all of
 its weight on a small "diagonal" subspace (|00>/|11>, |0...0>/|1...1>, the
@@ -10,14 +10,11 @@ verifier can rely on lives in the populations and the surviving coherences.
 :func:`subspace_elements` extracts exactly those numbers, plus a leakage
 scalar measuring how much population sits outside the family's subspace.
 
-Blind channels and diagonal Kraus channels are one map, the Schur
-multiplier rho -> M o rho (elementwise product) with
-M = sum_j c_j v_j v_j^dag: c_j = p_j and v_j the term's phase vector
-exp(i phi_j) for a blind channel, c_j = 1 and v_j the term's weight vector
-for a Kraus channel.  M is PSD with unit diagonal, which is the whole
-reason populations stay fixed and coherences only shrink.  Both channel
-types hand out M through ``multiplier(sites)``, and
-:func:`apply_blind_channel` applies either.
+A blind channel is the Schur multiplier rho -> M o rho (elementwise
+product) with M = sum_j p_j u_j u_j^dag, u_j = exp(i phi_j) the term's
+phase vector.  M is PSD with unit diagonal, which is the whole reason
+populations stay fixed and coherences only shrink.  The channel hands out
+M through ``multiplier(sites)``, and :func:`apply_blind_channel` applies it.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,17 +33,14 @@ from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density, t
 __all__ = [
     "BlindChannel",
     "ChannelTerm",
-    "KrausChannel",
     "StateSpec",
     "SubspaceView",
     "apply_blind_channel",
     "build_state",
     "channel_from_dict",
-    "compose_blind_channels",
     "epr_state",
     "family_basis",
     "ghz_state",
-    "identity_channel",
     "parse_state_spec",
     "qudit_ghz_state",
     "spec_to_dict",
@@ -203,6 +197,14 @@ def _real(key: str, value) -> float:
     raise ValueError(f"field {key!r} must be a finite number, got {value!r}")
 
 
+def _positive(key: str, value: float) -> float:
+    """``value`` when it is a finite positive number, for the tolerance or
+    threshold ``key``; written so that NaN fails."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{key} must be a finite positive number, got {value}")
+    return value
+
+
 def _integer(key: str, value) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -333,18 +335,14 @@ class BlindChannel:
 
     def multiplier(self, sites: Sequence[int]) -> Array:
         """M = sum_j p_j u_j u_j^dag with u_j = exp(i phi_j); see the module."""
-        terms = (
-            (t.p, [np.exp(1j * np.asarray(p, dtype=float)) for p in t.site_phases])
-            for t in self.terms
-        )
-        return _multiplier(self, sites, terms)
-
-
-def identity_channel(site_dims: Sequence[int]) -> BlindChannel:
-    """Single-term channel with all phases 0 (acts as the identity map)."""
-    return BlindChannel(
-        (ChannelTerm(1.0, tuple(tuple(0.0 for _ in range(d)) for d in site_dims)),)
-    )
+        sites = tuple(sites)
+        if self.site_dims() != sites:
+            raise ValueError(f"channel sites {self.site_dims()} do not match state sites {sites}")
+        out = np.zeros((math.prod(sites),) * 2, dtype=complex)
+        for t in self.terms:
+            u = tensor_product(*(np.exp(1j * np.asarray(p, dtype=float)) for p in t.site_phases))
+            out += t.p * np.outer(u, u.conj())
+        return out
 
 
 def channel_from_dict(data: Mapping) -> BlindChannel:
@@ -363,114 +361,10 @@ def channel_from_dict(data: Mapping) -> BlindChannel:
     return BlindChannel(tuple(terms))
 
 
-def _multiplier(
-    ch: BlindChannel | KrausChannel,
-    sites: Sequence[int],
-    terms: Iterable[tuple[float, Sequence[Array]]],
-) -> Array:
-    """sum_j c_j v_j v_j^dag over ``(c_j, site vectors of v_j)`` pairs."""
-    sites = tuple(sites)
-    if ch.site_dims() != sites:
-        raise ValueError(f"channel sites {ch.site_dims()} do not match state sites {sites}")
-    out = np.zeros((math.prod(sites),) * 2, dtype=complex)
-    for c, vectors in terms:
-        v = tensor_product(*vectors)
-        out += c * np.outer(v, v.conj())
-    return out
-
-
-def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel | KrausChannel) -> DensityMatrix:
-    """M o rho with M = ``ch.multiplier(rho.sites)``: sum_j p_j U_j rho U_j^dag
-    for a blind channel, sum_j K_j rho K_j^dag for a diagonal Kraus channel."""
+def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel) -> DensityMatrix:
+    """M o rho with M = ``ch.multiplier(rho.sites)``, which is
+    sum_j p_j U_j rho U_j^dag."""
     return as_density(ch.multiplier(rho.sites) * rho.mat, rho.sites, rho.flags)
-
-
-def compose_blind_channels(first: BlindChannel, second: BlindChannel) -> BlindChannel:
-    """The channel equal to applying ``first`` then ``second`` (term products)."""
-    if first.site_dims() != second.site_dims():
-        raise ValueError("channels act on different site layouts")
-    terms = []
-    for t2 in second.terms:
-        for t1 in first.terms:
-            phases = tuple(
-                tuple(a + b for a, b in zip(p1, p2))
-                for p1, p2 in zip(t1.site_phases, t2.site_phases)
-            )
-            terms.append(ChannelTerm(t1.p * t2.p, phases))
-    return BlindChannel(tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# diagonal Kraus channels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Mixture of products of diagonal nonnegative Kraus operators.
-
-    ``terms[j]`` holds one weight vector per site; term j applies
-    ``diag(w_site1) (x) diag(w_site2) (x) ...``.  The enforced invariant is
-    joint completeness, ``sum_j (x)_sites diag(w)^2 = I`` — exactly the
-    condition that makes the map trace preserving.  (Per-site completeness
-    of correlated terms neither implies nor follows from it; channels built
-    from independent per-site operator families via
-    :meth:`from_site_channels` are jointly complete by construction.)
-    """
-
-    terms: tuple[tuple[tuple[float, ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("channel needs at least one term")
-        widths = {tuple(len(w) for w in t) for t in self.terms}
-        if len(widths) != 1:
-            raise ValueError("all terms must carry weights for the same sites")
-        for t in self.terms:
-            for w in t:
-                # written so that NaN fails it too
-                if not all(0.0 <= x < np.inf for x in w):
-                    raise ValueError(f"Kraus weights must be finite and nonnegative: {list(w)}")
-        dims = widths.pop()
-        acc = np.zeros(int(np.prod(dims)))
-        for t in self.terms:
-            acc = acc + tensor_product(*(np.asarray(w, dtype=float) ** 2 for w in t)).real
-        if float(np.max(np.abs(acc - 1.0))) > 1e-10:
-            raise ValueError("completeness violated (map would not preserve trace)")
-
-    def site_dims(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.terms[0])
-
-    def multiplier(self, sites: Sequence[int]) -> Array:
-        """M = sum_j w_j w_j^T with w_j the term's weight vector; see the module."""
-        return _multiplier(self, sites, ((1.0, t) for t in self.terms))
-
-    @classmethod
-    def from_site_channels(
-        cls, site_channels: Sequence[Sequence[Sequence[float]]]
-    ) -> "KrausChannel":
-        """Tensor independent per-site diagonal channels into one channel.
-
-        ``site_channels[s]`` lists the weight vectors of site s's channel
-        and must itself be complete (``sum_k diag(w_k)^2 = I``); the
-        combined channel has one term per cross-product combination.
-        """
-        for s, ops in enumerate(site_channels):
-            acc = np.zeros(len(ops[0]))
-            for w in ops:
-                acc = acc + np.asarray(w, dtype=float) ** 2
-            if float(np.max(np.abs(acc - 1.0))) > 1e-10:
-                raise ValueError(f"site {s + 1} operator family is not complete")
-        combos = itertools.product(*[range(len(ops)) for ops in site_channels])
-        terms = []
-        for combo in combos:
-            terms.append(
-                tuple(
-                    tuple(float(x) for x in site_channels[s][k])
-                    for s, k in enumerate(combo)
-                )
-            )
-        return cls(tuple(terms))
 
 
 # ---------------------------------------------------------------------------

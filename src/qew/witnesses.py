@@ -42,6 +42,7 @@ from .qmat import (
 )
 from .states import (
     SubspaceView,
+    _positive,
     _subspace_entries,
     _subspace_index,
     subspace_elements,
@@ -71,12 +72,10 @@ __all__ = [
     "battery_qudit_2",
     "battery_qudit_n",
     "battery_w",
-    "build_witness_operator",
     "classical_assignment_search",
     "critical_visibility",
     "evaluate_battery",
     "noise_witness",
-    "offdiag_from_pauli",
     "reindex_battery",
     "svetlichny_optimal_angles",
     "svetlichny_value",
@@ -312,11 +311,11 @@ def evaluate_battery(
 ) -> BatteryReport:
     """Evaluate every battery item on ``rho`` and apply its contract's
     ``check``: ``eps_eq`` bounds the Exact/Zero distances, ``eps_nz`` is
-    the NonZero threshold.  A NonZero item with a companion tests the
+    the NonZero threshold, each a finite positive number.  A NonZero item with a companion tests the
     combined magnitude.  The overall report passes only if every item does.
     """
-    if eps_eq <= 0 or eps_nz <= 0:
-        raise ValueError("tolerances must be positive")
+    _positive("eps_eq", eps_eq)
+    _positive("eps_nz", eps_nz)
     results = []
     for item in battery.items:
         value = tested = expectation(rho, item.observable)
@@ -373,7 +372,7 @@ def _report(
     eps_eq: float,
     alt_bound: float | None = None,
 ) -> WitnessReport:
-    witnessed = lhs > bound + eps_eq
+    witnessed = lhs > bound + _positive("eps_eq", eps_eq)
     return WitnessReport(
         lhs=float(lhs),
         bound=float(bound),
@@ -666,50 +665,6 @@ def svetlichny_optimal_angles() -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# witness operator construction
-# ---------------------------------------------------------------------------
-
-
-def build_witness_operator(
-    target: DensityMatrix,
-    weights: Sequence[float],
-    sign: int = 1,
-) -> Array:
-    """Dense Hermitian operator sign*|psi><psi| + sum_j q_j |phi_j><phi_j|.
-
-    ``target`` must be pure; the |phi_j> complete it to an orthonormal
-    basis, obtained by Gram-Schmidt of the computational basis against the
-    target vector (deterministic, order-preserving).  ``weights`` supplies
-    one q_j per complement vector.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    evals, evecs = np.linalg.eigh(target.mat)
-    if evals[-1] < 1.0 - 1e-10:
-        raise ValueError(f"target must be pure, largest eigenvalue is {evals[-1]}")
-    psi = evecs[:, -1]
-    dim = target.dim
-    q = np.asarray(weights, dtype=float)
-    if q.shape != (dim - 1,):
-        raise ValueError(f"expected {dim - 1} complement weights, got shape {q.shape}")
-    basis = [psi]
-    for k in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        for b in basis:
-            v = v - b * (b.conj() @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == dim:
-            break
-    w = float(sign) * np.outer(psi, psi.conj())
-    for qj, phi in zip(q, basis[1:]):
-        w = w + qj * np.outer(phi, phi.conj())
-    return w
-
-
-# ---------------------------------------------------------------------------
 # classical value assignments
 # ---------------------------------------------------------------------------
 
@@ -752,8 +707,8 @@ def classical_assignment_search(
         raise ValueError("empty battery")
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _positive("tol", tol)
+    _positive("eps_nz", eps_nz)
     n = 0
     for item in items:
         for f in item.observable.factors:
@@ -785,12 +740,3 @@ def classical_assignment_search(
         )
         out.append(ValueAssignment(vals))
     return out
-
-
-def offdiag_from_pauli(e_xx: float, e_xy: float) -> complex:
-    """Reconstruct rho_00;11 from <XX> and <XY> for states in the |00>/|11> span.
-
-    There <XX> = 2 Re rho_00;11 and <XY> = -2 Im rho_00;11, so the estimate
-    is (e_xx - i e_xy) / 2.
-    """
-    return complex(e_xx, -e_xy) / 2.0

@@ -32,7 +32,14 @@ from typing import Mapping, Union
 import numpy as np
 
 from .qmat import Array, DensityMatrix, as_density, expectation, obs, uniforms
-from .states import BlindChannel, StateSpec, apply_blind_channel, build_state, werner_mix
+from .states import (
+    BlindChannel,
+    StateSpec,
+    _positive,
+    apply_blind_channel,
+    build_state,
+    werner_mix,
+)
 
 __all__ = [
     "CellStats",
@@ -59,6 +66,9 @@ MIN_CELL_ROUNDS = 30
 # rounds (16 bytes of transcript text each): 80 bytes to simulate, 58 to
 # write the transcript and 145 to read it back.
 MAX_ROUNDS = 10**7
+# Threads one run_protocol call may start.  The rounds are one vectorized
+# draw, so more threads buy nothing; the bit-identity gate runs 1, 2 and 5.
+MAX_WORKERS = 64
 DEFAULT_Z = 5.0
 
 # Challenge/setting bit -> measured Pauli (0 is x, 1 is z).
@@ -200,7 +210,7 @@ def run_protocol(
     Challenges and settings are uniform bits; (a, b) is drawn per round
     from the joint distribution of the strategy's state under the selected
     Pauli pair.  Deterministic in (strategy, n_rounds, seed) and unchanged
-    by ``workers``.
+    by ``workers``, which is 1 to ``MAX_WORKERS``.
     """
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
@@ -208,6 +218,8 @@ def run_protocol(
         raise ValueError(f"round budget exceeded: {n_rounds} rounds exceed {MAX_ROUNDS}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"worker budget exceeded: {workers} workers exceed {MAX_WORKERS}")
     cum = np.cumsum(_prob_table(strategy), axis=-1)
     cum[..., -1] = 1.0
 
@@ -288,13 +300,13 @@ def _cell_stats(t: Transcript) -> dict[str, CellStats]:
 
 
 def verify_transcript(t: Transcript, z: float = DEFAULT_Z) -> Verdict:
-    """Per-cell z-tests: zz pinned at 1, zx/xz at 0, xx significantly away.
+    """Per-cell z-tests: zz pinned at 1, zx/xz at 0, xx significantly away,
+    at a finite positive threshold ``z``.
 
     Every cell needs at least 30 rounds; anything less raises rather than
     producing an unstable verdict.
     """
-    if z <= 0:
-        raise ValueError("z threshold must be positive")
+    _positive("z", z)
     cells = _cell_stats(t)
     for name, c in cells.items():
         if c.count < MIN_CELL_ROUNDS:

@@ -25,7 +25,7 @@ from qew.cli import MAX_SCAN_ROWS, build_parser, main
 from qew.oracle import SamplerConfig, sample_biseparable, sample_separable
 from qew.witnesses import critical_visibility, witness_family
 from qew.states import MAX_DIM, parse_state_spec
-from qew.zkp import MAX_ROUNDS, read_transcript
+from qew.zkp import MAX_ROUNDS, MAX_WORKERS, read_transcript
 
 SCI12 = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -503,11 +503,26 @@ def test_reports_at_set_tolerances_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, eq, nz)
 
 
+def _refusal(flag, value):
+    return f"error: {flag} must be a finite positive number, got {float(value)}\n"
+
+
 def test_non_positive_tolerances_refused(tmp_path, capsys):
     for command, path in (("witness", _epr_file(tmp_path)), ("network", _chain_network(tmp_path))):
-        for flag in (("--tol-eq", "0"), ("--tol-nz", "-1")):
-            code, out, err = _run(capsys, command, path, *flag)
-            assert (code, out, err) == (2, "", "error: tolerances must be positive\n")
+        for flag in ("--tol-eq", "--tol-nz"):
+            for value in ("0", "-1", "nan", "inf"):
+                code, out, err = _run(capsys, command, path, flag, value)
+                assert (code, out, err) == (2, "", _refusal(flag, value))
+
+
+def test_non_finite_thresholds_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    honest = _write(tmp_path, "h.json", {"kind": "honest", "state": {"kind": "epr", "theta": np.pi / 4}})
+    for *argv, flag in (["zkp", honest, "--seed", "1", "--z"], ["scan-visibility", "--step"]):
+        for value in ("nan", "inf", "0"):
+            code, out, err = _run(capsys, *argv, flag, value)
+            assert (code, out, err) == (2, "", _refusal(flag, value))
+    assert not list(tmp_path.glob("*.txt"))  # --z is checked before the transcript is written
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +541,7 @@ def test_size_arguments_over_budget_exit_2(tmp_path, capsys, monkeypatch):
         (["oracle", "--witness", "ghz", "--n", "13", "--seed", "1"], MAX_DIM),
         (["oracle", "--witness", "qudit", "--n", "2", "--d", "100000", "--seed", "1"], MAX_DIM),
         (["zkp", strategy, "--n", str(10**12), "--seed", "1"], MAX_ROUNDS),
+        (["zkp", strategy, "--workers", "1000000000", "--seed", "1"], MAX_WORKERS),
         (["scan-visibility", "--step", "1e-12"], MAX_SCAN_ROWS),
     ):
         code, out, err = _run(capsys, *argv)

@@ -13,16 +13,12 @@ from qew.networks import (
     NetworkSpec,
     ReductionResult,
     SourceSpec,
-    build_network_state,
     connectivity_check,
-    cp_gate,
-    entanglement_swap,
     generate_cluster,
     network_to_dict,
     parse_network_spec,
     qubit_owners,
     reduce_ghz_to_epr,
-    sample_branch,
     source_batteries,
     swap_branches,
 )
@@ -176,7 +172,7 @@ def test_parse_missing_key():
 
 def test_build_network_state_is_kron_of_sources():
     spec = _two_pair_network()
-    rho = build_network_state(spec)
+    rho = generate_cluster(NetworkSpec(spec.parties, spec.sources))
     want = np.kron(epr_state(np.pi / 4).mat, epr_state(np.pi / 4).mat)
     assert rho.sites == (2, 2, 2, 2)
     assert np.allclose(rho.mat, want)
@@ -184,7 +180,7 @@ def test_build_network_state_is_kron_of_sources():
 
 def test_build_network_state_carries_flags():
     spec = NetworkSpec(("A", "B"), (SourceSpec(_epr_spec(0.0), ("A", "B")),))
-    assert "boundary" in build_network_state(spec).flags
+    assert "boundary" in generate_cluster(NetworkSpec(spec.parties, spec.sources)).flags
 
 
 def test_qubit_budget():
@@ -192,13 +188,7 @@ def test_qubit_budget():
         ("A",), (SourceSpec(_ghz_spec(13), ("A",) * 13),)
     )
     with pytest.raises(ValueError, match="budget"):
-        build_network_state(spec)
-
-
-def test_cp_gate_matrix():
-    g = cp_gate(0.3)
-    assert np.allclose(np.diag(g), [1.0, 1.0, 1.0, np.exp(0.3j)])
-    assert np.count_nonzero(g - np.diag(np.diag(g))) == 0
+        generate_cluster(NetworkSpec(spec.parties, spec.sources))
 
 
 def test_generate_cluster_matches_explicit_unitary():
@@ -210,8 +200,9 @@ def test_generate_cluster_matches_explicit_unitary():
         ),
         cp_gates=(CpGate("B", 1.3, (2, 3)),),
     )
-    rho = build_network_state(spec)
-    u = np.kron(np.kron(np.eye(2), cp_gate(1.3)), np.eye(2))
+    rho = generate_cluster(NetworkSpec(spec.parties, spec.sources))
+    cp = np.diag([1.0, 1.0, 1.0, np.exp(1.3j)])
+    u = np.kron(np.kron(np.eye(2), cp), np.eye(2))
     want = u @ rho.mat @ u.conj().T
     assert np.allclose(generate_cluster(spec).mat, want, atol=1e-12)
 
@@ -222,7 +213,7 @@ def test_generate_cluster_nonadjacent_gate():
         sources=(SourceSpec(_ghz_spec(3, 0.5), ("A", "A", "A")),),
         cp_gates=(CpGate("A", 0.8, (1, 3)),),
     )
-    rho = build_network_state(spec)
+    rho = generate_cluster(NetworkSpec(spec.parties, spec.sources))
     diag = np.ones(8, dtype=complex)
     for idx in range(8):
         if (idx >> 2) & 1 and idx & 1:
@@ -318,6 +309,12 @@ def test_reduce_leakage_tolerance_kwarg():
 # ---------------------------------------------------------------------------
 
 
+def _swap_branch(rho_ab, rho_cd, outcome):
+    """The one branch of :func:`swap_branches` with the given Bell label."""
+    (branch,) = [br for br in swap_branches(rho_ab, rho_cd) if br.outcome == outcome]
+    return branch
+
+
 def test_swap_symmetric_pairs_reproduce_input():
     rho = epr_state(np.pi / 4)
     branches = swap_branches(rho, rho)
@@ -331,7 +328,7 @@ def test_swap_branch_algebra():
     t1, t2 = 0.3, 0.8
     a, b = np.cos(t1), np.sin(t1)
     c, d = np.cos(t2), np.sin(t2)
-    br = entanglement_swap(epr_state(t1), epr_state(t2), "phi+")
+    br = _swap_branch(epr_state(t1), epr_state(t2), "phi+")
     norm = a * a * c * c + b * b * d * d
     assert br.probability == pytest.approx(norm / 2.0)
     assert br.state.mat[0, 3] == pytest.approx(a * b * c * d / norm)
@@ -354,8 +351,8 @@ def test_swap_psi_branch_conjugates_second_coherence():
     rho_ab = epr_state(np.pi / 4)
     rho_cd = apply_blind_channel(rho_ab, ch)
     assert rho_cd.mat[0, 3] == pytest.approx(0.5 * np.exp(-1j * alpha))
-    phi = entanglement_swap(rho_ab, rho_cd, "phi+")
-    psi = entanglement_swap(rho_ab, rho_cd, "psi+")
+    phi = _swap_branch(rho_ab, rho_cd, "phi+")
+    psi = _swap_branch(rho_ab, rho_cd, "psi+")
     assert phi.state.mat[0, 3] == pytest.approx(0.5 * np.exp(-1j * alpha))
     assert psi.state.mat[0, 3] == pytest.approx(0.5 * np.exp(1j * alpha))
 
@@ -364,8 +361,6 @@ def test_swap_zero_branches_dropped():
     rho = epr_state(0.0)  # |00><00|
     branches = swap_branches(rho, rho)
     assert {br.outcome for br in branches} == {"phi+", "phi-"}
-    with pytest.raises(ValueError, match="zero probability"):
-        entanglement_swap(rho, rho, "psi+")
 
 
 def test_swap_validation():
@@ -375,18 +370,6 @@ def test_swap_validation():
     leaky = pure_density(np.array([0, 1, 1, 0]) / np.sqrt(2), (2, 2))
     with pytest.raises(ValueError, match="edge subspace"):
         swap_branches(rho, leaky)
-    with pytest.raises(ValueError, match="outcome must be one of"):
-        entanglement_swap(rho, rho, "bell0")
-
-
-def test_sample_branch_deterministic():
-    branches = swap_branches(epr_state(np.pi / 4), epr_state(np.pi / 4))
-    picks = [sample_branch(branches, seed=11, index=i).outcome for i in range(40)]
-    again = [sample_branch(branches, seed=11, index=i).outcome for i in range(40)]
-    assert picks == again
-    assert len(set(picks)) > 1
-    with pytest.raises(ValueError, match="no branches"):
-        sample_branch([], seed=0)
 
 
 def test_reduction_result_probability_range():

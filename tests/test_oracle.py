@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qew import oracle
-from qew.networks import sample_branch, swap_branches
 from qew.oracle import (
     SamplerConfig,
     all_bipartitions,
@@ -22,7 +21,7 @@ from qew.oracle import (
     sample_biseparable,
     sample_separable,
 )
-from qew.qmat import basis_index, partial_trace, uniforms
+from qew.qmat import basis_index, uniforms
 from qew.states import MAX_DIM, epr_state, ghz_state, werner_mix
 from qew.witnesses import (
     NOT_WITNESSED,
@@ -118,6 +117,17 @@ def test_draws_have_haar_and_dirichlet_moments():
         assert abs((w[:, 0] ** 2).mean() - 2.0 / (terms * (terms + 1))) < 0.02
 
 
+def _partial_trace(rho, keep):
+    """The reduced matrix of ``rho`` on the 1-based sites in ``keep``."""
+    n = rho.n_sites
+    t = rho.mat.reshape(rho.sites * 2)
+    # highest site first, so the axis numbers of the lower sites stay valid
+    for p in sorted(set(range(1, n + 1)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=p - 1, axis2=t.ndim // 2 + p - 1)
+    dim = int(np.prod([rho.sites[k - 1] for k in keep]))
+    return t.reshape(dim, dim)
+
+
 def test_biseparable_terms_draw_every_bipartition():
     # one term: a pure state, product exactly across the bipartition it drew
     cfg = SamplerConfig(sites=(2, 2, 2, 2), terms=1, seed=29)
@@ -125,7 +135,7 @@ def test_biseparable_terms_draw_every_bipartition():
     for i in range(200):
         rho = sample_biseparable(cfg, i)
         for block in all_bipartitions(4):
-            red = partial_trace(rho, block).mat
+            red = _partial_trace(rho, block)
             if np.trace(red @ red).real > 1.0 - 1e-9:
                 seen.add(block)
     assert seen == set(all_bipartitions(4))
@@ -135,7 +145,6 @@ def test_draws_raise_no_runtime_warning():
     # the premise: numpy scalar uint64 arithmetic warns when it wraps
     with pytest.warns(RuntimeWarning, match="overflow"):
         np.uint64(2**63) * np.uint64(2)
-    branches = swap_branches(epr_state(0.6), epr_state(0.9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         uniforms(2**63 + 5, 2**40, 3)
@@ -143,7 +152,6 @@ def test_draws_raise_no_runtime_warning():
         sample_biseparable(SamplerConfig(sites=(2, 2, 2), terms=3, seed=-4), 2**40)
         random_blind_channel((2, 3), 3, seed=2**64 - 1, index=9)
         maximize_witness("w", SamplerConfig(sites=(2, 2, 2), seed=5), 4)
-        sample_branch(branches, seed=2**63, index=3)
 
 
 # ---------------------------------------------------------------------------

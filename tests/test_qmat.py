@@ -19,15 +19,11 @@ from qew.qmat import (
     basis_index,
     bell_basis,
     clock_op,
-    computational_basis,
     expectation,
-    index_digits,
     joint_measure_two_sites,
     obs,
-    partial_trace,
     pauli,
     plusminus_basis,
-    projective_measure,
     pure_density,
     realize_observable,
     shift_op,
@@ -288,26 +284,6 @@ def test_apply_local_unitaries_flip():
 # ---------------------------------------------------------------------------
 
 
-def test_projective_measure_plusminus_on_product():
-    # |+>|0>: measuring site 1 in +/- gives the + branch with certainty
-    v = np.kron(np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, 0.0]))
-    rho = pure_density(v, (2, 2))
-    branches = projective_measure(rho, 1, plusminus_basis())
-    assert branches[0].probability == pytest.approx(1.0)
-    assert branches[1].flagged_zero and branches[1].state is None
-    assert branches[0].state.mat[0, 0] == pytest.approx(1.0)
-
-
-def test_projective_measure_probabilities_sum():
-    rho = bell_phi_plus()
-    branches = projective_measure(rho, 2, plusminus_basis())
-    assert sum(b.probability for b in branches) == pytest.approx(1.0)
-    # each branch of a Bell pair is an equal-weight pure state on the rest
-    for b in branches:
-        assert b.probability == pytest.approx(0.5)
-        assert np.isclose(np.trace(b.state.mat @ b.state.mat).real, 1.0)
-
-
 def test_joint_measure_bell_identifies_bell_state():
     # Phi+ (x) |0>: measuring sites (1, 2) jointly in the Bell basis is certain
     v = np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), np.array([1.0, 0.0]))
@@ -337,35 +313,9 @@ def test_joint_measure_needs_three_sites():
 
 
 def test_measure_basis_validation():
-    rho = bell_phi_plus()
+    rho = pure_density(np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), [1.0, 0.0]), (2, 2, 2))
     with pytest.raises(ValueError, match="orthonormal"):
-        projective_measure(rho, 1, np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
-# ---------------------------------------------------------------------------
-# partial trace
-# ---------------------------------------------------------------------------
-
-
-def test_partial_trace_bell_is_maximally_mixed():
-    reduced = partial_trace(bell_phi_plus(), keep=(1,))
-    assert np.allclose(reduced.mat, np.eye(2) / 2)
-
-
-def test_partial_trace_product_factors():
-    a = np.array([1.0, 0.0])
-    b = np.array([0.6, 0.8])
-    rho = pure_density(np.kron(a, b), (2, 2))
-    kept = partial_trace(rho, keep=(2,))
-    assert np.allclose(kept.mat, np.outer(b, b))
-
-
-def test_partial_trace_keeps_order_and_validates():
-    rho = pure_density(np.kron([1.0, 0.0, 0.0], [0.0, 1.0]), (3, 2))
-    kept = partial_trace(rho, keep=(1,))
-    assert kept.sites == (3,)
-    with pytest.raises(ValueError):
-        partial_trace(rho, keep=())
+        joint_measure_two_sites(rho, (1, 2), np.array([[1.0, 0.0, 0.0, 0.0]] * 4))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +327,8 @@ def test_partial_trace_keeps_order_and_validates():
 def test_index_digit_roundtrip(sites, data):
     digits = tuple(data.draw(st.integers(0, d - 1)) for d in sites)
     idx = basis_index(digits, sites)
-    assert index_digits(idx, sites) == digits
+    # numpy's C-order unravelling also takes the first site as most significant
+    assert tuple(int(j) for j in np.unravel_index(idx, sites)) == digits
 
 
 def test_basis_index_site_one_most_significant():
@@ -387,7 +338,7 @@ def test_basis_index_site_one_most_significant():
 
 
 def test_bases_are_orthonormal():
-    for b in (computational_basis(3), plusminus_basis(), bell_basis()):
+    for b in (plusminus_basis(), bell_basis()):
         assert np.allclose(b @ b.conj().T, np.eye(b.shape[0]))
 
 

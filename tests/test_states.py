@@ -1,4 +1,4 @@
-"""State families, blind/Kraus channels, noise mixing, subspace views."""
+"""State families, blind channels, noise mixing, subspace views."""
 
 from __future__ import annotations
 
@@ -8,20 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qew.qmat import basis_index, expectation, obs, pure_density
+from qew.qmat import basis_index, expectation, obs
 from qew.states import (
     BlindChannel,
     ChannelTerm,
-    KrausChannel,
     StateSpec,
     apply_blind_channel,
     build_state,
     channel_from_dict,
-    compose_blind_channels,
     epr_state,
     family_basis,
     ghz_state,
-    identity_channel,
     parse_state_spec,
     qudit_ghz_state,
     spec_to_dict,
@@ -206,16 +203,20 @@ def test_channel_validation():
                 ChannelTerm(1.0, ((0.0, np.pi), (0.0, 0.0))),
             )
         )
-    # either channel type must act on the state's site layout
-    kraus = KrausChannel.from_site_channels([[(1.0, 1.0)]] * 3)
-    for ch in (identity_channel((2, 2, 2)), identity_channel((3, 3)), kraus):
+    # the channel must act on the state's site layout
+    for sites in ((2, 2, 2), (3, 3)):
         with pytest.raises(ValueError, match="do not match state sites"):
-            apply_blind_channel(epr_state(0.7), ch)
+            apply_blind_channel(epr_state(0.7), _identity_channel(sites))
+
+
+def _identity_channel(sites):
+    """The one-term channel with every phase 0."""
+    return BlindChannel((ChannelTerm(1.0, tuple((0.0,) * d for d in sites)),))
 
 
 def test_identity_channel_is_identity():
     rho = epr_state(0.7)
-    out = apply_blind_channel(rho, identity_channel((2, 2)))
+    out = apply_blind_channel(rho, _identity_channel((2, 2)))
     assert np.allclose(out.mat, rho.mat)
 
 
@@ -257,25 +258,8 @@ def _blind_channels(draw):
     return epr_state(1.1), BlindChannel(terms)
 
 
-@st.composite
-def _kraus_channels(draw):
-    """Independent per-site diagonal families on 2-3 sites of dimension 2-3,
-    each complete (a site's squared weights sum to 1 entrywise), acting on
-    a random pure state with every coherence nonzero."""
-    sites = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
-    families = []
-    for d in sites:
-        k = draw(st.integers(1, 3))
-        raw = np.array([[draw(st.floats(0.01, 1.0)) for _ in range(d)] for _ in range(k)])
-        families.append([tuple(np.sqrt(w)) for w in raw / raw.sum(axis=0)])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vec = rng.normal(size=int(np.prod(sites))) + 1j * rng.normal(size=int(np.prod(sites)))
-    rho = pure_density(vec / np.linalg.norm(vec), sites)
-    return rho, KrausChannel.from_site_channels(families)
-
-
 @settings(max_examples=40)
-@given(st.one_of(_blind_channels(), _kraus_channels()))
+@given(_blind_channels())
 def test_blind_channel_preserves_diagonal_and_shrinks_coherence(case):
     rho, ch = case
     out = apply_blind_channel(rho, ch)
@@ -299,11 +283,9 @@ def test_compose_matches_sequential_application():
     )
     rho = epr_state(0.8)
     seq = apply_blind_channel(apply_blind_channel(rho, a), b)
-    once = apply_blind_channel(rho, compose_blind_channels(a, b))
-    assert np.allclose(seq.mat, once.mat)
-    sites = rho.sites
-    product = a.multiplier(sites) * b.multiplier(sites)
-    assert np.max(np.abs(compose_blind_channels(a, b).multiplier(sites) - product)) <= 1e-12
+    # two Schur multipliers compose to their elementwise product
+    product = a.multiplier(rho.sites) * b.multiplier(rho.sites)
+    assert np.allclose(seq.mat, product * rho.mat)
 
 
 @st.composite
@@ -337,44 +319,6 @@ def test_channel_from_dict_qudit_sites():
         {"terms": [{"p": 1.0, "site_phases": [[0.0, 0.1, 0.2], [0.0, 0.0, 0.0]]}]}
     )
     assert ch.site_dims() == (3, 3)
-
-
-# ---------------------------------------------------------------------------
-# Kraus channels
-# ---------------------------------------------------------------------------
-
-
-def test_kraus_identity_and_dephasing():
-    rho = epr_state(np.pi / 4)
-    ident = KrausChannel((((1.0, 1.0), (1.0, 1.0)),))
-    assert np.allclose(apply_blind_channel(rho, ident).mat, rho.mat)
-
-    deph = KrausChannel.from_site_channels([[(1, 0), (0, 1)], [(1, 0), (0, 1)]])
-    out = apply_blind_channel(rho, deph)
-    assert np.allclose(out.mat, np.diag([0.5, 0.0, 0.0, 0.5]))
-
-
-def test_kraus_damping_shrinks_coherence():
-    g = 0.4
-    ch = KrausChannel.from_site_channels(
-        [[(1.0, np.sqrt(1 - g)), (0.0, np.sqrt(g))], [(1.0, 1.0)]]
-    )
-    out = apply_blind_channel(epr_state(np.pi / 4), ch)
-    assert out.mat[0, 3] == pytest.approx(0.5 * np.sqrt(1 - g))
-    assert np.trace(out.mat) == pytest.approx(1.0)
-
-
-def test_kraus_completeness_enforced():
-    with pytest.raises(ValueError, match="complete"):
-        KrausChannel((((1.0, 0.0), (1.0, 1.0)),))
-    with pytest.raises(ValueError, match="nonnegative"):
-        KrausChannel((((1.0, -1.0), (1.0, 1.0)),))
-    with pytest.raises(ValueError, match="complete"):
-        KrausChannel.from_site_channels([[(0.5, 0.5)], [(1.0, 1.0)]])
-    with pytest.raises(ValueError, match="finite"):
-        KrausChannel((((np.nan, 1.0), (1.0, 1.0)),))
-    with pytest.raises(ValueError, match="finite"):
-        KrausChannel.from_site_channels([[(1.0, np.nan)], [(1.0, 1.0)]])
 
 
 # ---------------------------------------------------------------------------

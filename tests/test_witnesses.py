@@ -38,12 +38,10 @@ from qew.witnesses import (
     battery_qudit_2,
     battery_qudit_n,
     battery_w,
-    build_witness_operator,
     classical_assignment_search,
     critical_visibility,
     evaluate_battery,
     noise_witness,
-    offdiag_from_pauli,
     reindex_battery,
     svetlichny_optimal_angles,
     svetlichny_value,
@@ -273,6 +271,12 @@ def test_battery_validation():
         ParadoxBattery((BatteryItem(obs((1, "Z"), (2, "Z")), Exact(1.0)),))
     with pytest.raises(ValueError, match="positive"):
         evaluate_battery(epr_state(np.pi / 4), battery_epr(), eps_eq=0.0)
+    for bad in (np.nan, np.inf):
+        for key in ("eps_eq", "eps_nz"):
+            with pytest.raises(ValueError, match=f"{key} must be a finite positive"):
+                evaluate_battery(epr_state(np.pi / 4), battery_epr(), **{key: bad})
+        with pytest.raises(ValueError, match="eps_eq must be a finite positive"):
+            witness_epr(epr_state(np.pi / 4), eps_eq=bad)
     with pytest.raises(ValueError, match="companion"):
         BatteryItem(obs((1, "Z")), Exact(1.0), companion=obs((1, "X")))
 
@@ -485,38 +489,6 @@ def test_svetlichny_input_checks():
 
 
 # ---------------------------------------------------------------------------
-# witness operator
-# ---------------------------------------------------------------------------
-
-
-def test_witness_operator_projector_case():
-    target = ghz_state(2, np.pi / 4)
-    w = build_witness_operator(target, np.zeros(3))
-    assert np.allclose(w, w.conj().T)
-    assert np.trace(w @ target.mat).real == pytest.approx(1.0)
-    # orthogonal product state scores zero
-    ortho = pure_density(np.array([0.0, 1.0, 0.0, 0.0]), (2, 2))
-    assert np.trace(w @ ortho.mat).real == pytest.approx(0.0)
-
-
-def test_witness_operator_weights_and_sign():
-    target = ghz_state(2, np.pi / 4)
-    q = np.array([0.1, 0.2, 0.3])
-    w = build_witness_operator(target, q, sign=-1)
-    evals = np.sort(np.linalg.eigvalsh(w))
-    assert evals[0] == pytest.approx(-1.0)
-    assert np.allclose(evals[1:], np.sort(q))
-
-
-def test_witness_operator_rejects_mixed_target():
-    mixed = as_density(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
-    with pytest.raises(ValueError, match="pure"):
-        build_witness_operator(mixed, np.zeros(3))
-    with pytest.raises(ValueError, match="weights"):
-        build_witness_operator(ghz_state(2, 0.7), np.zeros(2))
-
-
-# ---------------------------------------------------------------------------
 # classical assignments
 # ---------------------------------------------------------------------------
 
@@ -548,6 +520,11 @@ def test_assignment_search_validation():
         classical_assignment_search(battery_epr(), 0.0, 1e-6)
     with pytest.raises(ValueError):
         classical_assignment_search(battery_epr(), 0.25, -1.0)
+    # a NaN tolerance would fail every line and certify a contradiction
+    with pytest.raises(ValueError, match="tol must be a finite positive"):
+        classical_assignment_search(battery_epr(), 0.25, np.nan)
+    with pytest.raises(ValueError, match="eps_nz must be a finite positive"):
+        classical_assignment_search(battery_epr(), 0.25, 1e-6, eps_nz=np.nan)
     with pytest.raises(ValueError, match="only X and Z"):
         classical_assignment_search(
             (BatteryItem(obs((1, "Y"), (2, "Y")), NonZero()),), 0.5, 1e-6
@@ -566,18 +543,19 @@ def test_value_assignment_range():
 
 
 # ---------------------------------------------------------------------------
-# coherence reconstruction helper
+# coherence reconstruction
 # ---------------------------------------------------------------------------
 
 
 def test_offdiag_from_pauli_recovers_rotated_coherence():
+    # in the |00>/|11> span <XX> = 2 Re rho_00;11 and <XY> = -2 Im rho_00;11,
+    # which is why a battery's XX line carries its XY companion
     alpha = 1.234
     ch = BlindChannel((ChannelTerm(1.0, ((0.0, alpha), (0.0, 0.0))),))
     rho = apply_blind_channel(epr_state(np.pi / 4), ch)
     exx = float(np.real(expectation(rho, obs((1, "X"), (2, "X")))))
     exy = float(np.real(expectation(rho, obs((1, "X"), (2, "Y")))))
-    got = offdiag_from_pauli(exx, exy)
-    assert got == pytest.approx(rho.mat[0, 3])
+    assert complex(exx, -exy) / 2.0 == pytest.approx(rho.mat[0, 3])
 
 
 # ---------------------------------------------------------------------------

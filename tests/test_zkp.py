@@ -17,6 +17,7 @@ from qew.states import BlindChannel, ChannelTerm, StateSpec
 from qew.zkp import (
     CELLS,
     DEFAULT_Z,
+    MAX_WORKERS,
     MIN_CELL_ROUNDS,
     FixedOutcomesStrategy,
     HonestStrategy,
@@ -192,8 +193,13 @@ def test_run_protocol_validation():
         run_protocol(HonestStrategy(EPR), 0, seed=1)
     with pytest.raises(ValueError, match="workers"):
         run_protocol(HonestStrategy(EPR), 10, seed=1, workers=0)
-    with pytest.raises(ValueError, match="positive"):
-        verify_transcript(run_protocol(HonestStrategy(EPR), 200, seed=1), z=0.0)
+    # refused before a thread is started
+    with pytest.raises(ValueError, match=f"budget exceeded: {MAX_WORKERS + 1} workers"):
+        run_protocol(HonestStrategy(EPR), 10, seed=1, workers=MAX_WORKERS + 1)
+    t = run_protocol(HonestStrategy(EPR), 200, seed=1)
+    for z in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="z must be a finite positive"):
+            verify_transcript(t, z=z)
 
 
 def test_undersampled_cell_raises():
