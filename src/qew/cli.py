@@ -43,6 +43,8 @@ from .witnesses import (
     EPS_EQ,
     EPS_NZ,
     FAMILY_NAMES,
+    LEAKAGE_TOL,
+    NOT_WITNESSED,
     BatteryReport,
     Exact,
     WitnessReport,
@@ -145,6 +147,12 @@ def _witness_dict(rep: WitnessReport) -> dict:
     }
     if rep.alt_bound is not None:
         out["alt_bound"] = rep.alt_bound
+    if rep.verdict == NOT_WITNESSED and rep.leakage > LEAKAGE_TOL:
+        # the bound holds with or without leakage, so only this reading needs a caveat
+        out["inconclusive"] = (
+            f"leakage {rep.leakage:.3e} exceeds {LEAKAGE_TOL:.1e}: population outside the "
+            "family subspace can hide entanglement, so not-witnessed does not mean separable"
+        )
     return out
 
 

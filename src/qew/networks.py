@@ -36,6 +36,7 @@ from .qmat import (
     ZERO_PROB,
     Array,
     DensityMatrix,
+    _derived,
     _sandwich,
     all_outcome_bits,
     as_density,
@@ -213,9 +214,12 @@ def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> Densi
     The gate layer is the rank-1 Schur multiplier g g^dag of its phase
     vector g, and the channel is a Schur multiplier too (see
     :mod:`qew.states`), so the two commute and their product is applied to
-    the product of the sources in one elementwise step; only the result is
-    validated.  Gates with angles outside (0, pi) are allowed but flag the
-    output.
+    the product of the sources in one elementwise step, in place.  The
+    result g g^dag o M o (rho_1 x ... x rho_s) is PSD by construction: a
+    Kronecker product of density matrices is PSD, and so is its Schur
+    product with the PSD unit-diagonal g g^dag o M (Schur product theorem),
+    so it gets the O(D^2) checks and no eigen-decomposition.  Gates with
+    angles outside (0, pi) are allowed but flag the output.
     """
     dims = tuple(d for _owner, d in qubit_owners(spec))
     if int(np.prod(dims)) > MAX_DIM:
@@ -229,8 +233,9 @@ def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> Densi
     phases = _gates_diagonal(spec, dims)
     m = np.outer(phases, phases.conj())
     if ch is not None:
-        m = m * ch.multiplier(dims)
-    return as_density(m * tensor_product(*(rho.mat for rho in states)), dims, flags)
+        m *= ch.multiplier(dims)
+    m *= tensor_product(*(rho.mat for rho in states))
+    return _derived(m, dims, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,8 @@ def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[Reductio
         if rho.sites != (2, 2):
             raise ValueError(f"{name} input must be a two-qubit state, got {rho.sites}")
         _require_edge_support(rho, "entanglement swap")
-    joint = as_density(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2))
+    # a Kronecker product of density matrices is PSD by construction
+    joint = _derived(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2), ())
     branches = joint_measure_two_sites(joint, (2, 3), bell_basis())
     out = []
     for k, br in enumerate(branches):

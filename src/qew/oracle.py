@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, _density_fault, basis_index, pure_density, uniforms
-from .states import BlindChannel, ChannelTerm
+from .qmat import Array, DensityMatrix, _form_fault, basis_index, pure_density, uniforms
+from .states import BlindChannel, ChannelTerm, _positive
 
 __all__ = [
     "BLOCK_ENTRIES",
@@ -159,7 +159,7 @@ def _read_table(witness: str, structure: _Structure, sites: tuple[int, ...]) -> 
 
 def _sample_block(shape: str, cfg: SamplerConfig, indices: Array) -> Array:
     """Samples ``indices`` (a uint64 array) of the ``"separable"`` or the
-    ``"biseparable"`` stream as one validated (B, D, D) stack.
+    ``"biseparable"`` stream as one checked (B, D, D) stack.
 
     Sample i is a Dirichlet-weighted mixture of pure products, each term over
     one structure of ``_blocks_for(shape, ...)`` with Haar-random blocks.  Its
@@ -168,6 +168,11 @@ def _sample_block(shape: str, cfg: SamplerConfig, indices: Array) -> Array:
     in turn (block dimensions sum to <= D), which make the complex Gaussians
     of a Haar vector.  Every step acts on each sample alone, so a sample's
     bits do not depend on the block it is drawn in.
+
+    A sample is a mixture of normalized pure products with Dirichlet weights,
+    a convex combination of rank-one projectors, so PSD by construction: the
+    stack gets the O(D^2) finiteness, Hermiticity and trace checks of
+    ``qmat._form_fault`` and no eigen-decomposition.
     """
     sites, dim, terms = cfg.sites, math.prod(cfg.sites), cfg.terms
     structures = _blocks_for(shape, sites, cfg.partition)
@@ -186,7 +191,7 @@ def _sample_block(shape: str, cfg: SamplerConfig, indices: Array) -> Array:
     vecs = vecs.reshape(len(indices), terms, dim)
     vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
     mats = (vecs.swapaxes(1, 2) * _dirichlet(u[..., 0])[:, None, :]) @ vecs.conj()
-    fault = _density_fault(mats)
+    fault = _form_fault(mats)
     if fault is not None:
         raise ValueError(f"sample {indices[fault[0]]}: {fault[1]}")
     return mats
@@ -492,14 +497,18 @@ def bisect_threshold(
     """Locate the switching point of a monotone predicate on [lo, hi].
 
     ``detected`` must be False at ``lo`` and True at ``hi``; the returned
-    midpoint is within ``tol`` of the transition.
+    midpoint is within ``tol`` of the transition, or within one ulp when
+    ``tol`` is finer than the float spacing there.
     """
+    _positive("tol", tol)
     if detected(lo):
         raise ValueError("predicate already true at the lower endpoint")
     if not detected(hi):
         raise ValueError("predicate false at the upper endpoint")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # lo and hi are adjacent floats: nothing left to halve
+            break
         if detected(mid):
             hi = mid
         else:

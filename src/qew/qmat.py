@@ -10,10 +10,17 @@ Conventions
   basis state ``|j1 j2 ... jn>`` has flat index
   ``j1*(d2*...*dn) + j2*(d3*...*dn) + ... + jn``.  This is exactly the order
   produced by chained Kronecker products with site 1 on the left.
-- Density matrices are validated on construction: Hermitian to 1e-12
-  (entrywise), unit trace to 1e-12, and positive semidefinite down to an
-  eigenvalue floor of -1e-10 (the floor absorbs accumulation from channel
-  mixing).
+- Density matrices are checked on construction: finite, Hermitian to
+  1e-12 (entrywise) and of unit trace to 1e-12, always.  Positive
+  semidefiniteness, down to an eigenvalue floor of -1e-10 (the floor absorbs
+  accumulation from channel mixing), is checked by one ``eigvalsh`` in
+  :func:`as_density`, the entry for matrices from users or from
+  computations no theorem covers, such as a renormalized measurement branch
+  (dividing by its probability p scales the floor by 1/p).  Results that are
+  PSD by a theorem skip that O(D^3) step (the private ``_derived``): pure
+  states, white-noise mixtures, unitary conjugations, blind channels and
+  network gate layers (Schur products with a PSD unit-diagonal multiplier),
+  Kronecker products of states, and the oracle's mixtures of pure products.
 - Expectation values are returned as ``complex``; the imaginary part is
   reported, never discarded.  For Hermitian observables it is numerically
   tiny, and callers that need a real number should assert that themselves.
@@ -73,6 +80,8 @@ __all__ = [
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
+# Side of the square tiles the Hermiticity check reads a matrix in
+_HERM_TILE = 128
 ZERO_PROB = 1e-12
 UNITARY_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -127,10 +136,21 @@ def clock_op(d: int) -> Array:
 
 def tensor_product(*mats: Array) -> Array:
     """Kronecker product of the given matrices (or vectors), left factor most
-    significant."""
+    significant.
+
+    Each step is ``np.kron(out, m)`` without its generic set-up: the
+    broadcast outer product of ``out`` and ``m``, each with its axes
+    interleaved with unit ones, then reshaped; the same products, so the
+    same bits.
+    """
     out = np.ones(1, dtype=complex)
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        nd = max(out.ndim, m.ndim)
+        sa = (1,) * (nd - out.ndim) + out.shape
+        sb = (1,) * (nd - m.ndim) + m.shape
+        prod = out.reshape([x for a in sa for x in (a, 1)]) * m.reshape([x for b in sb for x in (1, b)])
+        out = prod.reshape([a * b for a, b in zip(sa, sb)])
     return out
 
 
@@ -166,8 +186,11 @@ class DensityMatrix:
     D x D matrix with D = prod(sites).  ``flags`` carries advisory markers
     such as ``"boundary"`` (the state sits on the separable edge of its
     family).  Construct through :func:`as_density` or :func:`pure_density`
-    so the invariants are actually checked (the oracle's samplers wrap a
-    matrix of a stack they checked as a whole).
+    so the invariants are actually checked.  Every constructor checks
+    finiteness, Hermiticity and unit trace; :func:`as_density` alone also
+    runs the ``eigvalsh`` PSD check, and the constructions that are PSD by a
+    theorem (see the module docstring) skip it.  The oracle's samplers wrap
+    a matrix of a stack they checked as a whole.
     """
 
     sites: tuple[int, ...]
@@ -186,40 +209,83 @@ class DensityMatrix:
         return DensityMatrix(self.sites, self.mat, self.flags | frozenset(names))
 
 
-def _density_fault(m: Array) -> tuple[int, str] | None:
-    """The first matrix of ``m``, one D x D matrix or a stack of them along
-    axis 0, that is not a density matrix within the module tolerances: its
-    position in the stack and why, or None when every one is.
+def _herm_err(s: Array) -> Array:
+    """max |s_ij - conj(s_ji)| of each matrix of the stack ``s``.
 
-    Each matrix is checked for finiteness, Hermiticity and unit trace, then
-    for the PSD floor; the matrix named, and its reason, are the ones that
-    checking the stack one matrix at a time would stop at first.
+    Read in square tiles on and above the diagonal, each against its mirror
+    tile: a tile pair stays in cache where a whole transposed read does not,
+    and no D x D temporary is made.  The mirrored entry has the same modulus
+    to the bit.  A NaN or inf entry makes the error NaN or inf.
     """
+    d, err = s.shape[-1], np.zeros(len(s))
+    with np.errstate(invalid="ignore"):  # inf - inf; the caller refuses it
+        for i in range(0, d, _HERM_TILE):
+            for j in range(i, d, _HERM_TILE):
+                tile = s[:, i : i + _HERM_TILE, j : j + _HERM_TILE]
+                mirror = s[:, j : j + _HERM_TILE, i : i + _HERM_TILE].conj().swapaxes(1, 2)
+                err = np.maximum(err, np.abs(tile - mirror).max(axis=(1, 2)))
+    return err
+
+
+def _form_fault(m: Array) -> tuple[int, str] | None:
+    """The first matrix of ``m``, one D x D matrix or a stack of them along
+    axis 0, that is not finite, Hermitian and of unit trace within the module
+    tolerances: its position in the stack and why, or None when every one is.
+    O(D^2) per matrix."""
     s = m.reshape(-1, *m.shape[-2:])
-    sh = s.conj().swapaxes(1, 2)
-    with np.errstate(invalid="ignore"):  # inf - inf; refused just below
-        herm_err = np.abs(s - sh)
+    herm_err = _herm_err(s)
     tr = s.trace(axis1=1, axis2=2)
     # np.hypot of the parts is Python's abs(complex) to the bit
     tr_err = np.hypot(tr.real - 1.0, tr.imag)
-    k = len(s)
     # a NaN or inf entry makes herm_err NaN or inf, so finiteness needs no extra pass
-    if not (herm_err.max() <= HERM_TOL and tr_err.max() <= TRACE_TOL):
-        herm_err = herm_err.max(axis=(1, 2))
-        k = int(np.argmin((herm_err <= HERM_TOL) & (tr_err <= TRACE_TOL)))
-        s, sh = s[:k], sh[:k]
-    # Lowest eigenvalue of each symmetrized matrix before k; the floor absorbs fp noise.
-    low = np.linalg.eigvalsh((s + sh) / 2.0)[:, 0]
-    if k and low.min() < PSD_FLOOR:
-        i = int(np.argmax(low < PSD_FLOOR))
-        return i, f"matrix is not PSD (min eigenvalue {low[i]:.3e})"
-    if k == len(tr):
+    if herm_err.max() <= HERM_TOL and tr_err.max() <= TRACE_TOL:
         return None
+    k = int(np.argmin((herm_err <= HERM_TOL) & (tr_err <= TRACE_TOL)))
     if not math.isfinite(herm_err[k]):
         return k, "matrix entries must be finite"
     if herm_err[k] > HERM_TOL:
         return k, f"matrix is not Hermitian (max deviation {herm_err[k]:.3e})"
     return k, f"trace is {complex(tr[k])}, expected 1"
+
+
+def _psd_fault(s: Array) -> tuple[int, str] | None:
+    """The first matrix of the stack ``s`` whose symmetrized form has an
+    eigenvalue below the PSD floor, which absorbs fp noise: its position and
+    why, or None.  One O(D^3) ``eigvalsh`` per matrix."""
+    if not len(s):
+        return None
+    low = np.linalg.eigvalsh((s + s.conj().swapaxes(1, 2)) / 2.0)[:, 0]
+    if low.min() >= PSD_FLOOR:
+        return None
+    i = int(np.argmax(low < PSD_FLOOR))
+    return i, f"matrix is not PSD (min eigenvalue {low[i]:.3e})"
+
+
+def _density_fault(m: Array) -> tuple[int, str] | None:
+    """The first matrix of ``m``, one D x D matrix or a stack of them along
+    axis 0, that is not a density matrix within the module tolerances: its
+    position in the stack and why, or None when every one is.
+
+    The matrices before the first one :func:`_form_fault` names are checked
+    for the PSD floor, so the matrix named, and its reason, are the ones that
+    checking the stack one matrix at a time would stop at first.
+    """
+    s = m.reshape(-1, *m.shape[-2:])
+    form = _form_fault(s)
+    return _psd_fault(s if form is None else s[: form[0]]) or form
+
+
+def _shaped(mat: Array, sites: Sequence[int]) -> tuple[tuple[int, ...], Array]:
+    """``sites`` as ints and ``mat`` as a complex array, refused unless every
+    site dimension is at least 2 and ``mat`` is D x D for D = prod(sites)."""
+    sites = tuple(map(int, sites))
+    if sites and min(sites) < 2:
+        raise ValueError(f"every site dimension must be >= 2, got {sites}")
+    dim = math.prod(sites)
+    m = np.asarray(mat, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"matrix shape {m.shape} does not match sites {sites}")
+    return sites, m
 
 
 def as_density(
@@ -231,16 +297,27 @@ def as_density(
 
     Raises ``ValueError`` when the matrix is not finite, Hermitian, of unit
     trace and PSD within the module tolerances, or when dimensions do not
-    line up.
+    line up.  The entry for every matrix from a user or from a computation
+    no theorem covers; the PSD check is one ``eigvalsh``.
     """
-    sites = tuple(map(int, sites))
-    if sites and min(sites) < 2:
-        raise ValueError(f"every site dimension must be >= 2, got {sites}")
-    dim = math.prod(sites)
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"matrix shape {m.shape} does not match sites {sites}")
+    sites, m = _shaped(mat, sites)
     fault = _density_fault(m)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return DensityMatrix(sites, m, frozenset(flags))
+
+
+def _derived(mat: Array, sites: Sequence[int], flags: Iterable[str]) -> DensityMatrix:
+    """Wrap ``mat``, a result that is PSD by a theorem its caller names, as a
+    density matrix over ``sites``.
+
+    Runs every O(D^2) check of :func:`as_density` (sites, shape, finiteness,
+    Hermiticity, unit trace) and skips its ``eigvalsh``.  Only a caller whose
+    inputs are density matrices and whose operation provably keeps them PSD
+    may use it: the PSD floor then holds up to the rounding of the operation.
+    """
+    sites, m = _shaped(mat, sites)
+    fault = _form_fault(m)
     if fault is not None:
         raise ValueError(fault[1])
     return DensityMatrix(sites, m, frozenset(flags))
@@ -251,13 +328,14 @@ def pure_density(
     sites: Sequence[int],
     flags: Iterable[str] = (),
 ) -> DensityMatrix:
-    """Outer product |v><v| of a normalized state vector as a DensityMatrix."""
+    """Outer product |v><v| of a normalized state vector as a DensityMatrix;
+    rank one with eigenvalue |v|^2 = 1, so PSD by construction."""
     v = np.asarray(vec, dtype=complex).ravel()
     nrm = np.linalg.norm(v)
     if not abs(nrm - 1.0) <= 1e-10:  # written so that a NaN norm fails
         raise ValueError(f"state vector norm is {nrm}, expected 1")
     v = v / nrm
-    return as_density(np.outer(v, v.conj()), sites, flags)
+    return _derived(np.outer(v, v.conj()), sites, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +462,8 @@ def apply_local_unitaries(
 
     Each entry of ``us`` is ``(site, U)``, contracted with the row and the
     column axis of its site in turn.  Every U is checked for unitarity
-    to 1e-12; trace/Hermiticity/PSD of the output are re-validated.
+    to 1e-12.  A unitary conjugation keeps the spectrum, so the output is
+    PSD by construction; its trace and Hermiticity are re-checked.
     """
     n = rho.n_sites
     t = _as_row_col_tensor(rho)
@@ -401,7 +480,7 @@ def apply_local_unitaries(
         row, col = site - 1, n + site - 1
         t = np.moveaxis(np.tensordot(u, t, axes=(1, row)), 0, row)
         t = np.moveaxis(np.tensordot(t, u.conj(), axes=(col, 1)), -1, col)
-    return as_density(t.reshape(rho.dim, rho.dim), rho.sites, rho.flags)
+    return _derived(t.reshape(rho.dim, rho.dim), rho.sites, rho.flags)
 
 
 # ---------------------------------------------------------------------------

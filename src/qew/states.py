@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, as_density, basis_index, pure_density, tensor_product
+from .qmat import Array, DensityMatrix, _derived, basis_index, pure_density, tensor_product
 
 __all__ = [
     "BlindChannel",
@@ -318,7 +318,9 @@ class BlindChannel:
         probs = np.array([t.p for t in self.terms], dtype=float)
         if not np.isfinite(probs).all():
             raise ValueError(f"term probabilities p must be finite, got {probs.tolist()}")
-        if np.any(probs < -PROB_TOL):
+        # a negative weight, however small, can make M indefinite, and the
+        # Schur bound apply_blind_channel relies on fails with it
+        if np.any(probs < 0.0):
             raise ValueError(f"negative term probability: {probs.min()}")
         if abs(float(probs.sum()) - 1.0) > PROB_TOL:
             raise ValueError(f"term probabilities sum to {float(probs.sum())}, expected 1")
@@ -363,8 +365,13 @@ def channel_from_dict(data: Mapping) -> BlindChannel:
 
 def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel) -> DensityMatrix:
     """M o rho with M = ``ch.multiplier(rho.sites)``, which is
-    sum_j p_j U_j rho U_j^dag."""
-    return as_density(ch.multiplier(rho.sites) * rho.mat, rho.sites, rho.flags)
+    sum_j p_j U_j rho U_j^dag.
+
+    PSD by the Schur product theorem: M is PSD (every p_j >= 0) with unit
+    diagonal, so lambda_min(M o rho) >= lambda_min(rho) max_i M_ii =
+    lambda_min(rho) (Schur's bound).  No eigen-decomposition is run.
+    """
+    return _derived(ch.multiplier(rho.sites) * rho.mat, rho.sites, rho.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +380,13 @@ def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel) -> DensityMatrix:
 
 
 def werner_mix(rho: DensityMatrix, v: float) -> DensityMatrix:
-    """v * rho + (1 - v)/D * I — white-noise mixing at visibility v."""
+    """v * rho + (1 - v)/D * I — white-noise mixing at visibility v; a convex
+    mixture of two density matrices, so PSD by construction."""
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {v}")
     d = rho.dim
     mat = v * rho.mat + (1.0 - v) / d * np.eye(d)
-    return as_density(mat, rho.sites, rho.flags)
+    return _derived(mat, rho.sites, rho.flags)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,18 @@ def test_witness_dephased_not_witnessed(tmp_path, capsys):
     failed = [i for i in rep["battery"]["items"] if not i["passed"]]
     assert [i["label"] for i in failed] == ["X@1 X@2"]
     assert failed[0]["contract"] == "NonZero"
+    # no leakage: the not-witnessed reading stands
+    assert rep["witness"]["leakage"] == 0.0 and "inconclusive" not in rep["witness"]
+
+
+def test_witness_leaky_not_witnessed_is_inconclusive(tmp_path, capsys):
+    code, out, _ = _run(capsys, "witness", _epr_file(tmp_path, 0.6), "--noise", "0.3")
+    assert code == 0
+    rep = json.loads(out)["witness"]
+    assert rep["verdict"] == "not-witnessed"
+    assert rep["leakage"] == pytest.approx(0.35)
+    assert rep["inconclusive"].startswith("leakage 3.500e-01 exceeds 1.0e-08: ")
+    assert "not-witnessed does not mean separable" in rep["inconclusive"]
 
 
 def test_witness_noisy_ghz_stays_entangled(tmp_path, capsys):
@@ -98,6 +110,8 @@ def test_witness_noisy_ghz_stays_entangled(tmp_path, capsys):
     assert rep["witness"]["verdict"] == "entangled"
     assert rep["witness"]["leakage"] == pytest.approx(0.075)
     assert rep["witness"]["lhs"] == pytest.approx(0.825)
+    # a violation is conclusive whatever the leakage
+    assert "inconclusive" not in rep["witness"]
 
 
 def test_witness_w_family_inferred(tmp_path, capsys):
@@ -631,10 +645,11 @@ def test_oracle_reports_its_first_violation(capsys, monkeypatch):
 
 def test_oracle_campaign_draws_its_samples_in_blocks(capsys, monkeypatch):
     """A 500-sample campaign makes no per-sample call: falling back to one
-    sampler, as_density or witness call per sample fails here."""
+    sampler, density constructor or witness call per sample fails here."""
     counts = {}
     originals = {
         "as_density": qmat.as_density,
+        "_derived": qmat._derived,
         "sample_separable": oracle.sample_separable,
         "sample_biseparable": oracle.sample_biseparable,
         **{f"witness_{w}": getattr(witnesses, f"witness_{w}") for w in ("epr", "ghz", "w", "qudit")},
@@ -652,8 +667,9 @@ def test_oracle_campaign_draws_its_samples_in_blocks(capsys, monkeypatch):
         counts.clear()
         code, _, _ = _run(capsys, "oracle", *argv, "--samples", "500", "--seed", "2", "--iters", "1")
         assert code == 0
-        # maximize_witness returns its best state through as_density once
-        assert counts == {"as_density": 1}, argv
+        # maximize_witness returns its best state, a pure product, through
+        # pure_density and so the unchecked-PSD constructor, once
+        assert counts == {"_derived": 1}, argv
 
 
 @pytest.mark.parametrize(

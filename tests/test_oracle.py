@@ -558,3 +558,21 @@ def test_bisect_threshold_validates_bracket():
         bisect_threshold(lambda v: True, 0.0, 1.0)
     with pytest.raises(ValueError):
         bisect_threshold(lambda v: False, 0.0, 1.0)
+
+
+def test_bisect_threshold_tolerance():
+    calls = []
+
+    def detected(v):
+        calls.append(v)
+        assert len(calls) < 2000, "bisection does not terminate"
+        return v > 0.3
+
+    for tol in (np.nan, 0.0, -1e-9, np.inf):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            bisect_threshold(detected, 0.0, 1.0, tol=tol)
+    assert not calls  # refused before the predicate runs
+    # a tolerance below one ulp ends where lo and hi are adjacent floats
+    thr = bisect_threshold(detected, 0.0, 1.0, tol=1e-30)
+    assert abs(thr - 0.3) <= np.spacing(0.3)
+    assert len(calls) < 100

@@ -143,6 +143,25 @@ def test_a_stack_is_checked_as_its_matrices_one_by_one():
     assert qmat._density_fault(np.array([good] * 3)) is None
 
 
+def test_hermiticity_check_reads_every_tile():
+    """The check reads large matrices in tiles; a fault anywhere, above or
+    below the diagonal and in the ragged last tiles, is found with the
+    deviation the whole-matrix formula gives."""
+    sites, dim = (3, 100), 300  # not a multiple of the tile side
+    base = np.eye(dim, dtype=complex) / dim
+    for pos in ((0, 299), (299, 0), (130, 5), (5, 130), (260, 270), (299, 299)):
+        m = base.copy()
+        m[pos] += 3e-12j
+        dev = np.abs(m - m.conj().T).max()
+        with pytest.raises(ValueError) as exc:
+            as_density(m, sites)
+        assert str(exc.value) == f"matrix is not Hermitian (max deviation {dev:.3e})"
+        m[pos] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            as_density(m, sites)
+    as_density(base, sites)
+
+
 def test_pure_density_norm_check():
     with pytest.raises(ValueError, match="norm"):
         pure_density(np.array([1.0, 1.0]), (2,))

@@ -196,6 +196,15 @@ def test_channel_validation():
     for p in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             BlindChannel((ChannelTerm(p, ((0.0, 0.0), (0.0, 0.0))),))
+    # any negative weight makes the multiplier indefinite, however small,
+    # even when the weights still sum to 1 within PROB_TOL
+    with pytest.raises(ValueError, match="negative term probability: -1e-13"):
+        BlindChannel(
+            (
+                ChannelTerm(1.0, ((0.0, 0.0), (0.0, 0.0))),
+                ChannelTerm(-1e-13, ((0.0, np.pi), (0.0, 0.0))),
+            )
+        )
     with pytest.raises(ValueError, match="finite"):
         BlindChannel(
             (
