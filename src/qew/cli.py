@@ -217,9 +217,11 @@ def cmd_scan_visibility(args: argparse.Namespace) -> int:
         raise InputError(
             f"offdiag range must lie within [0, 1/2], got start={start} stop={stop}"
         )
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    # compared as a float: a tiny step makes the row count overflow an int
+    count = np.floor((stop - start) / step + 1e-9) + 1
     if count > MAX_SCAN_ROWS:
-        raise InputError(f"row budget exceeded: {count} rows exceed {MAX_SCAN_ROWS}")
+        raise InputError(f"row budget exceeded: --step {step} gives over {MAX_SCAN_ROWS} rows")
+    count = int(count)
     values = np.minimum(start + step * np.arange(count), 0.5)
     lines = ["offdiag,v_witness,v_chsh,v_svetlichny3"]
     for c in values:
@@ -364,6 +366,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     kind = args.witness
     if args.samples < 1:
         raise InputError(f"need at least one sample, got {args.samples}")
+    if args.iters < 1:
+        raise InputError("iters must be >= 1")
     fam = witness_family(kind)
     sites = fam.sites(args.n, args.d)
     cfg = SamplerConfig(sites=sites, terms=args.terms, seed=args.seed)

@@ -24,26 +24,20 @@ remaining qubit, second = right input's):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .qmat import (
-    BELL_LABELS,
     PAULI_X,
     PAULI_Z,
-    ZERO_PROB,
     Array,
     DensityMatrix,
+    _branch,
     _derived,
-    _sandwich,
-    all_outcome_bits,
-    as_density,
     apply_local_unitaries,
-    bell_basis,
-    joint_measure_two_sites,
-    plusminus_basis,
     tensor_product,
 )
 from .states import (
@@ -300,14 +294,10 @@ def reduce_ghz_to_epr(
     others = [q for q in range(1, n + 1) if q not in (i, j)]
 
     def one_branch(bits: tuple[int, ...]) -> ReductionResult:
-        pm = plusminus_basis()
-        vec = tensor_product(*(pm[b] for b in bits))
-        # <v| rho |v> over all measured sites at once (a joint projection).
-        sub = _sandwich(rho, others, vec)
-        p = float(np.real(np.trace(sub)))
-        if p <= ZERO_PROB:
+        # all measured sites at once: one joint projection
+        p, state = _branch(rho, others, tensor_product(*(_PLUSMINUS[b] for b in bits)))
+        if state is None:
             raise ValueError(f"branch {bits} has zero probability")
-        state = as_density(sub / p, (2, 2))
         corrections: tuple[tuple[str, int], ...] = ()
         if sum(bits) % 2 == 1:
             state = apply_local_unitaries(state, [(1, PAULI_Z)])
@@ -322,9 +312,15 @@ def reduce_ghz_to_epr(
                 f"outcomes must be {len(others)} entries of 0 (+) or 1 (-), got {outcomes}"
             )
         return one_branch(bits)
-    return [one_branch(bits) for bits in all_outcome_bits(len(others))]
+    return [one_branch(bits) for bits in itertools.product((0, 1), repeat=len(others))]
 
 
+# Rows |+> and |-> of a qubit site
+_PLUSMINUS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+# Rows phi+, phi-, psi+, psi- of two qubit sites: the keys of _SWAP_CORRECTIONS, in order
+_BELL = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
+) / np.sqrt(2.0)
 _SWAP_CORRECTIONS: dict[str, tuple[tuple[str, int], ...]] = {
     "phi+": (),
     "phi-": (("Z", 1),),
@@ -350,17 +346,15 @@ def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[Reductio
         _require_edge_support(rho, "entanglement swap")
     # a Kronecker product of density matrices is PSD by construction
     joint = _derived(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2), ())
-    branches = joint_measure_two_sites(joint, (2, 3), bell_basis())
+    branches = [_branch(joint, (2, 3), vec) for vec in _BELL]
+    total = sum(p for p, _state in branches)
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"branch probabilities sum to {total}, expected 1")
     out = []
-    for k, br in enumerate(branches):
-        if br.flagged_zero:
-            continue
-        label = BELL_LABELS[k]
-        state = br.state
-        corrections = _SWAP_CORRECTIONS[label]
-        for name, q in corrections:
-            state = apply_local_unitaries(state, [(q, _PAULI_BY_NAME[name])])
-        out.append(ReductionResult((1, 4), state, corrections, br.probability, label))
+    for (label, corrections), (p, state) in zip(_SWAP_CORRECTIONS.items(), branches):
+        if state is not None:
+            state = apply_local_unitaries(state, [(q, _PAULI_BY_NAME[x]) for x, q in corrections])
+            out.append(ReductionResult((1, 4), state, corrections, p, label))
     return out
 
 

@@ -15,7 +15,7 @@ Conventions
   semidefiniteness, down to an eigenvalue floor of -1e-10 (the floor absorbs
   accumulation from channel mixing), is checked by one ``eigvalsh`` in
   :func:`as_density`, the entry for matrices from users or from
-  computations no theorem covers, such as a renormalized measurement branch
+  computations no theorem covers, such as a renormalized projection branch
   (dividing by its probability p scales the floor by 1/p).  Results that are
   PSD by a theorem skip that O(D^3) step (the private ``_derived``): pure
   states, white-noise mixtures, unitary conjugations, blind channels and
@@ -24,8 +24,8 @@ Conventions
 - Expectation values are returned as ``complex``; the imaginary part is
   reported, never discarded.  For Hermitian observables it is numerically
   tiny, and callers that need a real number should assert that themselves.
-- Measurement branches with probability below 1e-12 are flagged rather than
-  normalized, to avoid manufacturing a state out of 0/0.
+- A projection branch (the private ``_branch``) with probability at most
+  1e-12 gets no state, to avoid manufacturing one out of 0/0.
 - :func:`uniforms` is the package's only random source: every draw is a pure
   function of ``(seed, index, stream)``.
 
@@ -38,7 +38,6 @@ monomial picks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -49,7 +48,6 @@ Array = np.ndarray
 
 __all__ = [
     "Array",
-    "BELL_LABELS",
     "PAULI_I",
     "PAULI_X",
     "PAULI_Y",
@@ -57,18 +55,13 @@ __all__ = [
     "DensityMatrix",
     "Factor",
     "Observable",
-    "MeasureBranch",
-    "all_outcome_bits",
     "as_density",
     "basis_index",
-    "bell_basis",
     "clock_op",
     "expectation",
     "apply_local_unitaries",
-    "joint_measure_two_sites",
     "obs",
     "pauli",
-    "plusminus_basis",
     "pure_density",
     "realize_observable",
     "shift_op",
@@ -84,7 +77,6 @@ PSD_FLOOR = -1e-10
 _HERM_TILE = 128
 ZERO_PROB = 1e-12
 UNITARY_TOL = 1e-12
-ORTHO_TOL = 1e-12
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -204,9 +196,6 @@ class DensityMatrix:
     @property
     def n_sites(self) -> int:
         return len(self.sites)
-
-    def with_flags(self, *names: str) -> "DensityMatrix":
-        return DensityMatrix(self.sites, self.mat, self.flags | frozenset(names))
 
 
 def _herm_err(s: Array) -> Array:
@@ -484,33 +473,8 @@ def apply_local_unitaries(
 
 
 # ---------------------------------------------------------------------------
-# measurement
+# projection
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeasureBranch:
-    """One outcome of a projective measurement.
-
-    ``state`` is the normalized post-measurement state on the *remaining*
-    sites, or ``None`` when the branch probability is below 1e-12
-    (``flagged_zero`` is then True).
-    """
-
-    outcome: int
-    probability: float
-    state: DensityMatrix | None
-    flagged_zero: bool = False
-
-
-def _check_orthonormal(basis: Array, d: int) -> Array:
-    b = np.asarray(basis, dtype=complex)
-    if b.shape != (d, d):
-        raise ValueError(f"basis must contain {d} vectors of length {d}, got {b.shape}")
-    gram = b.conj() @ b.T
-    if float(np.max(np.abs(gram - np.eye(d)))) > ORTHO_TOL * max(1.0, d):
-        raise ValueError("measurement basis is not orthonormal")
-    return b
 
 
 def _as_row_col_tensor(rho: DensityMatrix) -> Array:
@@ -543,66 +507,18 @@ def _sandwich(rho: DensityMatrix, positions: Sequence[int], vec: Array) -> Array
     return np.einsum("m,mrns,n->rs", v.conj(), t, v)
 
 
-def _measure_branches(
-    rho: DensityMatrix, positions: Sequence[int], b: Array
-) -> list[MeasureBranch]:
-    """One branch per row of the checked basis ``b``, measured jointly on ``positions``."""
+def _branch(
+    rho: DensityMatrix, positions: Sequence[int], vec: Array
+) -> tuple[float, DensityMatrix | None]:
+    """Probability p of projecting the sites at ``positions`` onto the unit
+    vector ``vec``, and the renormalized state on the other sites, or None
+    when p is at most 1e-12.  Checked by ``as_density``: 1/p scales the PSD floor."""
+    sub = _sandwich(rho, positions, vec)
+    p = float(np.real(np.trace(sub)))
+    if p <= ZERO_PROB:
+        return p, None
     rest = tuple(d for i, d in enumerate(rho.sites, start=1) if i not in positions)
-    branches: list[MeasureBranch] = []
-    total = 0.0
-    for k in range(len(b)):
-        sub = _sandwich(rho, positions, b[k])
-        p = float(np.real(np.trace(sub)))
-        total += p
-        if p <= ZERO_PROB:
-            branches.append(MeasureBranch(k, max(p, 0.0), None, flagged_zero=True))
-        else:
-            branches.append(MeasureBranch(k, p, as_density(sub / p, rest)))
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    return branches
-
-
-def joint_measure_two_sites(
-    rho: DensityMatrix,
-    sites: tuple[int, int],
-    basis: Array,
-) -> list[MeasureBranch]:
-    """Joint projective measurement of two qubit sites in a 4-vector basis."""
-    i, j = sites
-    if i == j:
-        raise ValueError("joint measurement needs two distinct sites")
-    for s in (i, j):
-        if not 1 <= s <= rho.n_sites:
-            raise ValueError(f"site {s} out of range")
-        if rho.sites[s - 1] != 2:
-            raise ValueError(f"joint measurement requires qubit sites, site {s} has d={rho.sites[s - 1]}")
-    if rho.n_sites < 3:
-        raise ValueError("need at least one unmeasured site")
-    return _measure_branches(rho, [i, j], _check_orthonormal(basis, 4))
-
-
-def plusminus_basis() -> Array:
-    """Rows are |+> and |-> for a qubit site."""
-    s = 1.0 / np.sqrt(2.0)
-    return np.array([[s, s], [s, -s]], dtype=complex)
-
-
-def bell_basis() -> Array:
-    """Rows are phi+, phi-, psi+, psi- for two qubit sites."""
-    s = 1.0 / np.sqrt(2.0)
-    return np.array(
-        [
-            [s, 0.0, 0.0, s],
-            [s, 0.0, 0.0, -s],
-            [0.0, s, s, 0.0],
-            [0.0, s, -s, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
+    return p, as_density(sub / p, rest)
 
 
 def basis_index(digits: Sequence[int], sites: Sequence[int]) -> int:
@@ -615,8 +531,3 @@ def basis_index(digits: Sequence[int], sites: Sequence[int]) -> int:
             raise ValueError(f"digit {j} out of range for dimension {d}")
         idx = idx * d + j
     return idx
-
-
-def all_outcome_bits(n: int) -> Iterable[tuple[int, ...]]:
-    """All length-n 0/1 outcome tuples in lexicographic order."""
-    return itertools.product((0, 1), repeat=n)

@@ -557,6 +557,7 @@ def test_size_arguments_over_budget_exit_2(tmp_path, capsys, monkeypatch):
         (["zkp", strategy, "--n", str(10**12), "--seed", "1"], MAX_ROUNDS),
         (["zkp", strategy, "--workers", "1000000000", "--seed", "1"], MAX_WORKERS),
         (["scan-visibility", "--step", "1e-12"], MAX_SCAN_ROWS),
+        (["scan-visibility", "--step", "1e-320"], MAX_SCAN_ROWS),
     ):
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -699,6 +700,15 @@ def test_oracle_sample_count_validated(capsys):
     assert code == 2 and "sample" in err
     code, _, err = _run(capsys, "oracle", "--witness", "qudit", "--n", "0", "--seed", "1")
     assert code == 2 and "sites" in err and "Traceback" not in err
+
+
+def test_oracle_iters_refused_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("the campaign ran before --iters was checked")
+
+    monkeypatch.setattr(cli, "_sample_block", no_sampling)
+    code, out, err = _run(capsys, "oracle", "--witness", "epr", "--iters", "0", "--seed", "1")
+    assert (code, out, err) == (2, "", "error: iters must be >= 1\n")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qew import networks
 from qew.networks import (
     CpGate,
     NetworkSpec,
@@ -309,6 +311,12 @@ def test_reduce_leakage_tolerance_kwarg():
 # ---------------------------------------------------------------------------
 
 
+def test_bases_are_orthonormal():
+    for b in (networks._PLUSMINUS, networks._BELL):
+        assert np.allclose(b @ b.conj().T, np.eye(b.shape[0]))
+    assert list(networks._SWAP_CORRECTIONS) == ["phi+", "phi-", "psi+", "psi-"]
+
+
 def _swap_branch(rho_ab, rho_cd, outcome):
     """The one branch of :func:`swap_branches` with the given Bell label."""
     (branch,) = [br for br in swap_branches(rho_ab, rho_cd) if br.outcome == outcome]
@@ -370,6 +378,43 @@ def test_swap_validation():
     leaky = pure_density(np.array([0, 1, 1, 0]) / np.sqrt(2), (2, 2))
     with pytest.raises(ValueError, match="edge subspace"):
         swap_branches(rho, leaky)
+
+
+def _channel_image(rho, phase, weight):
+    """``rho`` through a two-term blind channel that dephases its second qubit."""
+    ch = BlindChannel(
+        (
+            ChannelTerm(weight, ((0.0, 0.0),) * rho.n_sites),
+            ChannelTerm(
+                1.0 - weight,
+                ((0.0, 0.0), (0.0, phase)) + ((0.0, 0.0),) * (rho.n_sites - 2),
+            ),
+        )
+    )
+    return apply_blind_channel(rho, ch)
+
+
+def _reduction_cases():
+    for n in (3, 4, 5):
+        for th in (0.3, np.pi / 4, 1.2):
+            rho = _channel_image(ghz_state(n, th), 0.9, 0.7)
+            yield from reduce_ghz_to_epr(rho, (1, n))
+            yield reduce_ghz_to_epr(rho, (n, 2), outcomes=(1,) * (n - 2))
+    pairs = [epr_state(0.0), epr_state(0.5), _channel_image(epr_state(0.9), 1.1, 0.6)]
+    for a in pairs:
+        for b in pairs:
+            yield from swap_branches(a, b)
+
+
+def test_reductions_are_pinned():
+    """Every field and the state bytes of fixed GHZ reductions and swaps,
+    hashed, so any change to the projection or the corrections shows here."""
+    h = hashlib.sha256()
+    for r in _reduction_cases():
+        fields = (r.pair, r.corrections, r.probability.hex(), r.outcome, r.state.sites)
+        h.update(repr(fields + (sorted(r.state.flags),)).encode())
+        h.update(r.state.mat.tobytes())
+    assert h.hexdigest() == "98bdab4b94de4b50b865d4297962c7c886017bf2c1d7ba57e3d30a2829e5d044"
 
 
 def test_reduction_result_probability_range():

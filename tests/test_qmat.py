@@ -1,4 +1,4 @@
-"""Kernel tests: operators, density validation, measurement, index maps."""
+"""Kernel tests: operators, density validation, index maps."""
 
 from __future__ import annotations
 
@@ -11,19 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import qew.qmat as qmat
 from qew.qmat import (
-    BELL_LABELS,
     DensityMatrix,
-    all_outcome_bits,
     apply_local_unitaries,
     as_density,
     basis_index,
-    bell_basis,
     clock_op,
     expectation,
-    joint_measure_two_sites,
     obs,
     pauli,
-    plusminus_basis,
     pure_density,
     realize_observable,
     shift_op,
@@ -173,8 +168,6 @@ def test_pure_density_norm_check():
 def test_flags_carried():
     r = as_density(np.eye(2) / 2, (2,), flags=("boundary",))
     assert "boundary" in r.flags
-    r2 = r.with_flags("extra")
-    assert set(r2.flags) == {"boundary", "extra"}
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +292,6 @@ def test_apply_local_unitaries_flip():
 
 
 # ---------------------------------------------------------------------------
-# measurement
-# ---------------------------------------------------------------------------
-
-
-def test_joint_measure_bell_identifies_bell_state():
-    # Phi+ (x) |0>: measuring sites (1, 2) jointly in the Bell basis is certain
-    v = np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), np.array([1.0, 0.0]))
-    rho = pure_density(v, (2, 2, 2))
-    branches = joint_measure_two_sites(rho, (1, 2), bell_basis())
-    assert [b.outcome for b in branches] == [0, 1, 2, 3]
-    assert branches[0].probability == pytest.approx(1.0)
-    assert branches[0].state.mat[0, 0] == pytest.approx(1.0)
-    assert all(b.flagged_zero for b in branches[1:])
-    assert len(BELL_LABELS) == 4
-
-
-def test_joint_measure_splits_across_entangled_cut():
-    # Phi+ on (1, 2), |+> on 3; measuring (2, 3) mixes the four outcomes
-    v = np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), np.array([1.0, 1.0]) / np.sqrt(2))
-    rho = pure_density(v, (2, 2, 2))
-    branches = joint_measure_two_sites(rho, (2, 3), bell_basis())
-    assert sum(b.probability for b in branches) == pytest.approx(1.0)
-    for b in branches:
-        assert b.probability == pytest.approx(0.25)
-        assert b.state.sites == (2,)
-
-
-def test_joint_measure_needs_three_sites():
-    with pytest.raises(ValueError):
-        joint_measure_two_sites(bell_phi_plus(), (1, 2), bell_basis())
-
-
-def test_measure_basis_validation():
-    rho = pure_density(np.kron(np.array([1, 0, 0, 1]) / np.sqrt(2), [1.0, 0.0]), (2, 2, 2))
-    with pytest.raises(ValueError, match="orthonormal"):
-        joint_measure_two_sites(rho, (1, 2), np.array([[1.0, 0.0, 0.0, 0.0]] * 4))
-
-
-# ---------------------------------------------------------------------------
 # index maps
 # ---------------------------------------------------------------------------
 
@@ -354,16 +308,6 @@ def test_basis_index_site_one_most_significant():
     assert basis_index((1, 0), (2, 2)) == 2
     assert basis_index((0, 1), (2, 2)) == 1
     assert basis_index((1, 2), (3, 3)) == 5
-
-
-def test_bases_are_orthonormal():
-    for b in (plusminus_basis(), bell_basis()):
-        assert np.allclose(b @ b.conj().T, np.eye(b.shape[0]))
-
-
-def test_all_outcome_bits_order():
-    got = list(all_outcome_bits(2))
-    assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # ---------------------------------------------------------------------------

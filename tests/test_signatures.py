@@ -37,7 +37,6 @@ ALLOWED_DEFAULTS = {
     "oracle.ppt_check(subset)",
     "qmat.DensityMatrix(flags)",
     "qmat.Factor(power)",
-    "qmat.MeasureBranch(flagged_zero)",
     "qmat.as_density(flags)",
     "qmat.pure_density(flags)",
     "qmat.site_operator(power)",
