@@ -28,6 +28,7 @@ from .networks import (
 )
 from .oracle import SamplerConfig, _sample_block, block_length, maximize_witness
 from .states import (
+    _entry,
     _integer,
     _list,
     _positive,
@@ -255,18 +256,19 @@ def _as_complex(x) -> complex:
 
 
 def _parse_strategy(data: Mapping) -> HonestStrategy | SeparableDiagStrategy | FixedOutcomesStrategy:
-    kind = data.get("kind")
+    kind = _entry("strategy spec", data, "kind")
     if kind == "honest":
         channel = data.get("channel")
         return HonestStrategy(
-            state=parse_state_spec(data["state"]),
+            state=parse_state_spec(_entry("strategy spec", data, "state")),
             channel=channel_from_dict(channel) if channel is not None else None,
             visibility=_real("noise", data.get("noise", 1.0)),
         )
     if kind == "separable_diag":
         return SeparableDiagStrategy(p0=_real("p0", data.get("p0", 0.5)))
     if kind == "fixed_outcomes":
-        outcomes = tuple(_integer("outcomes", x) for x in _list("outcomes", data["outcomes"]))
+        raw = _list("outcomes", _entry("strategy spec", data, "outcomes"))
+        outcomes = tuple(_integer("outcomes", x) for x in raw)
         if len(outcomes) != 2:
             raise InputError("fixed_outcomes needs two entries (a for k=0, a for k=1)")
         vq = data.get("verifier_qubit")
@@ -295,10 +297,7 @@ def _cells_dict(cells) -> dict:
 
 def cmd_zkp(args: argparse.Namespace) -> int:
     _positive("--z", args.z)
-    try:
-        strategy = _parse_strategy(_load_json(args.strategy))
-    except KeyError as exc:
-        raise InputError(f"strategy spec missing entry: {exc}") from None
+    strategy = _parse_strategy(_load_json(args.strategy))
     transcript = run_protocol(strategy, args.n, args.seed, workers=args.workers)
     tpath = _out_path(args.transcript)
     tpath.parent.mkdir(parents=True, exist_ok=True)
@@ -482,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

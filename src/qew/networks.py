@@ -25,6 +25,7 @@ remaining qubit, second = right input's):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -44,6 +45,7 @@ from .states import (
     MAX_DIM,
     BlindChannel,
     StateSpec,
+    _entry,
     _integer,
     _list,
     _real,
@@ -144,23 +146,21 @@ def qubit_owners(spec: NetworkSpec) -> list[tuple[str, int]]:
 
 def parse_network_spec(data: Mapping) -> NetworkSpec:
     """Parse the JSON network form (parties / sources / cp_gates)."""
-    try:
-        parties = tuple(str(p) for p in _list("parties", data["parties"]))
-        raw_sources = _list("sources", data["sources"])
-    except KeyError as exc:
-        raise ValueError(f"network spec missing entry: {exc}") from None
+    parties = tuple(str(p) for p in _list("parties", _entry("network spec", data, "parties")))
     sources = []
-    for s in raw_sources:
+    for s in _list("sources", _entry("network spec", data, "sources")):
         s = _record("sources", s)
-        owners = tuple(str(o) for o in _list("owners", s["owners"]))
-        sources.append(SourceSpec(parse_state_spec(s["state"]), owners))
+        owners = tuple(str(o) for o in _list("owners", _entry("network source", s, "owners")))
+        sources.append(SourceSpec(parse_state_spec(_entry("network source", s, "state")), owners))
     gates = []
     for g in _list("cp_gates", data.get("cp_gates", [])):
         g = _record("cp_gates", g)
-        qubits = tuple(_integer("qubits", q) for q in _list("qubits", g["qubits"]))
+        raw_qubits = _list("qubits", _entry("cp gate", g, "qubits"))
+        qubits = tuple(_integer("qubits", q) for q in raw_qubits)
         if len(qubits) != 2:
-            raise ValueError(f"field 'qubits' must list two qubits, got {g['qubits']!r}")
-        gates.append(CpGate(str(g["party"]), _real("theta", g["theta"]), qubits))
+            raise ValueError(f"field 'qubits' must list two qubits, got {raw_qubits!r}")
+        party = str(_entry("cp gate", g, "party"))
+        gates.append(CpGate(party, _real("theta", _entry("cp gate", g, "theta")), qubits))
     return NetworkSpec(parties, tuple(sources), tuple(gates))
 
 
@@ -191,7 +191,7 @@ def _gates_diagonal(spec: NetworkSpec, dims: tuple[int, ...]) -> Array:
     entry I picks up e^{i theta} for each gate whose two qubits are both 1
     in I's digit expansion.
     """
-    diag = np.ones(int(np.prod(dims)), dtype=complex)
+    diag = np.ones(math.prod(dims), dtype=complex)
     for g in spec.cp_gates:
         # 1 exactly where both gate qubits are 1: a product of per-site indicators
         both = tensor_product(
@@ -212,24 +212,20 @@ def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> Densi
     result g g^dag o M o (rho_1 x ... x rho_s) is PSD by construction: a
     Kronecker product of density matrices is PSD, and so is its Schur
     product with the PSD unit-diagonal g g^dag o M (Schur product theorem),
-    so it gets the O(D^2) checks and no eigen-decomposition.  Gates with
-    angles outside (0, pi) are allowed but flag the output.
+    so it gets the O(D^2) checks and no eigen-decomposition.  A gate may
+    take any finite angle; the standard CZ is the angle pi.
     """
     dims = tuple(d for _owner, d in qubit_owners(spec))
-    if int(np.prod(dims)) > MAX_DIM:
-        raise ValueError(
-            f"qubit budget exceeded: total dimension {int(np.prod(dims))} > {MAX_DIM}"
-        )
+    dim = math.prod(dims)  # exact: an int64 product wraps to -2^63 at 63 qubits, 0 at 64
+    if dim > MAX_DIM:
+        raise ValueError(f"qubit budget exceeded: total dimension {dim} > {MAX_DIM}")
     states = [build_state(src.state) for src in spec.sources]
-    flags = set().union(*(rho.flags for rho in states))
-    if any(not 0.0 < g.theta < np.pi for g in spec.cp_gates):
-        flags.add("gate-angle-boundary")
     phases = _gates_diagonal(spec, dims)
     m = np.outer(phases, phases.conj())
     if ch is not None:
         m *= ch.multiplier(dims)
     m *= tensor_product(*(rho.mat for rho in states))
-    return _derived(m, dims, flags)
+    return _derived(m, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,7 @@ def reduce_ghz_to_epr(
         return ReductionResult((i, j), state, corrections, p, label)
 
     if outcomes is not None:
-        bits = tuple(int(b) for b in outcomes)
+        bits = tuple(_integer("outcomes", b) for b in outcomes)
         if len(bits) != len(others) or any(b not in (0, 1) for b in bits):
             raise ValueError(
                 f"outcomes must be {len(others)} entries of 0 (+) or 1 (-), got {outcomes}"
@@ -345,7 +341,7 @@ def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[Reductio
             raise ValueError(f"{name} input must be a two-qubit state, got {rho.sites}")
         _require_edge_support(rho, "entanglement swap")
     # a Kronecker product of density matrices is PSD by construction
-    joint = _derived(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2), ())
+    joint = _derived(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2))
     branches = [_branch(joint, (2, 3), vec) for vec in _BELL]
     total = sum(p for p, _state in branches)
     if abs(total - 1.0) > 1e-10:

@@ -39,8 +39,8 @@ monomial picks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -175,10 +175,10 @@ class DensityMatrix:
     """A validated density matrix over an ordered list of sites.
 
     ``sites`` holds the local dimension of each site; ``mat`` is the dense
-    D x D matrix with D = prod(sites).  ``flags`` carries advisory markers
-    such as ``"boundary"`` (the state sits on the separable edge of its
-    family).  Construct through :func:`as_density` or :func:`pure_density`
-    so the invariants are actually checked.  Every constructor checks
+    D x D matrix with D = prod(sites).  The two are the whole state: a
+    verdict comes from the matrix elements a witness reads, never from a
+    label.  Construct through :func:`as_density` or :func:`pure_density` so
+    the invariants are actually checked.  Every constructor checks
     finiteness, Hermiticity and unit trace; :func:`as_density` alone also
     runs the ``eigvalsh`` PSD check, and the constructions that are PSD by a
     theorem (see the module docstring) skip it.  The oracle's samplers wrap
@@ -187,7 +187,6 @@ class DensityMatrix:
 
     sites: tuple[int, ...]
     mat: Array
-    flags: frozenset[str] = field(default_factory=frozenset)
 
     @property
     def dim(self) -> int:
@@ -277,11 +276,7 @@ def _shaped(mat: Array, sites: Sequence[int]) -> tuple[tuple[int, ...], Array]:
     return sites, m
 
 
-def as_density(
-    mat: Array,
-    sites: Sequence[int],
-    flags: Iterable[str] = (),
-) -> DensityMatrix:
+def as_density(mat: Array, sites: Sequence[int]) -> DensityMatrix:
     """Validate ``mat`` as a density matrix over ``sites`` and wrap it.
 
     Raises ``ValueError`` when the matrix is not finite, Hermitian, of unit
@@ -293,10 +288,10 @@ def as_density(
     fault = _density_fault(m)
     if fault is not None:
         raise ValueError(fault[1])
-    return DensityMatrix(sites, m, frozenset(flags))
+    return DensityMatrix(sites, m)
 
 
-def _derived(mat: Array, sites: Sequence[int], flags: Iterable[str]) -> DensityMatrix:
+def _derived(mat: Array, sites: Sequence[int]) -> DensityMatrix:
     """Wrap ``mat``, a result that is PSD by a theorem its caller names, as a
     density matrix over ``sites``.
 
@@ -309,14 +304,10 @@ def _derived(mat: Array, sites: Sequence[int], flags: Iterable[str]) -> DensityM
     fault = _form_fault(m)
     if fault is not None:
         raise ValueError(fault[1])
-    return DensityMatrix(sites, m, frozenset(flags))
+    return DensityMatrix(sites, m)
 
 
-def pure_density(
-    vec: Array,
-    sites: Sequence[int],
-    flags: Iterable[str] = (),
-) -> DensityMatrix:
+def pure_density(vec: Array, sites: Sequence[int]) -> DensityMatrix:
     """Outer product |v><v| of a normalized state vector as a DensityMatrix;
     rank one with eigenvalue |v|^2 = 1, so PSD by construction."""
     v = np.asarray(vec, dtype=complex).ravel()
@@ -324,7 +315,7 @@ def pure_density(
     if not abs(nrm - 1.0) <= 1e-10:  # written so that a NaN norm fails
         raise ValueError(f"state vector norm is {nrm}, expected 1")
     v = v / nrm
-    return _derived(np.outer(v, v.conj()), sites, flags)
+    return _derived(np.outer(v, v.conj()), sites)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +460,7 @@ def apply_local_unitaries(
         row, col = site - 1, n + site - 1
         t = np.moveaxis(np.tensordot(u, t, axes=(1, row)), 0, row)
         t = np.moveaxis(np.tensordot(t, u.conj(), axes=(col, 1)), -1, col)
-    return _derived(t.reshape(rho.dim, rho.dim), rho.sites, rho.flags)
+    return _derived(t.reshape(rho.dim, rho.dim), rho.sites)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-BOUNDARY_TOL = 1e-12
 MAX_DIM = 4096  # 12 qubits
 
 
@@ -89,15 +88,13 @@ def parse_state_spec(data: Mapping) -> StateSpec:
     Specs whose total dimension exceeds ``MAX_DIM`` are rejected here,
     before any matrix is allocated.
     """
-    try:
-        kind = _record("state", data)["kind"]
-    except KeyError:
-        raise ValueError("state spec needs a 'kind' entry") from None
+    data = _record("state", data)
+    kind = _entry("state spec", data, "kind")
     entry = _kind(kind)
     values = {}
     for key in entry.fields:
         attr, parse = _FIELDS[key]
-        values[attr] = parse(key, data[key])
+        values[attr] = parse(key, _entry("state spec", data, key))
     spec = StateSpec(kind=kind, **values)
     uniform_sites(*entry.shape(spec))
     return spec
@@ -131,8 +128,8 @@ def spec_to_dict(spec: StateSpec) -> dict:
 def epr_state(theta: float) -> DensityMatrix:
     """cos(theta)|00> + sin(theta)|11> as a density matrix.
 
-    Angles where cos or sin vanishes give a product state; the output is
-    still returned but carries a ``boundary`` flag.
+    Angles where cos or sin vanishes give a product state.  It is returned
+    like any other member; its EPR witness reads a left-hand side of 0.
     """
     return ghz_state(2, theta)
 
@@ -145,8 +142,7 @@ def ghz_state(n: int, theta: float) -> DensityMatrix:
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = c
     vec[-1] = s
-    flags = ("boundary",) if abs(c * s) <= BOUNDARY_TOL else ()
-    return pure_density(vec, (2,) * n, flags)
+    return pure_density(vec, (2,) * n)
 
 
 def w_state(a: Sequence[float]) -> DensityMatrix:
@@ -158,8 +154,7 @@ def w_state(a: Sequence[float]) -> DensityMatrix:
         raise ValueError(f"amplitudes must be normalized, got sum of squares {float(a @ a)}")
     vec = np.zeros(8, dtype=complex)
     vec[[1, 2, 4, 7]] = a
-    flags = ("boundary",) if np.count_nonzero(np.abs(a) > BOUNDARY_TOL) <= 1 else ()
-    return pure_density(vec, (2, 2, 2), flags)
+    return pure_density(vec, (2, 2, 2))
 
 
 def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
@@ -177,8 +172,7 @@ def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
     vec = np.zeros(d**n, dtype=complex)
     for j in range(d):
         vec[basis_index((j,) * n, sites)] = alpha[j]
-    flags = ("boundary",) if np.count_nonzero(np.abs(alpha) > BOUNDARY_TOL) <= 1 else ()
-    return pure_density(vec, sites, flags)
+    return pure_density(vec, sites)
 
 
 # JSON field parsers for states, channels, networks and prover strategies:
@@ -223,6 +217,15 @@ def _record(key: str, value) -> Mapping:
     if isinstance(value, Mapping):
         return value
     raise ValueError(f"field {key!r} must be an object, got {value!r}")
+
+
+def _entry(what: str, record: Mapping, key: str):
+    """``record[key]``; a missing entry is a ValueError naming the key and the
+    record, ``what``."""
+    try:
+        return record[key]
+    except KeyError:
+        raise ValueError(f"{what} needs a {key!r} entry") from None
 
 
 def _amplitudes(key: str, values) -> tuple[float, ...]:
@@ -349,17 +352,12 @@ class BlindChannel:
 
 def channel_from_dict(data: Mapping) -> BlindChannel:
     """Parse the JSON form ``{"terms": [{"p": ..., "site_phases": [[...], ...]}]}``."""
-    try:
-        raw_terms = _record("channel", data)["terms"]
-    except KeyError:
-        raise ValueError("channel spec needs a 'terms' entry") from None
     terms = []
-    for t in _list("terms", raw_terms):
+    for t in _list("terms", _entry("channel spec", _record("channel", data), "terms")):
         t = _record("terms", t)
-        phases = tuple(
-            _amplitudes("site_phases", site) for site in _list("site_phases", t["site_phases"])
-        )
-        terms.append(ChannelTerm(_real("p", t["p"]), phases))
+        raw_phases = _list("site_phases", _entry("channel term", t, "site_phases"))
+        phases = tuple(_amplitudes("site_phases", site) for site in raw_phases)
+        terms.append(ChannelTerm(_real("p", _entry("channel term", t, "p")), phases))
     return BlindChannel(tuple(terms))
 
 
@@ -371,7 +369,7 @@ def apply_blind_channel(rho: DensityMatrix, ch: BlindChannel) -> DensityMatrix:
     diagonal, so lambda_min(M o rho) >= lambda_min(rho) max_i M_ii =
     lambda_min(rho) (Schur's bound).  No eigen-decomposition is run.
     """
-    return _derived(ch.multiplier(rho.sites) * rho.mat, rho.sites, rho.flags)
+    return _derived(ch.multiplier(rho.sites) * rho.mat, rho.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +384,7 @@ def werner_mix(rho: DensityMatrix, v: float) -> DensityMatrix:
         raise ValueError(f"visibility must be in [0, 1], got {v}")
     d = rho.dim
     mat = v * rho.mat + (1.0 - v) / d * np.eye(d)
-    return _derived(mat, rho.sites, rho.flags)
+    return _derived(mat, rho.sites)
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,7 @@ def test_zkp_strategy_errors(tmp_path, capsys, monkeypatch):
     assert code == 2 and "teleport" in err
     incomplete = _write(tmp_path, "inc.json", {"kind": "fixed_outcomes"})
     code, _, err = _run(capsys, "zkp", incomplete, "--seed", "1")
-    assert code == 2 and "missing entry" in err
+    assert code == 2 and "strategy spec needs a 'outcomes' entry" in err
     epr = {"kind": "epr", "theta": 0.7}
     for field, strategy in (
         ("noise", {"kind": "honest", "state": epr, "noise": [1]}),
@@ -435,7 +435,7 @@ def test_network_dephased_source_fails(tmp_path, capsys):
 def test_network_spec_error(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json", {"parties": ["A"]})
     code, _, err = _run(capsys, "network", bad)
-    assert code == 2 and "missing entry" in err
+    assert code == 2 and "network spec needs a 'sources' entry" in err
     good = json.loads(Path(_chain_network(tmp_path)).read_text(encoding="utf-8"))
     gate = {"party": "B", "theta": 1.0, "qubits": [2, 3]}
     for field, change in (
@@ -449,6 +449,18 @@ def test_network_spec_error(tmp_path, capsys):
         code, out, err = _run(capsys, "network", path)
         assert code == 2 and out == "" and f"'{field}'" in err, (change, err)
         assert "Traceback" not in err
+
+
+def test_network_over_budget_past_64_bits(tmp_path, capsys, monkeypatch):
+    # 32 EPR sources are 64 qubits, a total dimension an int64 product wraps to 0
+    def no_kron(*mats):
+        raise AssertionError("the budget check let the spec through")
+
+    monkeypatch.setattr(networks, "tensor_product", no_kron)
+    source = {"state": {"kind": "epr", "theta": 0.7}, "owners": ["A", "A"]}
+    spec = _write(tmp_path, "huge.json", {"parties": ["A"], "sources": [source] * 32})
+    code, out, err = _run(capsys, "network", spec)
+    assert code == 2 and out == "" and "budget" in err
 
 
 # Every option string of every subcommand, help aside: a new or removed flag
@@ -826,3 +838,32 @@ def test_valid_inputs_behind_the_malformed_ones_run(tmp_path, capsys, monkeypatc
                 "zkp": ["zkp", path, "--n", "400", "--seed", "1"]}.get(command, [command, path])
         code, out, err = _run(capsys, *argv)
         assert code == 0 and err == "", (command, doc, err)
+
+
+# Every required key of every valid input, at every depth
+_REQUIRED = [
+    (command, doc, path)
+    for command, doc in _VALID_INPUTS
+    for path, _value in _fields(doc)
+    if isinstance(path[-1], str) and path[-1] not in _OPTIONAL_KEYS
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    _REQUIRED,
+    ids=[f"{c}-{d['kind'] if 'kind' in d else 'spec'}-{'.'.join(map(str, p))}" for c, d, p in _REQUIRED],
+)
+def test_missing_entry_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, doc, path):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    file = _write(tmp_path, "input.json", doc)
+    argv = {"channel": ["witness", _epr_file(tmp_path), "--channel", file],
+            "zkp": ["zkp", file, "--seed", "1"]}.get(command, [command, file])
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: [a-z ]+ needs a '{path[-1]}' entry\n", err), err

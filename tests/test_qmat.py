@@ -165,11 +165,6 @@ def test_pure_density_norm_check():
             pure_density(np.array(bad), (2, 2))
 
 
-def test_flags_carried():
-    r = as_density(np.eye(2) / 2, (2,), flags=("boundary",))
-    assert "boundary" in r.flags
-
-
 # ---------------------------------------------------------------------------
 # observables and expectations
 # ---------------------------------------------------------------------------

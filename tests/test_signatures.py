@@ -35,10 +35,7 @@ ALLOWED_DEFAULTS = {
     "networks.reduce_ghz_to_epr(outcomes)",
     "oracle.bisect_threshold(tol)",
     "oracle.ppt_check(subset)",
-    "qmat.DensityMatrix(flags)",
     "qmat.Factor(power)",
-    "qmat.as_density(flags)",
-    "qmat.pure_density(flags)",
     "qmat.site_operator(power)",
     "states.StateSpec(amplitudes)",
     "states.StateSpec(d)",

@@ -41,7 +41,6 @@ def test_epr_matrix_elements():
     assert rho.mat[0, 0] == pytest.approx(0.5)
     assert rho.mat[3, 3] == pytest.approx(0.5)
     assert rho.mat[0, 3] == pytest.approx(0.5)
-    assert not rho.flags
 
 
 def test_epr_general_angle():
@@ -50,12 +49,11 @@ def test_epr_general_angle():
     assert rho.mat[0, 3] == pytest.approx(np.cos(th) * np.sin(th))
 
 
-def test_ghz_boundary_flagged():
-    assert "boundary" in ghz_state(3, np.pi / 2).flags
-    assert "boundary" in ghz_state(3, 0.0).flags
-    assert not ghz_state(3, 0.3).flags
-    # theta = pi/2 collapses onto |111>
+def test_ghz_boundary_is_a_product():
+    # theta = 0 and pi/2 collapse onto |000> and |111>: no coherence is left
+    assert ghz_state(3, 0.0).mat[0, 0] == pytest.approx(1.0)
     assert ghz_state(3, np.pi / 2).mat[7, 7] == pytest.approx(1.0)
+    assert ghz_state(3, np.pi / 2).mat[0, 7] == pytest.approx(0.0)
 
 
 def test_w_state_elements_and_validation():
@@ -66,7 +64,6 @@ def test_w_state_elements_and_validation():
         w_state([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         w_state([1.0, 0.0, 0.0])
-    assert "boundary" not in rho.flags  # flagged only with one nonzero amplitude
 
 
 def test_qudit_ghz_needs_normalized_amplitudes():
@@ -80,8 +77,6 @@ def test_qudit_ghz_needs_normalized_amplitudes():
         qudit_ghz_state(2, 3, [1.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         qudit_ghz_state(1, 3, [1.0, 0.0, 0.0])
-    # a single nonzero amplitude is a product state: flagged
-    assert "boundary" in qudit_ghz_state(2, 3, [1.0, 0.0, 0.0]).flags
 
 
 def test_build_state_is_pure():

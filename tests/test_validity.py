@@ -56,14 +56,14 @@ def _full_checks():
 
 def _revalidated(rho):
     """``rho`` passes every check of ``as_density``, ``eigvalsh`` included."""
-    return as_density(rho.mat, rho.sites, rho.flags)
+    return as_density(rho.mat, rho.sites)
 
 
 # ---------------------------------------------------------------------------
 # inputs at the family boundaries
 # ---------------------------------------------------------------------------
 
-# theta -> 0 and theta -> pi/2 give product states, flagged "boundary"
+# theta -> 0 and theta -> pi/2 give product states
 _angles = st.one_of(
     st.floats(-1e-9, 1e-9),
     st.floats(np.pi / 2 - 1e-9, np.pi / 2 + 1e-9),
@@ -165,7 +165,7 @@ def test_pure_states_and_local_unitaries_pass_the_full_check(sites, data, seed):
     vec[rng.random(dim) < 0.5] = 0.0  # low support: most eigenvalues sit at 0
     if not vec.any():
         vec[0] = 1.0
-    rho = pure_density(vec / np.linalg.norm(vec), sites, ())
+    rho = pure_density(vec / np.linalg.norm(vec), sites)
     _revalidated(rho)
     us = []
     for site in data.draw(st.lists(st.integers(1, len(sites)), max_size=4)):

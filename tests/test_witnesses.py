@@ -600,6 +600,5 @@ def test_family_tables(entangled, product):
     assert fam.witness(rho).verdict == ENTANGLED
     assert evaluate_battery(rho, fam.battery(rho.sites)).passed
     flat = build_state(parse_state_spec(product))
-    assert "boundary" in flat.flags
     assert fam.witness(flat).verdict == NOT_WITNESSED
     assert not evaluate_battery(flat, fam.battery(flat.sites)).passed
