@@ -2,7 +2,8 @@
 simulation, network checks, and sampling campaigns against the bounds.
 
 Exit codes are strict: 0 for a completed run (whatever the verdict says),
-1 when a sampling campaign finds a bound violation, 2 for input errors.
+1 when a sampling campaign finds a bound violation, 2 for input errors, 3
+when the report cannot be written to stdout.
 Verdicts live in the report body so pipelines can tell "ran and said
 not-witnessed" from "failed to run".
 """
@@ -10,6 +11,7 @@ not-witnessed" from "failed to run".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -26,7 +28,14 @@ from .networks import (
     parse_network_spec,
     source_batteries,
 )
-from .oracle import SamplerConfig, _sample_block, block_length, maximize_witness
+from .oracle import (
+    _WITNESS_SET,
+    MAX_ITERS,
+    SamplerConfig,
+    _sample_block,
+    block_length,
+    maximize_witness,
+)
 from .states import (
     _entry,
     _integer,
@@ -77,6 +86,10 @@ class InputError(ValueError):
     """Bad file, malformed JSON, or out-of-range argument (exit code 2)."""
 
 
+class StdoutError(Exception):
+    """The report could not be written to stdout (exit code 3)."""
+
+
 def _seed(text: str) -> int:
     """An argparse type: a seed in 0..2^64-1."""
     try:
@@ -113,13 +126,28 @@ def _out_path(name: str) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Make the parent directory of ``path`` for the write in the body; an
+    OSError of either is an input error naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise StdoutError(str(exc)) from None
     else:
         path = _out_path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with _writing(path):
+            path.write_text(text, encoding="utf-8")
 
 
 def _pair(z: complex) -> list[float]:
@@ -300,8 +328,8 @@ def cmd_zkp(args: argparse.Namespace) -> int:
     strategy = _parse_strategy(_load_json(args.strategy))
     transcript = run_protocol(strategy, args.n, args.seed, workers=args.workers)
     tpath = _out_path(args.transcript)
-    tpath.parent.mkdir(parents=True, exist_ok=True)
-    write_transcript(transcript, tpath)
+    with _writing(tpath):
+        write_transcript(transcript, tpath)
     verdict = verify_transcript(transcript, z=args.z)
     leak = leakage_view(transcript)
     report = {
@@ -367,6 +395,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise InputError(f"need at least one sample, got {args.samples}")
     if args.iters < 1:
         raise InputError("iters must be >= 1")
+    if args.iters > MAX_ITERS:
+        raise InputError(f"search budget exceeded: --iters {args.iters} exceeds {MAX_ITERS}")
     fam = witness_family(kind)
     sites = fam.sites(args.n, args.d)
     cfg = SamplerConfig(sites=sites, terms=args.terms, seed=args.seed)
@@ -376,7 +406,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     step = block_length(cfg)
     for start in range(0, args.samples, step):
         indices = np.arange(start, min(start + step, args.samples), dtype=np.uint64)
-        lhs = fam.lhs(_sample_block(fam.sampler, cfg, indices), sites)
+        lhs = fam.lhs(_sample_block(_WITNESS_SET[kind], cfg, indices), sites)
         at = int(np.argmax(lhs))  # the lowest index on ties
         if lhs[at] > max_lhs:
             max_lhs, argmax_index = lhs[at], start + at
@@ -481,9 +511,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StdoutError as exc:
+        print(f"error: cannot write the report to stdout: {exc}", file=sys.stderr)
+        # point stdout at the null device, so the flush at exit has nowhere to fail
+        with contextlib.suppress(OSError):  # a stdout without a descriptor
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return 3
 
 
 if __name__ == "__main__":

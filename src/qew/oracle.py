@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, _form_fault, basis_index, pure_density, uniforms
-from .states import BlindChannel, ChannelTerm, _positive
+from .qmat import Array, DensityMatrix, _form_fault, pure_density, uniforms
+from .states import BlindChannel, ChannelTerm, _positive, family_basis
 
 __all__ = [
     "BLOCK_ENTRIES",
@@ -128,26 +128,13 @@ def _blocks_for(
     return tuple(tuple((blk, math.prod(sites[i - 1] for i in blk)) for blk in s) for s in structures)
 
 
-def _reads(witness: str, sites: tuple[int, ...]) -> tuple[int, ...]:
-    """Flat indices of the amplitudes ``_pure_lhs`` reads, in the order it reads them."""
-    if witness in ("epr", "ghz"):
-        return (0, math.prod(sites) - 1)
-    if witness in ("w", "noise"):
-        want = (2, 2, 2) if witness == "w" else (2, 2)
-        if sites != want:
-            raise ValueError(f"witness {witness!r} needs sites {want}, got {sites}")
-        return (1, 7, 2, 4) if witness == "w" else (0, 3)
-    if witness == "qudit":
-        return tuple(basis_index((j,) * len(sites), sites) for j in range(sites[0]))
-    raise ValueError(f"unknown witness name {witness!r}")
-
-
 @functools.cache
 def _read_table(witness: str, structure: _Structure, sites: tuple[int, ...]) -> tuple[Array, ...]:
     """Per block of ``structure``, the local index of each amplitude ``witness``
-    reads: read amplitude r of the product is the product, in block order, of
-    entry ``table[b][r]`` of each block b.  Built once per key."""
-    digits = np.unravel_index(_reads(witness, sites), sites)
+    reads, its family's ``states.family_basis`` (the EPR pair's for ``noise``)
+    in basis order: read amplitude r of the product is the product, in block
+    order, of entry ``table[b][r]`` of each block b.  Built once per key."""
+    digits = np.unravel_index(family_basis("epr" if witness == "noise" else witness, sites), sites)
     table = tuple(
         np.ravel_multi_index([digits[i - 1] for i in blk], [sites[i - 1] for i in blk])
         for blk, _d in structure
@@ -264,6 +251,9 @@ def random_blind_channel(sites: Sequence[int], terms: int, seed: int, index: int
 
 SWEEPS = 3
 REFINE_TOP = 8
+# Starts one search may score.  It keeps a score and a sort entry per start,
+# about 167 bytes each (traced at 10^4 and 10^5 starts): 167 MB at the budget.
+MAX_ITERS = 10**6
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -360,12 +350,13 @@ def _probe(witness: str, table: tuple[Array, ...], parts: list[Array], b: int, y
 
 
 def _pure_lhs(kind: str, amps: Array) -> float:
-    """Witness left-hand side of a pure state, from the amplitudes at ``_reads``."""
+    """Witness left-hand side of a pure state, from the amplitudes at its
+    ``_read_table`` indices, in basis order."""
     if kind in ("epr", "ghz"):
         a, b = amps
         return 2.0 * abs(a * b) + abs(a) ** 2 + abs(b) ** 2 - 1.0
     if kind == "w":
-        p1, p7, p2, p4 = amps
+        p1, p2, p4, p7 = amps
         return float(abs(p1 * p7) + abs(p2 * p4) + abs(p1 * p2) + abs(p4 * p7))
     if kind == "qudit":
         mods = np.abs(amps)
@@ -377,7 +368,8 @@ def _pure_lhs(kind: str, amps: Array) -> float:
     raise ValueError(f"unknown witness name {kind!r}")
 
 
-# Where each witness bound holds; not read from qew.witnesses, so the check stays outside.
+# Where each witness bound holds, the one set both the search here and the qew oracle
+# campaign read; not read from qew.witnesses, so the check stays outside.
 _WITNESS_SET = {
     "epr": "separable", "qudit": "separable", "noise": "separable",
     "ghz": "biseparable", "w": "biseparable",
@@ -388,15 +380,17 @@ def maximize_witness(witness: str, cfg: SamplerConfig, iters: int) -> tuple[floa
     """Search the (bi)separable set for the largest witness left-hand side.
 
     ``witness`` is a family (``epr``, ``ghz``, ``w``, ``qudit``) or ``noise``,
-    the two-qubit s = <XX> - <YY> + <ZZ>.  ``iters`` random pure-product
-    starts are scored (for ``ghz``/``w`` the starts cycle through the
-    bipartitions); the best ``REFINE_TOP`` are refined by ``SWEEPS``
+    the two-qubit s = <XX> - <YY> + <ZZ>.  ``iters`` (1..``MAX_ITERS``) random
+    pure-product starts are scored (for ``ghz``/``w`` the starts cycle through
+    the bipartitions); the best ``REFINE_TOP`` are refined by ``SWEEPS``
     coordinate-wise golden-section sweeps over the factor angles.  Fully
     deterministic for a given ``cfg.seed``; ties keep the lowest start index.
     Returns the best value and the state attaining it.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if iters > MAX_ITERS:
+        raise ValueError(f"search budget exceeded: {iters} starts exceed {MAX_ITERS}")
     if witness not in _WITNESS_SET:
         raise ValueError(f"unknown witness name {witness!r}")
     sites = cfg.sites

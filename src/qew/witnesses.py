@@ -492,8 +492,8 @@ _SitesRule = Callable[[int | None, int | None], tuple[int, ...]]
 class WitnessFamily:
     """What the CLI and the network checks need to know about one family.
 
-    ``witness(rho, eps_eq=...)`` stays at or below ``bound`` on the
-    ``sampler`` set ("separable" or "biseparable").  ``battery(sites)``
+    ``witness(rho, eps_eq=...)`` stays at or below ``bound`` on the family's
+    set, which ``qew.oracle._WITNESS_SET`` names.  ``battery(sites)``
     builds the paradox battery for a member on ``sites``; it carries no
     tolerances, which :func:`evaluate_battery` takes.  ``sites(n, d)`` gives
     the sites of a member, with None for the family's default n or d; a
@@ -506,7 +506,6 @@ class WitnessFamily:
     witness: Callable[..., WitnessReport]
     bound: float
     battery: Callable[[Sequence[int]], ParadoxBattery]
-    sampler: str
     sites: _SitesRule
     lhs: Callable[[Array, tuple[int, ...]], Array]
 
@@ -535,13 +534,13 @@ def _family_table() -> dict[str, WitnessFamily]:
     # made at each call from the module-level functions, so a rebinding of
     # one of them (to trace its calls, say) is seen by the next lookup
     return {
-        "epr": WitnessFamily(witness_epr, 0.0, lambda sites: battery_epr(), "separable",
+        "epr": WitnessFamily(witness_epr, 0.0, lambda sites: battery_epr(),
                              _uniform(2, 2, ""), _stack_lhs("epr", _ladder_lhs)),
         "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites: battery_ghz(len(sites)),
-                             "biseparable", _uniform(3, 2, "n"), _stack_lhs("ghz", _ladder_lhs)),
-        "w": WitnessFamily(witness_w, 0.5, lambda sites: battery_w(), "biseparable",
+                             _uniform(3, 2, "n"), _stack_lhs("ghz", _ladder_lhs)),
+        "w": WitnessFamily(witness_w, 0.5, lambda sites: battery_w(),
                            _uniform(3, 2, ""), _stack_lhs("w", _w_lhs)),
-        "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery, "separable",
+        "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery,
                                _uniform(2, 3, "nd"), _stack_lhs("qudit", _ladder_lhs)),
     }
 

@@ -9,11 +9,11 @@ The protocol (four steps, one entangled pair per round):
 4. the verifier measures B with a uniformly chosen setting ``s`` (same
    x/z convention) obtaining ``b``.
 
-Acceptance is a per-cell z-test over the four (k, s) correlation cells:
-the zz cell must sit at +1, the two mixed cells at 0, and the xx cell must
-be *significantly* away from 0.  The rule's parameters (z threshold,
-minimum 30 rounds per cell) are simulation-side choices — the protocol
-itself only prescribes which statistics to look at.
+Acceptance checks the four (k, s) correlation cells, the lines of
+:func:`qew.witnesses.battery_epr`, each with its line's contract at z·se:
+zz must sit at +1, zx and xz at 0, and xx *significantly* away from 0.  The
+z threshold and 30 rounds per cell are simulation-side choices — the
+protocol itself only prescribes which statistics to look at.
 
 Randomness comes from :func:`qew.qmat.uniforms`, the package's one
 counter-based source: round ``i`` reads streams 0 (challenge), 1 (setting)
@@ -23,6 +23,7 @@ how the rounds are batched or parallelized.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, as_density, expectation, obs, uniforms
+from .qmat import Array, DensityMatrix, Observable, as_density, expectation, obs, uniforms
 from .states import (
     BlindChannel,
     StateSpec,
@@ -40,6 +41,7 @@ from .states import (
     build_state,
     werner_mix,
 )
+from .witnesses import battery_epr
 
 __all__ = [
     "CellStats",
@@ -66,16 +68,20 @@ MIN_CELL_ROUNDS = 30
 # rounds (16 bytes of transcript text each): 80 bytes to simulate, 58 to
 # write the transcript and 145 to read it back.
 MAX_ROUNDS = 10**7
-# Threads one run_protocol call may start.  The rounds are one vectorized
-# draw, so more threads buy nothing; the bit-identity gate runs 1, 2 and 5.
+# Threads one run_protocol call may start.  Each thread draws its own span of
+# rounds and numpy releases the GIL inside the draw, so threads up to the core
+# count divide the time (2 workers about halve 10^5 and 10^6 rounds on 2 vCPUs);
+# the bit-identity gate runs 1, 2 and 5.
 MAX_WORKERS = 64
 DEFAULT_Z = 5.0
 
-# Challenge/setting bit -> measured Pauli (0 is x, 1 is z).
-_AXIS_OP = {0: "X", 1: "Z"}
 # Cell outcome order: (a, b) = (+,+), (+,-), (-,+), (-,-).
 _A, _B = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1))).T
-CELLS = {"zz": (1, 1), "zx": (1, 0), "xz": (0, 1), "xx": (0, 0)}
+# The cells are battery_epr()'s lines in battery order, named by their Paulis
+# (zz, zx, xz, xx); (k, s) are the bits that measure them, 0 for x and 1 for z.
+# The protocol has no Y setting, so the xx line's XY companion is never read.
+_LINES = {"".join(f.name.lower() for f in i.observable.factors): i for i in battery_epr().items}
+CELLS = {name: ("xz".index(name[0]), "xz".index(name[1])) for name in _LINES}
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +151,16 @@ def strategy_state(strategy: ProverStrategy) -> DensityMatrix | None:
 
 
 def _prob_table(strategy: ProverStrategy) -> Array:
-    """P(a, b | k, s) as a (2, 2, 4) array over the fixed outcome order."""
+    """P(a, b | k, s) as a (2, 2, 4) array over the fixed outcome order; a
+    cell's correlator is its line, and its marginals are the line's factors."""
     table = np.zeros((2, 2, 4))
     rho = strategy_state(strategy)
     if rho is not None:
-        e = [expectation(rho, obs((1, _AXIS_OP[k]))).real for k in (0, 1)]
-        f = [expectation(rho, obs((2, _AXIS_OP[s]))).real for s in (0, 1)]
-        for k in (0, 1):
-            for s in (0, 1):
-                c = expectation(rho, obs((1, _AXIS_OP[k]), (2, _AXIS_OP[s]))).real
-                table[k, s] = (1.0 + _A * e[k] + _B * f[s] + _A * _B * c) / 4.0
+        value = functools.cache(lambda o: expectation(rho, o).real)  # each marginal once
+        for name, (k, s) in CELLS.items():
+            line = _LINES[name].observable
+            e, f = (value(Observable((x,))) for x in line.factors)
+            table[k, s] = (1.0 + _A * e + _B * f + _A * _B * value(line)) / 4.0
     else:
         if any(a not in (-1, 1) for a in strategy.outcomes):
             raise ValueError(f"fixed outcomes must be +/-1, got {strategy.outcomes}")
@@ -162,10 +168,11 @@ def _prob_table(strategy: ProverStrategy) -> Array:
             rho_b = as_density(np.eye(2) / 2.0, (2,))
         else:
             rho_b = as_density(np.array(strategy.verifier_qubit, dtype=complex), (2,))
-        f = [expectation(rho_b, obs((1, _AXIS_OP[s]))).real for s in (0, 1)]
-        for k in (0, 1):
-            for s in (0, 1):
-                table[k, s] = np.where(_A == strategy.outcomes[k], (1.0 + _B * f[s]) / 2.0, 0.0)
+        # the verifier's qubit alone: each Pauli once, on its site 1
+        value = functools.cache(lambda pauli: expectation(rho_b, obs((1, pauli))).real)
+        for name, (k, s) in CELLS.items():
+            f = value(_LINES[name].observable.factors[1].name)
+            table[k, s] = np.where(_A == strategy.outcomes[k], (1.0 + _B * f) / 2.0, 0.0)
     table = np.clip(table, 0.0, None)
     return table / table.sum(axis=-1, keepdims=True)
 
@@ -254,8 +261,9 @@ def run_protocol(
 class CellStats:
     """One (k, s) cell: its rounds, the mean of a*b over them, that mean's
     standard error, and ``z``, the mean's deviation from the cell's target
-    (+1 for zz, 0 for the others) in standard errors.  A zero deviation has
-    z = 0 and a nonzero one over a zero standard error has z = +/-inf."""
+    (its line's ``Exact`` value, and 0 for the others) in standard errors.  A
+    zero deviation has z = 0 and a nonzero one over a zero standard error has
+    z = +/-inf."""
 
     count: int
     estimate: float
@@ -274,11 +282,6 @@ class Verdict:
     failed: tuple[str, ...]
 
 
-# The value each cell is tested against: xx must sit away from it, the
-# other cells at it (within z standard errors).
-_TARGET = {"zz": 1.0, "zx": 0.0, "xz": 0.0, "xx": 0.0}
-
-
 def _cell_stats(t: Transcript) -> dict[str, CellStats]:
     # A sum of +/-1 is exact in float64, so each mean is the same float as
     # the mean over the cell's rounds taken one cell at a time.
@@ -293,15 +296,15 @@ def _cell_stats(t: Transcript) -> dict[str, CellStats]:
             continue
         est = float(sums[2 * k + s] / n)
         se = float(np.sqrt(max(0.0, 1.0 - est * est) / n))
-        dev = est - _TARGET[name]
+        dev = est - getattr(_LINES[name].contract, "value", 0.0)  # Exact's value, else 0
         z = 0.0 if dev == 0 else math.copysign(math.inf, dev) if se == 0 else dev / se
         out[name] = CellStats(n, est, se, z)
     return out
 
 
 def verify_transcript(t: Transcript, z: float = DEFAULT_Z) -> Verdict:
-    """Per-cell z-tests: zz pinned at 1, zx/xz at 0, xx significantly away,
-    at a finite positive threshold ``z``.
+    """Each cell's line checks its mean at ``eps_eq = eps_nz = z·se``, for a
+    finite positive threshold ``z``: zz at 1, zx/xz at 0, xx away from 0.
 
     Every cell needs at least 30 rounds; anything less raises rather than
     producing an unstable verdict.
@@ -316,7 +319,7 @@ def verify_transcript(t: Transcript, z: float = DEFAULT_Z) -> Verdict:
     failed = tuple(
         name
         for name, c in cells.items()
-        if (abs(c.estimate - _TARGET[name]) <= z * c.std_error) == (name == "xx")
+        if not _LINES[name].contract.check(c.estimate, z * c.std_error, z * c.std_error)[1]
     )
     return Verdict(accepted=not failed, cells=cells, z_threshold=z, failed=failed)
 

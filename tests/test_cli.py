@@ -621,7 +621,7 @@ def test_oracle_violation_exit_code(capsys, monkeypatch):
 def _replay(witness, sites, terms, seed, index):
     """The witness value of one sample, drawn alone from ``(seed, index)``."""
     fam = witness_family(witness)
-    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    sampler = sample_separable if oracle._WITNESS_SET[witness] == "separable" else sample_biseparable
     return fam.witness(sampler(SamplerConfig(sites=tuple(sites), terms=terms, seed=seed), index)).lhs
 
 
@@ -723,6 +723,19 @@ def test_oracle_iters_refused_before_sampling(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: iters must be >= 1\n")
 
 
+def test_oracle_iters_over_budget_refused_before_sampling(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the campaign ran before --iters was checked")
+
+    monkeypatch.setattr(cli, "_sample_block", no_work)
+    monkeypatch.setattr(oracle, "_pure_lhs", no_work)
+    code, out, err = _run(
+        capsys, "oracle", "--witness", "epr", "--iters", str(oracle.MAX_ITERS + 1), "--seed", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "budget" in err and "--iters" in err and str(oracle.MAX_ITERS) in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -731,6 +744,38 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert "usage: qew" in done.stdout
+
+
+def _qew(*argv, **kwargs):
+    """``python -m qew`` in a child process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "qew", *argv], env=env, text=True, **kwargs)
+
+
+def test_closed_stdout_exits_3(tmp_path):
+    """A report written into a pipe whose read end is closed is not bad input."""
+    state = _write(tmp_path, "ghz3.json", {"kind": "ghz", "n": 3, "theta": 0.7853981634})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _qew("witness", state, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: cannot write the report to stdout: ")
+    assert done.stderr.count("\n") == 1  # no "Exception ignored" at shutdown
+
+
+def test_unwritable_output_path_exits_2_naming_it(tmp_path):
+    state = _write(tmp_path, "ghz3.json", {"kind": "ghz", "n": 3, "theta": 0.7853981634})
+    strategy = _write(tmp_path, "honest.json", {"kind": "honest", "state": {"kind": "epr", "theta": 0.7}})
+    for argv in (["witness", state, "--out", str(tmp_path)],
+                 ["zkp", strategy, "--seed", "1", "--n", "200", "--transcript", str(tmp_path)]):
+        done = _qew(*argv, capture_output=True)
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert done.stderr.startswith(f"error: cannot write {tmp_path}: "), done.stderr
+        assert done.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

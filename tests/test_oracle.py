@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from qew.oracle import (
     sample_separable,
 )
 from qew.qmat import basis_index, uniforms
-from qew.states import MAX_DIM, epr_state, ghz_state, werner_mix
+from qew.states import MAX_DIM, epr_state, family_basis, ghz_state, werner_mix
 from qew.witnesses import (
     NOT_WITNESSED,
     noise_witness,
@@ -281,8 +282,34 @@ def test_maximize_noise_reaches_its_bound():
     rep = noise_witness(state)
     assert rep.s == pytest.approx(val, abs=1e-12)
     assert rep.verdict == NOT_WITNESSED
-    with pytest.raises(ValueError, match="needs sites"):
+    with pytest.raises(ValueError, match="needs 2 or more sites of one dimension"):
         maximize_witness("noise", SamplerConfig(sites=(2, 3)), 1)
+
+
+def _no_scoring(*args):
+    raise AssertionError("a start was scored")
+
+
+@pytest.mark.parametrize(
+    "witness, family, sites",
+    [("epr", "epr", (2, 2, 2)), ("ghz", "ghz", (3, 3, 3)), ("qudit", "qudit", (2, 3)),
+     ("w", "w", (2, 2)), ("noise", "epr", (2, 3))],
+)
+def test_search_refuses_the_sites_its_family_refuses(monkeypatch, witness, family, sites):
+    """The search reads its family's basis (the EPR pair's for ``noise``), so
+    it refuses the sites that basis refuses, with its error, before it scores
+    a start."""
+    with pytest.raises(ValueError) as refusal:
+        family_basis(family, sites)
+    monkeypatch.setattr(oracle, "_pure_lhs", _no_scoring)
+    with pytest.raises(ValueError, match=re.escape(str(refusal.value))):
+        maximize_witness(witness, SamplerConfig(sites=sites), 1)
+
+
+def test_search_budget_is_checked_before_scoring(monkeypatch):
+    monkeypatch.setattr(oracle, "_pure_lhs", _no_scoring)
+    with pytest.raises(ValueError, match=f"search budget exceeded: .* exceed {oracle.MAX_ITERS}"):
+        maximize_witness("epr", SamplerConfig(sites=(2, 2)), oracle.MAX_ITERS + 1)
 
 
 def _scalar_angles_to_vector(thetas, phases):
@@ -415,7 +442,7 @@ def test_separable_sets_never_cross_the_bound(family, terms, seed, iters):
     name, n, d = family
     fam = witness_family(name)
     cfg = SamplerConfig(sites=fam.sites(n, d), terms=terms, seed=seed)
-    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    sampler = sample_separable if oracle._WITNESS_SET[name] == "separable" else sample_biseparable
     for i in range(5):
         assert fam.witness(sampler(cfg, i)).lhs <= fam.bound + 1e-9
     val, state = maximize_witness(name, cfg, iters)
@@ -438,9 +465,9 @@ def test_block_path_equals_per_index_path(family, terms, seed, start, length):
     name, n, d = family
     fam = witness_family(name)
     cfg = SamplerConfig(sites=fam.sites(n, d), terms=terms, seed=seed)
-    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    sampler = sample_separable if oracle._WITNESS_SET[name] == "separable" else sample_biseparable
     indices = np.arange(start, start + length, dtype=np.uint64)
-    stack = oracle._sample_block(fam.sampler, cfg, indices)
+    stack = oracle._sample_block(oracle._WITNESS_SET[name], cfg, indices)
     lhs = fam.lhs(stack, cfg.sites)
     assert stack.shape == (length, *(2 * (np.prod(cfg.sites),)))
     for j, i in enumerate(indices.tolist()):
@@ -472,12 +499,12 @@ def test_sample_stream_is_pinned(name, sites, terms, seed, mats, lhs):
     the draws, their order, the mixing or a witness's rounding shows here."""
     fam = witness_family(name)
     cfg = SamplerConfig(sites=sites, terms=terms, seed=seed)
-    sampler = sample_separable if fam.sampler == "separable" else sample_biseparable
+    sampler = sample_separable if oracle._WITNESS_SET[name] == "separable" else sample_biseparable
     rhos = [sampler(cfg, i) for i in range(20)]
     assert hashlib.sha256(b"".join(r.mat.tobytes() for r in rhos)).hexdigest() == mats
     values = np.array([fam.witness(r).lhs for r in rhos])
     assert hashlib.sha256(values.tobytes()).hexdigest() == lhs
-    assert np.array_equal(fam.lhs(oracle._sample_block(fam.sampler, cfg, np.arange(20, dtype=np.uint64)), sites), values)
+    assert np.array_equal(fam.lhs(oracle._sample_block(oracle._WITNESS_SET[name], cfg, np.arange(20, dtype=np.uint64)), sites), values)
 
 
 def test_block_rule_bounds_every_dimension():
