@@ -278,7 +278,7 @@ def reduce_ghz_to_epr(
     """
     _require_edge_support(rho, "reduction")
     n = rho.n_sites
-    i, j = keep
+    i, j = (_integer("keep", q) for q in keep)
     if i == j:
         raise ValueError("keep indices must be distinct")
     for q in (i, j):

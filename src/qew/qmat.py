@@ -56,7 +56,6 @@ __all__ = [
     "Factor",
     "Observable",
     "as_density",
-    "basis_index",
     "clock_op",
     "expectation",
     "apply_local_unitaries",
@@ -329,7 +328,8 @@ class Factor:
 
     ``name`` is one of ``I, X, Y, Z`` (qubit sites) or ``shift, clock``
     (arbitrary d, taken from the state the observable is applied to).
-    ``power`` is a literal matrix power and is mostly used with ``clock``.
+    ``power`` is a matrix power, taken mod d (each of these operators has
+    d-th power I), and is mostly used with ``clock``.
     """
 
     site: int
@@ -373,8 +373,8 @@ def site_operator(name: str, d: int, power: int = 1) -> Array:
     if name in _QUBIT_ONLY:
         if d != 2:
             raise ValueError(f"operator {name} requires a qubit site, got d={d}")
-        return pauli(name)
-    if name == "shift":
+        base = pauli(name)
+    elif name == "shift":
         base = shift_op(d)
     elif name == "clock":
         base = clock_op(d)
@@ -510,15 +510,3 @@ def _branch(
         return p, None
     rest = tuple(d for i, d in enumerate(rho.sites, start=1) if i not in positions)
     return p, as_density(sub / p, rest)
-
-
-def basis_index(digits: Sequence[int], sites: Sequence[int]) -> int:
-    """Flat computational index of |j1 j2 ... jn> (site 1 most significant)."""
-    if len(digits) != len(sites):
-        raise ValueError("digit count must match site count")
-    idx = 0
-    for j, d in zip(digits, sites):
-        if not 0 <= j < d:
-            raise ValueError(f"digit {j} out of range for dimension {d}")
-        idx = idx * d + j
-    return idx

@@ -9,6 +9,8 @@ and can only shrink the modulus of off-diagonal elements, so everything a
 verifier can rely on lives in the populations and the surviving coherences.
 :func:`subspace_elements` extracts exactly those numbers, plus a leakage
 scalar measuring how much population sits outside the family's subspace.
+That subspace is :func:`family_basis`, the one check that sites fit a
+family, and every family builder is its real amplitudes placed on it.
 
 A blind channel is the Schur multiplier rho -> M o rho (elementwise
 product) with M = sum_j p_j u_j u_j^dag, u_j = exp(i phi_j) the term's
@@ -28,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, _derived, basis_index, pure_density, tensor_product
+from .qmat import Array, DensityMatrix, _derived, pure_density, tensor_product
 
 __all__ = [
     "BlindChannel",
@@ -136,42 +138,33 @@ def epr_state(theta: float) -> DensityMatrix:
 
 def ghz_state(n: int, theta: float) -> DensityMatrix:
     """cos(theta)|0...0> + sin(theta)|1...1> on n qubits."""
-    if n < 2:
-        raise ValueError(f"need at least 2 sites, got n={n}")
-    c, s = np.cos(theta), np.sin(theta)
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = c
-    vec[-1] = s
-    return pure_density(vec, (2,) * n)
+    return _member("ghz", uniform_sites(n, 2), (np.cos(theta), np.sin(theta)))
 
 
 def w_state(a: Sequence[float]) -> DensityMatrix:
     """a0|001> + a1|010> + a2|100> + a3|111> with real amplitudes."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (4,):
-        raise ValueError(f"expected 4 real amplitudes, got shape {a.shape}")
-    if abs(float(a @ a) - 1.0) > PROB_TOL:
-        raise ValueError(f"amplitudes must be normalized, got sum of squares {float(a @ a)}")
-    vec = np.zeros(8, dtype=complex)
-    vec[[1, 2, 4, 7]] = a
-    return pure_density(vec, (2, 2, 2))
+    return _member("w", (2, 2, 2), a)
 
 
 def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
     """sum_j alpha_j |j...j> on n d-level sites with real amplitudes."""
-    if n < 2:
-        raise ValueError(f"need at least 2 sites, got n={n}")
-    if d < 2:
-        raise ValueError(f"need local dimension >= 2, got d={d}")
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (d,):
-        raise ValueError(f"expected {d} amplitudes, got shape {alpha.shape}")
-    if abs(float(alpha @ alpha) - 1.0) > PROB_TOL:
-        raise ValueError("amplitudes must be normalized")
-    sites = (d,) * n
-    vec = np.zeros(d**n, dtype=complex)
-    for j in range(d):
-        vec[basis_index((j,) * n, sites)] = alpha[j]
+    return _member("qudit", uniform_sites(n, d), alpha)
+
+
+def _member(family: str, sites: tuple[int, ...], amplitudes: Sequence[float]) -> DensityMatrix:
+    """The pure member sum_k a_k |b_k> of ``family`` on ``sites``: the real
+    amplitudes a_k, one per state b_k of :func:`family_basis` in basis
+    order, placed at the cached basis; refused unless their squares sum to
+    1 within ``PROB_TOL`` (written so that NaN fails)."""
+    basis = _subspace_index(family, sites)[0]
+    a = np.asarray(amplitudes, dtype=float)
+    if a.shape != (len(basis),):
+        raise ValueError(f"expected {len(basis)} amplitudes, got shape {a.shape}")
+    total = float(a @ a)
+    if not abs(total - 1.0) <= PROB_TOL:
+        raise ValueError(f"amplitudes must be normalized, got sum of squares {total}")
+    vec = np.zeros(math.prod(sites), dtype=complex)
+    vec.put(basis, a)
     return pure_density(vec, sites)
 
 

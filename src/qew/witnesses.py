@@ -45,6 +45,7 @@ from .states import (
     _positive,
     _subspace_entries,
     _subspace_index,
+    family_basis,
     subspace_elements,
     uniform_sites,
 )
@@ -365,25 +366,6 @@ class WitnessReport:
     alt_bound: float | None = None
 
 
-def _report(
-    lhs: float,
-    bound: float,
-    view: SubspaceView,
-    eps_eq: float,
-    alt_bound: float | None = None,
-) -> WitnessReport:
-    witnessed = lhs > bound + _positive("eps_eq", eps_eq)
-    return WitnessReport(
-        lhs=float(lhs),
-        bound=float(bound),
-        verdict=ENTANGLED if witnessed else NOT_WITNESSED,
-        elements=view,
-        leakage=view.leakage,
-        margin=float(lhs - bound),
-        alt_bound=alt_bound,
-    )
-
-
 # The formulas below read populations in basis order and coherence moduli in
 # pair order (see :func:`qew.states.subspace_elements`).  Each entry is a
 # number, for one state, or an array with one value per matrix of a stack; the
@@ -409,35 +391,97 @@ def _w_lhs(pops: Sequence, mods: Sequence):
     return sum(mods[k] for k in _W_AT)
 
 
-def _witness(
-    rho: DensityMatrix,
-    family: str,
-    lhs: Callable[[Sequence, Sequence], float],
-    bound: float,
-    eps_eq: float,
-    alt_bound: float | None = None,
-) -> WitnessReport:
-    """Report of the witness formula ``lhs`` on the family subspace of ``rho``."""
-    view = subspace_elements(rho, family)
-    mods = [abs(c) for c in view.coherences.values()]
-    return _report(lhs(view.populations.values(), mods), bound, view, eps_eq, alt_bound)
+@dataclass(frozen=True)
+class WitnessFamily:
+    """One witness family, stated once: what the CLI, the oracle and the
+    network checks need to know about it.
 
+    ``formula(pops, mods)`` is the left-hand side in the populations and
+    coherence moduli of the family subspace ``states.family_basis(name,
+    sites)``; it stays at or below ``bound`` on the family's set, which
+    ``qew.oracle._WITNESS_SET`` names, and ``alt_bound`` is a secondary
+    threshold, or None.  ``battery(sites)`` builds the paradox battery for
+    a member on ``sites``; it carries no tolerances, which
+    :func:`evaluate_battery` takes.  A member has ``n`` sites of dimension
+    ``d`` by default, and only the values named in ``settable`` may be
+    given to :meth:`sites`.
+    """
 
-def _stack_lhs(
-    family: str, lhs: Callable[[Sequence, Sequence], Array]
-) -> Callable[[Array, tuple[int, ...]], Array]:
-    """The witness formula ``lhs`` on a (B, D, D) stack over ``sites``: one
-    value per matrix, each the ``lhs`` its report would give."""
+    name: str
+    formula: Callable[[Sequence, Sequence], float]
+    bound: float
+    alt_bound: float | None
+    battery: Callable[[Sequence[int]], ParadoxBattery]
+    n: int
+    d: int
+    settable: str
 
-    def stack(mats: Array, sites: tuple[int, ...]) -> Array:
-        k = len(_subspace_index(family, sites)[0])
-        entries = _subspace_entries(mats, family, sites)
+    def witness(self, rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
+        """The report of the witness on the family subspace of ``rho``."""
+        view = subspace_elements(rho, self.name)
+        mods = [abs(c) for c in view.coherences.values()]
+        lhs = self.formula(view.populations.values(), mods)
+        witnessed = lhs > self.bound + _positive("eps_eq", eps_eq)
+        return WitnessReport(
+            lhs=float(lhs),
+            bound=float(self.bound),
+            verdict=ENTANGLED if witnessed else NOT_WITNESSED,
+            elements=view,
+            leakage=view.leakage,
+            margin=float(lhs - self.bound),
+            alt_bound=self.alt_bound,
+        )
+
+    def lhs(self, mats: Array, sites: tuple[int, ...]) -> Array:
+        """The left-hand side on a (B, D, D) stack of matrices over ``sites``:
+        one value per matrix, each bit for bit the ``lhs`` of its
+        :meth:`witness` report."""
+        k = len(_subspace_index(self.name, sites)[0])
+        entries = _subspace_entries(mats, self.name, sites)
         pops, cohs = entries[:, :k].real, entries[:, k:]
         # np.hypot of the parts is abs(complex) to the bit; np.abs on
         # complex128 is not, and differs in the last bit on some values
-        return lhs(pops.T, np.hypot(cohs.real, cohs.imag).T)
+        return self.formula(pops.T, np.hypot(cohs.real, cohs.imag).T)
 
-    return stack
+    def sites(self, n: int | None, d: int | None) -> tuple[int, ...]:
+        """The sites of a member, with None for the family's default n or d;
+        a value the family fixes, or sites the family does not fit, are
+        refused."""
+        for key, arg, default in (("n", n, self.n), ("d", d, self.d)):
+            if arg is not None and key not in self.settable:
+                raise ValueError(f"the family fixes {key} = {default}; --{key} {arg} does not apply")
+        sites = uniform_sites(self.n if n is None else n, self.d if d is None else d)
+        family_basis(self.name, sites)
+        return sites
+
+
+def _qudit_battery(sites: Sequence[int]) -> ParadoxBattery:
+    # clock/shift expectations are complex: the modulus needs no companion
+    if len(sites) == 2:
+        return battery_qudit_2(sites[0])
+    return battery_qudit_n(len(sites), sites[0])
+
+
+_FAMILIES = {
+    "epr": WitnessFamily("epr", _ladder_lhs, 0.0, None, lambda sites: battery_epr(),
+                         n=2, d=2, settable=""),
+    "ghz": WitnessFamily("ghz", _ladder_lhs, 0.0, None, lambda sites: battery_ghz(len(sites)),
+                         n=3, d=2, settable="n"),
+    "w": WitnessFamily("w", _w_lhs, 0.5, 0.25, lambda sites: battery_w(),
+                       n=3, d=2, settable=""),
+    "qudit": WitnessFamily("qudit", _ladder_lhs, 0.0, None, _qudit_battery,
+                           n=2, d=3, settable="nd"),
+}
+
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
+def witness_family(name: str) -> WitnessFamily:
+    """The table entry of a witness family, one of ``FAMILY_NAMES``."""
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown witness family {name!r}") from None
 
 
 def witness_epr(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -446,7 +490,7 @@ def witness_epr(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     Every separable two-qubit state obeys the bound; any state of the
     EPR-type family with surviving |00>/|11> coherence exceeds it.
     """
-    return _witness(rho, "epr", _ladder_lhs, 0.0, eps_eq)
+    return _FAMILIES["epr"].witness(rho, eps_eq=eps_eq)
 
 
 def witness_ghz(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -457,7 +501,7 @@ def witness_ghz(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     certifies genuine multipartite entanglement.  n = 2 coincides with
     :func:`witness_epr`.
     """
-    return _witness(rho, "ghz", _ladder_lhs, 0.0, eps_eq)
+    return _FAMILIES["ghz"].witness(rho, eps_eq=eps_eq)
 
 
 def witness_w(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -468,7 +512,7 @@ def witness_w(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     bound); ``alt_bound`` reports the stricter 1/4 threshold that the
     family's generic members clear.
     """
-    return _witness(rho, "w", _w_lhs, 0.5, eps_eq, alt_bound=0.25)
+    return _FAMILIES["w"].witness(rho, eps_eq=eps_eq)
 
 
 def witness_qudit(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
@@ -477,83 +521,7 @@ def witness_qudit(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessRepor
     The bound holds for every biseparable state of n uniform d-level
     sites; at d = 2 the expression reduces to :func:`witness_ghz`.
     """
-    return _witness(rho, "qudit", _ladder_lhs, 0.0, eps_eq)
-
-
-# ---------------------------------------------------------------------------
-# the witness-family table
-# ---------------------------------------------------------------------------
-
-
-_SitesRule = Callable[[int | None, int | None], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class WitnessFamily:
-    """What the CLI and the network checks need to know about one family.
-
-    ``witness(rho, eps_eq=...)`` stays at or below ``bound`` on the family's
-    set, which ``qew.oracle._WITNESS_SET`` names.  ``battery(sites)``
-    builds the paradox battery for a member on ``sites``; it carries no
-    tolerances, which :func:`evaluate_battery` takes.  ``sites(n, d)`` gives
-    the sites of a member, with None for the family's default n or d; a
-    value the family fixes is refused when given.  ``lhs(mats, sites)`` is
-    the witness's left-hand side on a (B, D, D) stack of matrices over
-    ``sites``, one value per matrix, each bit for bit the ``lhs`` of its
-    ``witness`` report.
-    """
-
-    witness: Callable[..., WitnessReport]
-    bound: float
-    battery: Callable[[Sequence[int]], ParadoxBattery]
-    sites: _SitesRule
-    lhs: Callable[[Array, tuple[int, ...]], Array]
-
-
-def _uniform(n: int, d: int, settable: str) -> _SitesRule:
-    """``sites(n, d)`` of a family of n d-level sites by default; only the
-    values named in ``settable`` may be given."""
-
-    def sites(n_arg: int | None, d_arg: int | None) -> tuple[int, ...]:
-        for name, arg, default in (("n", n_arg, n), ("d", d_arg, d)):
-            if arg is not None and name not in settable:
-                raise ValueError(f"the family fixes {name} = {default}; --{name} {arg} does not apply")
-        return uniform_sites(n if n_arg is None else n_arg, d if d_arg is None else d_arg)
-
-    return sites
-
-
-def _qudit_battery(sites: Sequence[int]) -> ParadoxBattery:
-    # clock/shift expectations are complex: the modulus needs no companion
-    if len(sites) == 2:
-        return battery_qudit_2(sites[0])
-    return battery_qudit_n(len(sites), sites[0])
-
-
-def _family_table() -> dict[str, WitnessFamily]:
-    # made at each call from the module-level functions, so a rebinding of
-    # one of them (to trace its calls, say) is seen by the next lookup
-    return {
-        "epr": WitnessFamily(witness_epr, 0.0, lambda sites: battery_epr(),
-                             _uniform(2, 2, ""), _stack_lhs("epr", _ladder_lhs)),
-        "ghz": WitnessFamily(witness_ghz, 0.0, lambda sites: battery_ghz(len(sites)),
-                             _uniform(3, 2, "n"), _stack_lhs("ghz", _ladder_lhs)),
-        "w": WitnessFamily(witness_w, 0.5, lambda sites: battery_w(),
-                           _uniform(3, 2, ""), _stack_lhs("w", _w_lhs)),
-        "qudit": WitnessFamily(witness_qudit, 0.0, _qudit_battery,
-                               _uniform(2, 3, "nd"), _stack_lhs("qudit", _ladder_lhs)),
-    }
-
-
-FAMILY_NAMES = tuple(_family_table())
-
-
-def witness_family(name: str) -> WitnessFamily:
-    """The table entry of a witness family, one of ``FAMILY_NAMES``."""
-    try:
-        return _family_table()[name]
-    except KeyError:
-        raise ValueError(f"unknown witness family {name!r}") from None
+    return _FAMILIES["qudit"].witness(rho, eps_eq=eps_eq)
 
 
 # ---------------------------------------------------------------------------

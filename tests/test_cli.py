@@ -723,6 +723,17 @@ def test_oracle_iters_refused_before_sampling(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: iters must be >= 1\n")
 
 
+@pytest.mark.parametrize("witness", ["qudit", "ghz"])
+def test_oracle_refuses_the_family_sites_before_sampling(capsys, monkeypatch, witness):
+    def no_sampling(*args):
+        raise AssertionError("the campaign ran before the sites were checked")
+
+    monkeypatch.setattr(cli, "_sample_block", no_sampling)
+    code, out, err = _run(capsys, "oracle", "--witness", witness, "--n", "1", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "2 or more sites" in err and "Traceback" not in err
+
+
 def test_oracle_iters_over_budget_refused_before_sampling(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the campaign ran before --iters was checked")

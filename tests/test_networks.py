@@ -297,6 +297,9 @@ def test_reduce_validation():
         with pytest.raises(ValueError, match="'outcomes' must be an integer"):
             reduce_ghz_to_epr(rho, (1, 2), outcomes=(bad,))
     assert reduce_ghz_to_epr(rho, (1, 2), outcomes=(1.0,)).outcome == "-"
+    with pytest.raises(ValueError, match="'keep' must be an integer"):
+        reduce_ghz_to_epr(rho, (1.5, 2))
+    assert reduce_ghz_to_epr(rho, (1.0, 3), outcomes=(0,)).pair == (1, 3)
     with pytest.raises(ValueError, match="edge subspace"):
         reduce_ghz_to_epr(w_state([1 / np.sqrt(3)] * 3 + [0.0]), (1, 2))
 

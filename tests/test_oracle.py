@@ -22,7 +22,7 @@ from qew.oracle import (
     sample_biseparable,
     sample_separable,
 )
-from qew.qmat import basis_index, uniforms
+from qew.qmat import uniforms
 from qew.states import MAX_DIM, epr_state, family_basis, ghz_state, werner_mix
 from qew.witnesses import (
     NOT_WITNESSED,
@@ -346,7 +346,7 @@ def _full_lhs(kind, vec, sites):
     if kind == "noise":
         return 2.0 * abs(vec[0] + vec[3]) ** 2 - 1.0
     d = sites[0]
-    amps = np.array([vec[basis_index((j,) * len(sites), sites)] for j in range(d)])
+    amps = np.array([vec[np.ravel_multi_index((j,) * len(sites), sites)] for j in range(d)])
     mods = np.abs(amps)
     off = (mods.sum() ** 2 - (mods**2).sum()) / 2.0
     return float(2.0 * off + (mods**2).sum() - 1.0)

@@ -14,7 +14,6 @@ from qew.qmat import (
     DensityMatrix,
     apply_local_unitaries,
     as_density,
-    basis_index,
     clock_op,
     expectation,
     obs,
@@ -64,6 +63,12 @@ def test_qubit_limits_of_shift_clock():
 def test_site_operator_powers_wrap():
     assert np.allclose(site_operator("clock", 3, power=3), np.eye(3))
     assert np.allclose(site_operator("shift", 3, power=4), shift_op(3))
+    # a Pauli power wraps mod 2 like any other: Z^2 = Y^0 = I and X^3 = X
+    assert np.allclose(site_operator("Z", 2, power=2), np.eye(2))
+    assert np.allclose(site_operator("X", 2, power=3), pauli("X"))
+    assert np.allclose(site_operator("Y", 2, power=0), np.eye(2))
+    rho = pure_density(np.array([0.6, 0.0, 0.0, 0.8]), (2, 2))
+    assert expectation(rho, obs((1, "Z", 2))) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         site_operator("X", 3)
 
@@ -191,8 +196,8 @@ def test_complex_expectation_of_nonhermitian_operator():
     """clock (x) clock on a 1-qudit-pair superposition has a complex value."""
     d = 3
     v = np.zeros(9, dtype=complex)
-    v[basis_index((0, 0), (3, 3))] = np.sqrt(0.5)
-    v[basis_index((1, 2), (3, 3))] = np.sqrt(0.5)
+    v[np.ravel_multi_index((0, 0), (3, 3))] = np.sqrt(0.5)
+    v[np.ravel_multi_index((1, 2), (3, 3))] = np.sqrt(0.5)
     rho = pure_density(v, (3, 3))
     val = expectation(rho, obs((1, "clock"), (2, "clock", 2)))
     # populations contribute w^0 * 1/2 + w^(1+4) * 1/2 = (1 + w^2)/2
@@ -284,25 +289,6 @@ def test_apply_local_unitaries_flip():
     assert out.mat[2, 2] == pytest.approx(1.0)  # |10><10|
     with pytest.raises(ValueError, match="unitary"):
         apply_local_unitaries(rho, [(1, np.array([[1.0, 0.0], [0.0, 2.0]]))])
-
-
-# ---------------------------------------------------------------------------
-# index maps
-# ---------------------------------------------------------------------------
-
-
-@given(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=4), st.data())
-def test_index_digit_roundtrip(sites, data):
-    digits = tuple(data.draw(st.integers(0, d - 1)) for d in sites)
-    idx = basis_index(digits, sites)
-    # numpy's C-order unravelling also takes the first site as most significant
-    assert tuple(int(j) for j in np.unravel_index(idx, sites)) == digits
-
-
-def test_basis_index_site_one_most_significant():
-    assert basis_index((1, 0), (2, 2)) == 2
-    assert basis_index((0, 1), (2, 2)) == 1
-    assert basis_index((1, 2), (3, 3)) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qew.qmat import basis_index, expectation, obs
+from qew import states
+from qew.qmat import expectation, obs
 from qew.states import (
     BlindChannel,
     ChannelTerm,
@@ -60,8 +61,9 @@ def test_w_state_elements_and_validation():
     rho = w_state([W3, W3, W3, 0.0])
     assert rho.mat[1, 2] == pytest.approx(1.0 / 3.0)
     assert rho.mat[1, 7] == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="normalized"):
-        w_state([1.0, 1.0, 0.0, 0.0])
+    for bad in ([1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="normalized"):
+            w_state(bad)
     with pytest.raises(ValueError):
         w_state([1.0, 0.0, 0.0])
 
@@ -70,12 +72,14 @@ def test_qudit_ghz_needs_normalized_amplitudes():
     rho = qudit_ghz_state(2, 3, [W3, W3, W3])
     for j in range(3):
         for k in range(3):
-            idx_j = basis_index((j, j), (3, 3))
-            idx_k = basis_index((k, k), (3, 3))
+            idx_j = np.ravel_multi_index((j, j), (3, 3))
+            idx_k = np.ravel_multi_index((k, k), (3, 3))
             assert rho.mat[idx_j, idx_k] == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normalized"):
         qudit_ghz_state(2, 3, [1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 3 amplitudes"):
+        qudit_ghz_state(2, 3, [1.0, 0.0])
+    with pytest.raises(ValueError, match="2 or more sites"):
         qudit_ghz_state(1, 3, [1.0, 0.0, 0.0])
 
 
@@ -163,6 +167,23 @@ def test_parse_state_spec_dimension_budget(data):
     # rejected from the spec alone: nothing of dimension d**n is built
     with pytest.raises(ValueError, match="budget"):
         parse_state_spec(data)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ghz_state(13, 0.3),
+        lambda: ghz_state(20, 0.3),
+        lambda: qudit_ghz_state(7, 4, [1.0, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_builders_refuse_sites_over_the_budget(monkeypatch, build):
+    def no_density(*args):
+        raise AssertionError("a state vector was built over the budget")
+
+    monkeypatch.setattr(states, "pure_density", no_density)
+    with pytest.raises(ValueError, match="dimension budget exceeded"):
+        build()
 
 
 def test_parse_state_spec_at_the_budget():
