@@ -13,7 +13,7 @@ witness maximization, partial-transpose tests) validates every bound.
 Layout:
 
 - :mod:`qew.qmat`      dense complex-matrix kernel (states, observables,
-  local unitaries, projection of sites onto a vector)
+  monomial conjugation, projection of sites onto a vector)
 - :mod:`qew.states`    state families, blind phase channels, white-noise
   mixing, subspace element extraction
 - :mod:`qew.witnesses` nonlinear inequalities, correlation batteries,

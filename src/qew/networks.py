@@ -15,11 +15,8 @@ Two LOCC reductions connect the multipartite families back to shared pairs:
   into a pair whose coherence is the (normalized) product of the input
   coherences.
 
-Correction table used for the Bell outcomes (first kept qubit = left input's
-remaining qubit, second = right input's):
-
-    phi+ : none            phi- : Z on first kept
-    psi+ : X on second     psi- : X on second, then Z on first
+Each reduction is a list of (outcome label, projection vector, corrections)
+rows run through one project-and-correct loop; a zero branch is dropped.
 """
 
 from __future__ import annotations
@@ -31,16 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qmat import (
-    PAULI_X,
-    PAULI_Z,
-    Array,
-    DensityMatrix,
-    _branch,
-    _derived,
-    apply_local_unitaries,
-    tensor_product,
-)
+from .qmat import Array, DensityMatrix, _branch, _conjugate, _derived, obs, tensor_product
 from .states import (
     MAX_DIM,
     BlindChannel,
@@ -263,22 +251,39 @@ def _require_edge_support(rho: DensityMatrix, what: str) -> None:
         )
 
 
-def reduce_ghz_to_epr(
+def _reduce(
     rho: DensityMatrix,
-    keep: tuple[int, int],
-    outcomes: Sequence[int] | None = None,
-) -> ReductionResult | list[ReductionResult]:
+    positions: Sequence[int],
+    rows: Sequence[tuple[str, Array, tuple[tuple[str, int], ...]]],
+    pair: tuple[int, int],
+) -> list[ReductionResult]:
+    """Project the sites at ``positions`` of ``rho`` onto the vector of each
+    ``(label, vector, corrections)`` row and apply the row's corrections to
+    the branch; a zero branch is dropped."""
+    out = []
+    for label, vec, corrections in rows:
+        p, state = _branch(rho, positions, vec)
+        if state is not None:
+            state = _conjugate(state, obs(*((q, x) for x, q in corrections)))
+            out.append(ReductionResult(pair, state, corrections, p, label))
+    return out
+
+
+def reduce_ghz_to_epr(rho: DensityMatrix, keep: tuple[int, int]) -> list[ReductionResult]:
     """Measure all qubits except ``keep`` in the +/- basis and correct.
 
-    ``outcomes`` (one 0/+ or 1/- entry per measured qubit, in site order)
-    selects a single branch; ``None`` returns every branch.  An odd number
-    of ``-`` outcomes flips the sign of the surviving coherence, so those
-    branches get a Z on the first kept qubit; afterwards every branch
+    Returns every branch, its outcomes in ``itertools.product`` order of
+    ``+`` before ``-`` over the measured qubits in site order.  An odd
+    number of ``-`` outcomes flips the sign of the surviving coherence, so
+    those branches get a Z on the first kept qubit; afterwards every branch
     carries the input's |0..0>/|1..1> coherence unchanged.
     """
     _require_edge_support(rho, "reduction")
     n = rho.n_sites
-    i, j = (_integer("keep", q) for q in keep)
+    pair = tuple(_integer("keep", q) for q in _list("keep", keep))
+    if len(pair) != 2:
+        raise ValueError(f"field 'keep' must list two qubits, got {keep!r}")
+    i, j = pair
     if i == j:
         raise ValueError("keep indices must be distinct")
     for q in (i, j):
@@ -288,42 +293,30 @@ def reduce_ghz_to_epr(
         raise ValueError("nothing to measure: state already has 2 qubits")
     i, j = min(i, j), max(i, j)
     others = [q for q in range(1, n + 1) if q not in (i, j)]
-
-    def one_branch(bits: tuple[int, ...]) -> ReductionResult:
-        # all measured sites at once: one joint projection
-        p, state = _branch(rho, others, tensor_product(*(_PLUSMINUS[b] for b in bits)))
-        if state is None:
-            raise ValueError(f"branch {bits} has zero probability")
-        corrections: tuple[tuple[str, int], ...] = ()
-        if sum(bits) % 2 == 1:
-            state = apply_local_unitaries(state, [(1, PAULI_Z)])
-            corrections = (("Z", 1),)
-        label = "".join("+" if b == 0 else "-" for b in bits)
-        return ReductionResult((i, j), state, corrections, p, label)
-
-    if outcomes is not None:
-        bits = tuple(_integer("outcomes", b) for b in outcomes)
-        if len(bits) != len(others) or any(b not in (0, 1) for b in bits):
-            raise ValueError(
-                f"outcomes must be {len(others)} entries of 0 (+) or 1 (-), got {outcomes}"
-            )
-        return one_branch(bits)
-    return [one_branch(bits) for bits in itertools.product((0, 1), repeat=len(others))]
+    rows = [
+        (
+            "".join("+-"[b] for b in bits),
+            tensor_product(*(_PLUSMINUS[b] for b in bits)),
+            (("Z", 1),) if sum(bits) % 2 else (),
+        )
+        for bits in itertools.product((0, 1), repeat=len(others))
+    ]
+    return _reduce(rho, others, rows, (i, j))
 
 
 # Rows |+> and |-> of a qubit site
 _PLUSMINUS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-# Rows phi+, phi-, psi+, psi- of two qubit sites: the keys of _SWAP_CORRECTIONS, in order
-_BELL = np.array(
-    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
-) / np.sqrt(2.0)
-_SWAP_CORRECTIONS: dict[str, tuple[tuple[str, int], ...]] = {
-    "phi+": (),
-    "phi-": (("Z", 1),),
-    "psi+": (("X", 2),),
-    "psi-": (("X", 2), ("Z", 1)),
-}
-_PAULI_BY_NAME = {"Z": PAULI_Z, "X": PAULI_X}
+# (label, vector, corrections) of each Bell outcome on two qubit sites; the
+# first kept qubit is the left input's remaining one, the second the right's
+_BELL_ROWS = [
+    (label, np.array(vec, dtype=complex) / np.sqrt(2.0), corrections)
+    for label, vec, corrections in (
+        ("phi+", [1, 0, 0, 1], ()),
+        ("phi-", [1, 0, 0, -1], (("Z", 1),)),
+        ("psi+", [0, 1, 1, 0], (("X", 2),)),
+        ("psi-", [0, 1, -1, 0], (("X", 2), ("Z", 1))),
+    )
+]
 
 
 def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[ReductionResult]:
@@ -331,10 +324,10 @@ def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[Reductio
 
     The two pair states (on qubits A,B and C,D) must live in the
     |00>/|11> span up to ``LEAKAGE_TOL``.  B and C are jointly measured in
-    the Bell basis; the table at the top of this module maps each outcome
-    to its correction.  On every returned branch the output coherence is
-    rho_00;11 * rho'_00;11 / norm (the psi branches see the conjugate of
-    the second factor, which coincides for real coherences).
+    the Bell basis; ``_BELL_ROWS`` maps each outcome to its correction.  On
+    every returned branch the output coherence is rho_00;11 * rho'_00;11 /
+    norm (the psi branches see the conjugate of the second factor, which
+    coincides for real coherences).
     """
     for rho, name in ((rho_ab, "first"), (rho_cd, "second")):
         if rho.sites != (2, 2):
@@ -342,15 +335,10 @@ def swap_branches(rho_ab: DensityMatrix, rho_cd: DensityMatrix) -> list[Reductio
         _require_edge_support(rho, "entanglement swap")
     # a Kronecker product of density matrices is PSD by construction
     joint = _derived(tensor_product(rho_ab.mat, rho_cd.mat), (2, 2, 2, 2))
-    branches = [_branch(joint, (2, 3), vec) for vec in _BELL]
-    total = sum(p for p, _state in branches)
+    out = _reduce(joint, (2, 3), _BELL_ROWS, (1, 4))
+    total = sum(br.probability for br in out)
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    out = []
-    for (label, corrections), (p, state) in zip(_SWAP_CORRECTIONS.items(), branches):
-        if state is not None:
-            state = apply_local_unitaries(state, [(q, _PAULI_BY_NAME[x]) for x, q in corrections])
-            out.append(ReductionResult((1, 4), state, corrections, p, label))
     return out
 
 

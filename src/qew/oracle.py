@@ -490,11 +490,13 @@ def bisect_threshold(
 ) -> float:
     """Locate the switching point of a monotone predicate on [lo, hi].
 
-    ``detected`` must be False at ``lo`` and True at ``hi``; the returned
+    ``detected`` must be False at ``lo`` and True at ``hi > lo``; the returned
     midpoint is within ``tol`` of the transition, or within one ulp when
     ``tol`` is finer than the float spacing there.
     """
     _positive("tol", tol)
+    if not lo < hi:  # written so that a NaN endpoint fails
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     if detected(lo):
         raise ValueError("predicate already true at the lower endpoint")
     if not detected(hi):

@@ -18,7 +18,8 @@ Conventions
   computations no theorem covers, such as a renormalized projection branch
   (dividing by its probability p scales the floor by 1/p).  Results that are
   PSD by a theorem skip that O(D^3) step (the private ``_derived``): pure
-  states, white-noise mixtures, unitary conjugations, blind channels and
+  states, white-noise mixtures, monomial conjugations (each local factor
+  is unitary, so the spectrum is kept), blind channels and
   network gate layers (Schur products with a PSD unit-diagonal multiplier),
   Kronecker products of states, and the oracle's mixtures of pure products.
 - Expectation values are returned as ``complex``; the imaginary part is
@@ -58,7 +59,6 @@ __all__ = [
     "as_density",
     "clock_op",
     "expectation",
-    "apply_local_unitaries",
     "obs",
     "pauli",
     "pure_density",
@@ -75,7 +75,6 @@ PSD_FLOOR = -1e-10
 # Side of the square tiles the Hermiticity check reads a matrix in
 _HERM_TILE = 128
 ZERO_PROB = 1e-12
-UNITARY_TOL = 1e-12
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -429,48 +428,19 @@ def expectation(rho: DensityMatrix, o: Observable) -> complex:
     return complex(np.sum(rho.mat[np.arange(rho.dim), perm] * phase))
 
 
-# ---------------------------------------------------------------------------
-# local unitaries
-# ---------------------------------------------------------------------------
-
-
-def apply_local_unitaries(
-    rho: DensityMatrix,
-    us: Sequence[tuple[int, Array]],
-) -> DensityMatrix:
-    """Conjugate ``rho`` by a product of single-site unitaries.
-
-    Each entry of ``us`` is ``(site, U)``, contracted with the row and the
-    column axis of its site in turn.  Every U is checked for unitarity
-    to 1e-12.  A unitary conjugation keeps the spectrum, so the output is
-    PSD by construction; its trace and Hermiticity are re-checked.
-    """
-    n = rho.n_sites
-    t = _as_row_col_tensor(rho)
-    for site, u in us:
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} out of range for {n} sites")
-        d = rho.sites[site - 1]
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (d, d):
-            raise ValueError(f"unitary on site {site} must be {d}x{d}, got {u.shape}")
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-        if dev > UNITARY_TOL * max(1.0, d):
-            raise ValueError(f"matrix on site {site} is not unitary (dev {dev:.3e})")
-        row, col = site - 1, n + site - 1
-        t = np.moveaxis(np.tensordot(u, t, axes=(1, row)), 0, row)
-        t = np.moveaxis(np.tensordot(t, u.conj(), axes=(col, 1)), -1, col)
-    return _derived(t.reshape(rho.dim, rho.dim), rho.sites)
+def _conjugate(rho: DensityMatrix, o: Observable) -> DensityMatrix:
+    """O rho O^dag for the monomial ``o``: row and column i of rho move to
+    perm[i], scaled by phase[i] and its conjugate.  Every local factor is
+    unitary, so the conjugation keeps the spectrum and the result is PSD."""
+    perm, phase = _monomial(o, rho.sites)
+    out = np.empty_like(rho.mat)
+    out[np.ix_(perm, perm)] = phase[:, None] * rho.mat * phase.conj()
+    return _derived(out, rho.sites)
 
 
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
-
-
-def _as_row_col_tensor(rho: DensityMatrix) -> Array:
-    dims = rho.sites
-    return rho.mat.reshape(*dims, *dims)
 
 
 def _sandwich(rho: DensityMatrix, positions: Sequence[int], vec: Array) -> Array:
@@ -480,7 +450,7 @@ def _sandwich(rho: DensityMatrix, positions: Sequence[int], vec: Array) -> Array
     original state.
     """
     n = rho.n_sites
-    t = _as_row_col_tensor(rho)
+    t = rho.mat.reshape(*rho.sites, *rho.sites)
     row_axes = [p - 1 for p in positions]
     col_axes = [n + p - 1 for p in positions]
     # Bring measured axes to the front of the row block and col block.

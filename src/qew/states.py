@@ -104,8 +104,9 @@ def parse_state_spec(data: Mapping) -> StateSpec:
 
 def uniform_sites(n: int, d: int) -> tuple[int, ...]:
     """The sites ``(d,) * n`` of n d-level sites, refused before the tuple is
-    built when n is negative, d is below 2 or their total dimension exceeds
-    ``MAX_DIM``."""
+    built when n or d is not an integer, n is negative, d is below 2 or their
+    total dimension exceeds ``MAX_DIM``."""
+    n, d = _integer("n", n), _integer("d", d)
     if n < 0:
         raise ValueError(f"site count must be non-negative, got n={n}")
     if d < 2:

@@ -256,7 +256,7 @@ def test_reduce_all_branches_preserve_coherence():
     th = 0.7
     rho = ghz_state(4, th)
     branches = reduce_ghz_to_epr(rho, (1, 4))
-    assert len(branches) == 4
+    assert [br.outcome for br in branches] == ["++", "+-", "-+", "--"]
     coh = np.cos(th) * np.sin(th)
     for br in branches:
         assert br.pair == (1, 4)
@@ -266,12 +266,17 @@ def test_reduce_all_branches_preserve_coherence():
     assert sum(br.probability for br in branches) == pytest.approx(1.0)
 
 
+def _reduce_branch(rho, keep, outcome):
+    """The one branch of :func:`reduce_ghz_to_epr` with the given +/- label."""
+    (branch,) = [br for br in reduce_ghz_to_epr(rho, keep) if br.outcome == outcome]
+    return branch
+
+
 def test_reduce_single_branch_corrections():
     rho = ghz_state(3, np.pi / 4)
-    minus = reduce_ghz_to_epr(rho, (1, 3), outcomes=(1,))
+    plus, minus = reduce_ghz_to_epr(rho, (1, 3))
     assert minus.outcome == "-"
     assert minus.corrections == (("Z", 1),)
-    plus = reduce_ghz_to_epr(rho, (1, 3), outcomes=(0,))
     assert plus.outcome == "+"
     assert plus.corrections == ()
     assert np.allclose(minus.state.mat, plus.state.mat, atol=1e-12)
@@ -279,8 +284,7 @@ def test_reduce_single_branch_corrections():
 
 def test_reduce_keep_order_normalized():
     rho = ghz_state(3, 0.5)
-    br = reduce_ghz_to_epr(rho, (3, 1), outcomes=(0,))
-    assert br.pair == (1, 3)
+    assert [br.pair for br in reduce_ghz_to_epr(rho, (3, 1))] == [(1, 3), (1, 3)]
 
 
 def test_reduce_validation():
@@ -291,15 +295,15 @@ def test_reduce_validation():
         reduce_ghz_to_epr(rho, (1, 5))
     with pytest.raises(ValueError, match="nothing to measure"):
         reduce_ghz_to_epr(epr_state(0.5), (1, 2))
-    with pytest.raises(ValueError, match="outcomes"):
-        reduce_ghz_to_epr(rho, (1, 2), outcomes=(0, 1))
-    for bad in (0.9, 1.7, True, "1"):
-        with pytest.raises(ValueError, match="'outcomes' must be an integer"):
-            reduce_ghz_to_epr(rho, (1, 2), outcomes=(bad,))
-    assert reduce_ghz_to_epr(rho, (1, 2), outcomes=(1.0,)).outcome == "-"
     with pytest.raises(ValueError, match="'keep' must be an integer"):
         reduce_ghz_to_epr(rho, (1.5, 2))
-    assert reduce_ghz_to_epr(rho, (1.0, 3), outcomes=(0,)).pair == (1, 3)
+    assert _reduce_branch(rho, (1.0, 3), "+").pair == (1, 3)
+    with pytest.raises(ValueError, match="'keep' must list two qubits"):
+        reduce_ghz_to_epr(rho, (1, 2, 3))
+    with pytest.raises(ValueError, match="'keep' must list two qubits"):
+        reduce_ghz_to_epr(rho, (1,))
+    with pytest.raises(ValueError, match="'keep' must be a list"):
+        reduce_ghz_to_epr(rho, 5)
     with pytest.raises(ValueError, match="edge subspace"):
         reduce_ghz_to_epr(w_state([1 / np.sqrt(3)] * 3 + [0.0]), (1, 2))
 
@@ -307,11 +311,11 @@ def test_reduce_validation():
 def test_reduce_leakage_tolerance_kwarg():
     # white noise puts 3/4 of its weight outside the GHZ edge subspace
     rho = werner_mix(ghz_state(3, 0.8), 1.0 - 1e-9)
-    assert isinstance(reduce_ghz_to_epr(rho, (1, 2), outcomes=(0,)), ReductionResult)
+    assert all(isinstance(br, ReductionResult) for br in reduce_ghz_to_epr(rho, (1, 2)))
     leaky = werner_mix(ghz_state(3, 0.8), 1.0 - 1e-7)
     assert subspace_elements(leaky, "ghz").leakage > LEAKAGE_TOL
     with pytest.raises(ValueError, match="leakage"):
-        reduce_ghz_to_epr(leaky, (1, 2), outcomes=(0,))
+        reduce_ghz_to_epr(leaky, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +324,15 @@ def test_reduce_leakage_tolerance_kwarg():
 
 
 def test_bases_are_orthonormal():
-    for b in (networks._PLUSMINUS, networks._BELL):
+    bell = np.array([vec for _label, vec, _corrections in networks._BELL_ROWS])
+    for b in (networks._PLUSMINUS, bell):
         assert np.allclose(b @ b.conj().T, np.eye(b.shape[0]))
-    assert list(networks._SWAP_CORRECTIONS) == ["phi+", "phi-", "psi+", "psi-"]
+    assert [label for label, _vec, _corrections in networks._BELL_ROWS] == [
+        "phi+",
+        "phi-",
+        "psi+",
+        "psi-",
+    ]
 
 
 def _swap_branch(rho_ab, rho_cd, outcome):
@@ -407,7 +417,7 @@ def _reduction_cases():
         for th in (0.3, np.pi / 4, 1.2):
             rho = _channel_image(ghz_state(n, th), 0.9, 0.7)
             yield from reduce_ghz_to_epr(rho, (1, n))
-            yield reduce_ghz_to_epr(rho, (n, 2), outcomes=(1,) * (n - 2))
+            yield _reduce_branch(rho, (n, 2), "-" * (n - 2))
     pairs = [epr_state(0.0), epr_state(0.5), _channel_image(epr_state(0.9), 1.1, 0.6)]
     for a in pairs:
         for b in pairs:
@@ -422,7 +432,7 @@ def test_reductions_are_pinned():
         fields = (r.pair, r.corrections, r.probability.hex(), r.outcome, r.state.sites)
         h.update(repr(fields + ([],)).encode())  # the constant [] keeps the pinned byte layout
         h.update(r.state.mat.tobytes())
-    assert h.hexdigest() == "98bdab4b94de4b50b865d4297962c7c886017bf2c1d7ba57e3d30a2829e5d044"
+    assert h.hexdigest() == "bf0df86e184847881fed269cdf9750a0e185c1e21bc5216e6dfd1a5e53fb8876"
 
 
 def test_reduction_result_probability_range():

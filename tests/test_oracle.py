@@ -585,6 +585,18 @@ def test_bisect_threshold_validates_bracket():
         bisect_threshold(lambda v: True, 0.0, 1.0)
     with pytest.raises(ValueError):
         bisect_threshold(lambda v: False, 0.0, 1.0)
+    # a reversed, empty or NaN bracket is refused before the predicate runs;
+    # reversed, this predicate is False at lo and True at hi but switches at 0.3
+    calls = []
+
+    def detected(v):
+        calls.append(v)
+        return v < 0.3
+
+    for lo, hi in ((1.0, 0.0), (0.5, 0.5), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            bisect_threshold(detected, lo, hi)
+    assert not calls
 
 
 def test_bisect_threshold_tolerance():

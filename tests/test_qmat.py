@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import qew.qmat as qmat
 from qew.qmat import (
     DensityMatrix,
-    apply_local_unitaries,
     as_density,
     clock_op,
     expectation,
@@ -232,11 +231,6 @@ def random_density(sites, seed) -> DensityMatrix:
     return as_density(m / np.trace(m), sites)
 
 
-def random_unitary(d, rng) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @st.composite
 def factors_on(draw, sites):
     factors = []
@@ -267,28 +261,15 @@ def test_expectation_refuses_non_monomial_factor(monkeypatch):
             expectation(rho, obs((2, "X")))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(site_dims(), st.data(), st.integers(0, 2**32 - 1))
-def test_apply_local_unitaries_matches_dense(sites, data, seed):
-    rng = np.random.default_rng(seed)
+def test_conjugate_matches_dense(sites, data, seed):
+    o = obs(*data.draw(factors_on(sites)))
     rho = random_density(sites, seed)
-    picks = data.draw(st.lists(st.integers(1, len(sites)), max_size=4))
-    us = [(site, random_unitary(sites[site - 1], rng)) for site in picks]
-    full = np.eye(rho.dim, dtype=complex)
-    for site, u in us:
-        mats = [np.eye(d, dtype=complex) for d in sites]
-        mats[site - 1] = u
-        full = tensor_product(*mats) @ full
-    out = apply_local_unitaries(rho, us)
-    assert np.max(np.abs(out.mat - full @ rho.mat @ full.conj().T)) <= 1e-12
-
-
-def test_apply_local_unitaries_flip():
-    rho = pure_density(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
-    out = apply_local_unitaries(rho, [(1, pauli("X"))])
-    assert out.mat[2, 2] == pytest.approx(1.0)  # |10><10|
-    with pytest.raises(ValueError, match="unitary"):
-        apply_local_unitaries(rho, [(1, np.array([[1.0, 0.0], [0.0, 2.0]]))])
+    u = realize_observable(o, sites)
+    out = qmat._conjugate(rho, o)
+    assert out.sites == rho.sites
+    assert np.max(np.abs(out.mat - u @ rho.mat @ u.conj().T)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

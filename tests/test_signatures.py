@@ -32,7 +32,6 @@ ALLOWED_DEFAULTS = {
     # inputs with a natural empty or default value
     "networks.NetworkSpec(cp_gates)",
     "networks.generate_cluster(ch)",
-    "networks.reduce_ghz_to_epr(outcomes)",
     "oracle.bisect_threshold(tol)",
     "oracle.ppt_check(subset)",
     "qmat.Factor(power)",

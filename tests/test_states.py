@@ -142,6 +142,12 @@ def test_parse_state_spec_errors():
     for n, d in ((2, -5), (3, 0), (0, 1)):
         with pytest.raises(ValueError, match="dimension must be at least 2"):
             uniform_sites(n, d)
+    # a non-integral n or d names its field, for the library builders too
+    with pytest.raises(ValueError, match="'d' must be an integer, got 2.5"):
+        uniform_sites(2, 2.5)
+    with pytest.raises(ValueError, match="'n' must be an integer, got 2.5"):
+        ghz_state(2.5, 0.3)
+    assert uniform_sites(2.0, 3) == (3, 3)
     with pytest.raises(ValueError, match="4 amplitudes"):
         parse_state_spec({"kind": "w", "a": [0.6, 0.8, 0.0]})
     # wrong types and non-finite or non-integral numbers name the field

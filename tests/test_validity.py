@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from qew import cli, networks, oracle, qmat, states, witnesses, zkp
 from qew.networks import CpGate, NetworkSpec, SourceSpec, generate_cluster, swap_branches
 from qew.oracle import SamplerConfig, all_bipartitions
-from qew.qmat import apply_local_unitaries, as_density, pure_density
+from qew.qmat import as_density, obs, pure_density
 from qew.states import (
     BlindChannel,
     ChannelTerm,
@@ -167,12 +167,11 @@ def test_pure_states_and_local_unitaries_pass_the_full_check(sites, data, seed):
         vec[0] = 1.0
     rho = pure_density(vec / np.linalg.norm(vec), sites)
     _revalidated(rho)
-    us = []
-    for site in data.draw(st.lists(st.integers(1, len(sites)), max_size=4)):
-        d = sites[site - 1]
-        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        us.append((site, q * (np.diag(r) / np.abs(np.diag(r)))))
-    _revalidated(apply_local_unitaries(rho, us))
+    factors = []
+    for site in sorted(data.draw(st.sets(st.integers(1, len(sites)), max_size=3))):
+        names = ["shift", "clock"] + (["X", "Y", "Z"] if sites[site - 1] == 2 else [])
+        factors.append((site, data.draw(st.sampled_from(names)), data.draw(st.integers(0, 6))))
+    _revalidated(qmat._conjugate(rho, obs(*factors)))
 
 
 @settings(max_examples=30, deadline=None)
