@@ -1,7 +1,8 @@
 """Dense complex-matrix kernel for small multi-site quantum systems.
 
-Everything in this module is a pure function of its inputs; nothing holds
-shared mutable state, so values can be shared freely across threads.
+Everything in this module is a pure function of its inputs.  The one
+memo, the monomial of each (observable, sites), holds read-only arrays
+built on first use, so values can be shared freely across threads.
 
 Conventions
 -----------
@@ -39,6 +40,7 @@ monomial picks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -404,11 +406,13 @@ def realize_observable(o: Observable, sites: Sequence[int]) -> Array:
     return tensor_product(*_site_matrices(o, tuple(sites)))
 
 
+@functools.cache
 def _monomial(o: Observable, sites: tuple[int, ...]) -> tuple[Array, Array]:
     """``(perm, phase)`` with ``O[perm[i], i] = phase[i]`` and every other entry 0.
 
-    Built site by site, site 1 most significant; a local factor with a column
-    that does not hold exactly one nonzero raises ``ValueError``.
+    Built site by site, site 1 most significant, once per (o, sites); a local
+    factor with a column that does not hold exactly one nonzero raises
+    ``ValueError``, and a refused key is checked again on its next call.
     """
     perm = np.zeros(1, dtype=np.intp)
     phases = []
@@ -419,7 +423,9 @@ def _monomial(o: Observable, sites: tuple[int, ...]) -> tuple[Array, Array]:
         rows = np.argmax(nonzero, axis=0)
         perm = (perm[:, None] * len(m) + rows).ravel()
         phases.append(m[rows, np.arange(len(m))])
-    return perm, tensor_product(*phases)
+    phase = tensor_product(*phases)
+    perm.flags.writeable = phase.flags.writeable = False  # shared by every caller of the cache
+    return perm, phase
 
 
 def expectation(rho: DensityMatrix, o: Observable) -> complex:

@@ -29,17 +29,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .qmat import (
-    PAULI_X,
-    PAULI_Y,
-    Array,
-    DensityMatrix,
-    Factor,
-    Observable,
-    expectation,
-    obs,
-    tensor_product,
-)
+from .qmat import Array, DensityMatrix, Factor, Observable, expectation, obs
 from .states import (
     SubspaceView,
     _positive,
@@ -558,6 +548,7 @@ def noise_witness(
     """
     if rho.sites != (2, 2):
         raise ValueError(f"two-qubit state required, got sites {rho.sites}")
+    _positive("eps_eq", eps_eq)
     zz = float(np.real(expectation(rho, obs((1, "Z"), (2, "Z")))))
     xx = float(np.real(expectation(rho, obs((1, "X"), (2, "X")))))
     yy = float(np.real(expectation(rho, obs((1, "Y"), (2, "Y")))))
@@ -585,7 +576,9 @@ def critical_visibility(offdiag: float, kind: str) -> float:
     ``offdiag`` is the modulus of the family coherence (|rho_00;11| or
     |rho_000;111|), at most 1/2.  Routes: ``witness`` -> 1/(1+4c);
     ``chsh`` -> 1/sqrt(1+4c^2); ``svetlichny_3`` -> 1/(2 sqrt(2) c),
-    capped at 1 where the closed form exceeds the physical range.
+    capped at 1 where the closed form exceeds the physical range: below
+    c = 1/(2 sqrt(2)) that cap means the route detects at no visibility (at
+    v = 1 the Svetlichny value is 8 sqrt(2) c <= 4).
     """
     if not 0.0 <= offdiag <= 0.5:
         raise ValueError(f"offdiag must be in [0, 1/2], got {offdiag}")
@@ -600,30 +593,32 @@ def critical_visibility(offdiag: float, kind: str) -> float:
     raise ValueError(f"kind must be one of {_CRITICAL_KINDS}, got {kind!r}")
 
 
-def _equatorial(phi: float) -> Array:
-    return np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
-
-
 def svetlichny_value(rho: DensityMatrix, phis: Sequence[float]) -> float:
-    """Svetlichny combination with equatorial settings cos(phi) X + sin(phi) Y.
+    """Svetlichny combination with equatorial settings A(phi) = cos(phi) X + sin(phi) Y.
 
-    Each party measures A(phi_j) or the primed A(phi_j + pi/2); the
-    eight triple correlations are summed with + on the settings with at
-    most one prime and - on the rest, and the magnitude is returned.  On
-    white-noise GHZ mixtures the optimum sits at phi_1+phi_2+phi_3 = 3 pi/4
-    and equals 8 sqrt(2) v |rho_000;111|.
+    Each party measures A(phi_j) or the primed A(phi_j + pi/2) = -sin(phi_j) X
+    + cos(phi_j) Y; the eight triple correlations are summed with + on the
+    settings with at most one prime and - on the rest, and the magnitude is
+    returned.  In X and Y that sum is sum_s w_s Re<s> over the eight X/Y
+    strings s: eight monomial reads.  On white-noise GHZ mixtures the optimum
+    sits at phi_1+phi_2+phi_3 = 3 pi/4 and equals 8 sqrt(2) v |rho_000;111|.
     """
     if rho.sites != (2, 2, 2):
         raise ValueError(f"three-qubit state required, got sites {rho.sites}")
     phis = tuple(float(p) for p in phis)
     if len(phis) != 3:
         raise ValueError(f"need 3 angles, got {len(phis)}")
+    if not np.isfinite(phis).all():
+        raise ValueError(f"angles must be finite, got {phis}")
+    # trig[j][p, c]: Pauli c (0 X, 1 Y) of party j's setting, primed when p = 1
+    trig = [np.array([[np.cos(p), np.sin(p)], [-np.sin(p), np.cos(p)]]) for p in phis]
+    signs = np.where(np.indices((2, 2, 2)).sum(axis=0) <= 1, 1.0, -1.0)
+    weights = np.einsum("pqr,pa,qb,rc->abc", signs, *trig)
     total = 0.0
-    for primes in itertools.product((0, 1), repeat=3):
-        mats = [_equatorial(phis[i] + primes[i] * np.pi / 2.0) for i in range(3)]
-        corr = float(np.real(np.trace(rho.mat @ tensor_product(*mats))))
-        total += corr if sum(primes) <= 1 else -corr
-    return abs(total)
+    for s in itertools.product((0, 1), repeat=3):
+        line = obs(*((j, "XY"[c]) for j, c in enumerate(s, start=1)))
+        total += weights[s] * expectation(rho, line).real
+    return float(abs(total))
 
 
 def svetlichny_optimal_angles() -> tuple[float, float, float]:

@@ -23,7 +23,6 @@ how the rounds are batched or parallelized.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -156,11 +155,10 @@ def _prob_table(strategy: ProverStrategy) -> Array:
     table = np.zeros((2, 2, 4))
     rho = strategy_state(strategy)
     if rho is not None:
-        value = functools.cache(lambda o: expectation(rho, o).real)  # each marginal once
         for name, (k, s) in CELLS.items():
             line = _LINES[name].observable
-            e, f = (value(Observable((x,))) for x in line.factors)
-            table[k, s] = (1.0 + _A * e + _B * f + _A * _B * value(line)) / 4.0
+            e, f = (expectation(rho, Observable((x,))).real for x in line.factors)
+            table[k, s] = (1.0 + _A * e + _B * f + _A * _B * expectation(rho, line).real) / 4.0
     else:
         if any(a not in (-1, 1) for a in strategy.outcomes):
             raise ValueError(f"fixed outcomes must be +/-1, got {strategy.outcomes}")
@@ -168,10 +166,9 @@ def _prob_table(strategy: ProverStrategy) -> Array:
             rho_b = as_density(np.eye(2) / 2.0, (2,))
         else:
             rho_b = as_density(np.array(strategy.verifier_qubit, dtype=complex), (2,))
-        # the verifier's qubit alone: each Pauli once, on its site 1
-        value = functools.cache(lambda pauli: expectation(rho_b, obs((1, pauli))).real)
         for name, (k, s) in CELLS.items():
-            f = value(_LINES[name].observable.factors[1].name)
+            # the verifier's factor of the line, on the qubit's site 1
+            f = expectation(rho_b, obs((1, _LINES[name].observable.factors[1].name))).real
             table[k, s] = np.where(_A == strategy.outcomes[k], (1.0 + _B * f) / 2.0, 0.0)
     table = np.clip(table, 0.0, None)
     return table / table.sum(axis=-1, keepdims=True)

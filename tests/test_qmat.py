@@ -255,10 +255,22 @@ def test_expectation_refuses_non_monomial_factor(monkeypatch):
     rho = bell_phi_plus()
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     projector = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    qmat._monomial.cache_clear()  # a cached X monomial would skip the check
     for local in (hadamard, projector):
         monkeypatch.setattr(qmat, "site_operator", lambda name, d, power=1, m=local: m)
         with pytest.raises(ValueError, match="monomial"):
             expectation(rho, obs((2, "X")))
+    qmat._monomial.cache_clear()  # keep no entry built under the patch
+
+
+def test_monomial_is_built_once_and_read_only():
+    o, sites = obs((1, "Y"), (3, "clock", 2)), (2, 2, 3)
+    perm, phase = qmat._monomial(o, sites)
+    again = qmat._monomial(o, sites)
+    assert again[0] is perm and again[1] is phase
+    for arr in (perm, phase):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qew.oracle import SamplerConfig, sample_separable
-from qew.qmat import as_density, expectation, obs, pure_density
+from qew.qmat import PAULI_X, PAULI_Y, as_density, expectation, obs, pure_density, tensor_product
 from qew.states import (
     BlindChannel,
     ChannelTerm,
@@ -405,6 +406,13 @@ def test_noise_witness_bound_holds_on_separable_samples():
     assert max(values) <= 1.0 + EPS_EQ
 
 
+def test_noise_witness_refuses_a_bad_tolerance():
+    rho = epr_state(0.7)
+    for eps in (float("nan"), -5.0):
+        with pytest.raises(ValueError, match="eps_eq must be a finite positive number"):
+            noise_witness(rho, eps_eq=eps)
+
+
 def test_critical_visibility_golden_values():
     assert critical_visibility(0.5, "witness") == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert critical_visibility(0.5, "chsh") == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -486,6 +494,50 @@ def test_svetlichny_input_checks():
         svetlichny_value(epr_state(0.4), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         svetlichny_value(ghz_state(3, 0.4), (0.0, 0.0))
+
+
+def test_svetlichny_refuses_non_finite_angles():
+    rho = ghz_state(3, 0.4)
+    for phis in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            svetlichny_value(rho, phis)
+
+
+def dense_svetlichny(rho, phis) -> float:
+    """The Svetlichny sum over eight dense 8x8 setting operators."""
+    total = 0.0
+    for primes in itertools.product((0, 1), repeat=3):
+        mats = [np.cos(p + k * np.pi / 2) * PAULI_X + np.sin(p + k * np.pi / 2) * PAULI_Y
+                for p, k in zip(phis, primes)]
+        corr = float(np.real(np.trace(rho.mat @ tensor_product(*mats))))
+        total += corr if sum(primes) <= 1 else -corr
+    return abs(total)
+
+
+angle = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), angle, angle, angle)
+def test_svetlichny_matches_dense_reference(seed, p1, p2, p3):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    m = g @ g.conj().T
+    rho = as_density(m / np.trace(m), (2, 2, 2))
+    phis = (p1, p2, p3)
+    assert svetlichny_value(rho, phis) == pytest.approx(dense_svetlichny(rho, phis), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phi,want", [(0.0, 4 * np.sqrt(2)), (np.pi / 4, 4.0), (np.pi / 2, 0.0)]
+)
+def test_local_phase_moves_svetlichny_not_the_witness(phi, want):
+    """A local phase on qubit 1 turns the fixed-angle Svetlichny value; the
+    GHZ witness reads the coherence's modulus and does not move."""
+    ch = BlindChannel((ChannelTerm(1.0, ((0.0, phi), (0.0, 0.0), (0.0, 0.0))),))
+    rho = apply_blind_channel(ghz_state(3, np.pi / 4), ch)
+    assert svetlichny_value(rho, svetlichny_optimal_angles()) == pytest.approx(want, abs=1e-9)
+    assert witness_ghz(rho).lhs == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
