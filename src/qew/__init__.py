@@ -69,7 +69,6 @@ from .witnesses import (
     classical_assignment_search,
     critical_visibility,
     evaluate_battery,
-    noise_witness,
     svetlichny_value,
     witness_epr,
     witness_ghz,
@@ -115,7 +114,6 @@ __all__ = [
     "witness_ghz",
     "witness_w",
     "witness_qudit",
-    "noise_witness",
     "svetlichny_value",
     "battery_epr",
     "battery_ghz",

@@ -297,8 +297,6 @@ def _parse_strategy(data: Mapping) -> HonestStrategy | SeparableDiagStrategy | F
     if kind == "fixed_outcomes":
         raw = _list("outcomes", _entry("strategy spec", data, "outcomes"))
         outcomes = tuple(_integer("outcomes", x) for x in raw)
-        if len(outcomes) != 2:
-            raise InputError("fixed_outcomes needs two entries (a for k=0, a for k=1)")
         vq = data.get("verifier_qubit")
         if vq is not None:
             vq = tuple(

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qmat import Array, DensityMatrix, _form_fault, pure_density, uniforms
-from .states import BlindChannel, ChannelTerm, _positive, family_basis
+from .states import MAX_DIM, BlindChannel, ChannelTerm, _positive, family_basis
 
 __all__ = [
     "BLOCK_ENTRIES",
@@ -55,6 +55,7 @@ class SamplerConfig:
     ``terms`` is the number of mixture terms per sample (1..16);
     ``partition`` (1-based site indices) fixes the bipartition for
     biseparable sampling, or ``None`` to draw a bipartition per term.
+    Sites whose total dimension exceeds ``MAX_DIM`` are refused.
     """
 
     sites: tuple[int, ...]
@@ -65,14 +66,20 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not self.sites or any(d < 2 for d in self.sites):
             raise ValueError(f"need one or more sites of dimension >= 2, got {self.sites}")
+        if math.prod(self.sites) > MAX_DIM:
+            raise ValueError(f"dimension budget exceeded: sites {self.sites} exceed {MAX_DIM}")
         if not 1 <= self.terms <= MAX_TERMS:
             raise ValueError(f"terms must be in 1..{MAX_TERMS}, got {self.terms}")
         if self.partition is not None:
-            part = set(self.partition)
-            if not part or not part < set(range(1, len(self.sites) + 1)):
-                raise ValueError(
-                    f"partition must be a nonempty proper subset of sites, got {self.partition}"
-                )
+            _cut("partition", self.partition, len(self.sites))
+
+
+def _cut(name: str, subset: Sequence[int], n: int) -> None:
+    """Refuse ``subset`` unless it names a nonempty proper subset of the sites
+    1..n, each site once."""
+    part = set(subset)
+    if len(part) != len(subset) or not part or not part < set(range(1, n + 1)):
+        raise ValueError(f"{name} must be a nonempty proper subset of sites, got {subset}")
 
 
 def all_bipartitions(n: int) -> list[tuple[int, ...]]:
@@ -131,10 +138,10 @@ def _blocks_for(
 @functools.cache
 def _read_table(witness: str, structure: _Structure, sites: tuple[int, ...]) -> tuple[Array, ...]:
     """Per block of ``structure``, the local index of each amplitude ``witness``
-    reads, its family's ``states.family_basis`` (the EPR pair's for ``noise``)
-    in basis order: read amplitude r of the product is the product, in block
-    order, of entry ``table[b][r]`` of each block b.  Built once per key."""
-    digits = np.unravel_index(family_basis("epr" if witness == "noise" else witness, sites), sites)
+    reads, its family's ``states.family_basis`` in basis order: read amplitude
+    r of the product is the product, in block order, of entry ``table[b][r]``
+    of each block b.  Built once per key."""
+    digits = np.unravel_index(family_basis(witness, sites), sites)
     table = tuple(
         np.ravel_multi_index([digits[i - 1] for i in blk], [sites[i - 1] for i in blk])
         for blk, _d in structure
@@ -362,28 +369,24 @@ def _pure_lhs(kind: str, amps: Array) -> float:
         mods = np.abs(amps)
         total, squares = np.add.reduce(mods), np.add.reduce(mods**2)
         return float(2.0 * ((total**2 - squares) / 2.0) + squares - 1.0)
-    if kind == "noise":
-        # <XX> - <YY> + <ZZ> of a two-qubit pure state
-        return 2.0 * abs(amps[0] + amps[1]) ** 2 - 1.0
     raise ValueError(f"unknown witness name {kind!r}")
 
 
 # Where each witness bound holds, the one set both the search here and the qew oracle
 # campaign read; not read from qew.witnesses, so the check stays outside.
 _WITNESS_SET = {
-    "epr": "separable", "qudit": "separable", "noise": "separable",
-    "ghz": "biseparable", "w": "biseparable",
+    "epr": "separable", "qudit": "separable", "ghz": "biseparable", "w": "biseparable",
 }
 
 
 def maximize_witness(witness: str, cfg: SamplerConfig, iters: int) -> tuple[float, DensityMatrix]:
     """Search the (bi)separable set for the largest witness left-hand side.
 
-    ``witness`` is a family (``epr``, ``ghz``, ``w``, ``qudit``) or ``noise``,
-    the two-qubit s = <XX> - <YY> + <ZZ>.  ``iters`` (1..``MAX_ITERS``) random
-    pure-product starts are scored (for ``ghz``/``w`` the starts cycle through
-    the bipartitions); the best ``REFINE_TOP`` are refined by ``SWEEPS``
-    coordinate-wise golden-section sweeps over the factor angles.  Fully
+    ``witness`` is a family (``epr``, ``ghz``, ``w``, ``qudit``).  ``iters``
+    (1..``MAX_ITERS``) random pure-product starts are scored (for ``ghz``/``w``
+    the starts cycle through the bipartitions); the best ``REFINE_TOP`` are
+    refined by ``SWEEPS`` coordinate-wise golden-section sweeps over the
+    factor angles.  Fully
     deterministic for a given ``cfg.seed``; ties keep the lowest start index.
     Returns the best value and the state attaining it.
     """
@@ -468,10 +471,12 @@ def ppt_check(rho: DensityMatrix, subset: Sequence[int] = (2,)) -> PptReport:
 
     Exact (PPT <=> separable) only for two sites with total dimension <= 6;
     other shapes get ``exact=False`` and NPT remains a sufficient
-    entanglement certificate.
+    entanglement certificate.  ``subset`` must be a cut: a nonempty proper
+    subset of the sites.
     """
     if rho.n_sites < 2:
         raise ValueError("partial transpose needs at least 2 sites")
+    _cut("subset", subset, rho.n_sites)
     evals = np.linalg.eigvalsh(partial_transpose(rho, subset))
     min_eig = float(evals[0])
     exact = rho.n_sites == 2 and rho.dim <= 6

@@ -16,14 +16,15 @@ Two complementary verification devices live here:
   fail at least one.  :func:`classical_assignment_search` makes the
   classical contradiction checkable by exhaustive grid scan.
 
-The noise-threshold helpers (:func:`noise_witness`,
-:func:`critical_visibility`, :func:`svetlichny_value`) quantify how much
-white noise each verification route tolerates.
+The noise-threshold helpers (:func:`critical_visibility`,
+:func:`svetlichny_value`) quantify how much white noise each verification
+route tolerates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -52,7 +53,6 @@ __all__ = [
     "Exact",
     "ItemResult",
     "NonZero",
-    "NoiseWitnessReport",
     "ParadoxBattery",
     "ValueAssignment",
     "WitnessFamily",
@@ -66,7 +66,6 @@ __all__ = [
     "classical_assignment_search",
     "critical_visibility",
     "evaluate_battery",
-    "noise_witness",
     "reindex_battery",
     "svetlichny_optimal_angles",
     "svetlichny_value",
@@ -519,54 +518,6 @@ def witness_qudit(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessRepor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoiseWitnessReport:
-    s: float
-    zz: float
-    xx: float
-    yy: float
-    zx: float
-    xz: float
-    zero_lines_ok: bool
-    verdict: str
-
-
-def noise_witness(
-    rho: DensityMatrix,
-    *,
-    eps_eq: float = EPS_EQ,
-) -> NoiseWitnessReport:
-    """Correlation witness s = <XX> - <YY> + <ZZ> > 1 for two-qubit states.
-
-    s = 4F - 1 with F the fidelity to (|00> + |11>)/sqrt(2).  On a product
-    state with Bloch vectors r1, r2 it is r1 . (D r2) with D = diag(1, -1, 1),
-    at most |r1| |r2| <= 1, and a separable state is a mixture of products,
-    so s > 1 witnesses entanglement.  On white-noise mixtures of the EPR-type
-    family, s = v(1 + 4 rho_00;11), so the verdict line s > 1 reproduces the
-    critical visibility 1/(1 + 4 rho_00;11).  The <ZX> and <XZ> values are
-    reported with a ``zero_lines_ok`` check but do not enter the verdict.
-    """
-    if rho.sites != (2, 2):
-        raise ValueError(f"two-qubit state required, got sites {rho.sites}")
-    _positive("eps_eq", eps_eq)
-    zz = float(np.real(expectation(rho, obs((1, "Z"), (2, "Z")))))
-    xx = float(np.real(expectation(rho, obs((1, "X"), (2, "X")))))
-    yy = float(np.real(expectation(rho, obs((1, "Y"), (2, "Y")))))
-    zx = float(np.real(expectation(rho, obs((1, "Z"), (2, "X")))))
-    xz = float(np.real(expectation(rho, obs((1, "X"), (2, "Z")))))
-    s = xx - yy + zz
-    return NoiseWitnessReport(
-        s=s,
-        zz=zz,
-        xx=xx,
-        yy=yy,
-        zx=zx,
-        xz=xz,
-        zero_lines_ok=max(abs(zx), abs(xz)) <= eps_eq,
-        verdict=ENTANGLED if s > 1.0 + eps_eq else NOT_WITNESSED,
-    )
-
-
 _CRITICAL_KINDS = ("witness", "chsh", "svetlichny_3")
 
 
@@ -679,14 +630,17 @@ def classical_assignment_search(
                     f"factor {f.name!r} is not value-assignable; only X and Z are"
                 )
             n = max(n, f.site)
-    grid = np.arange(-1.0, 1.0 + grid_step / 2.0, grid_step)
+    # the length of the np.arange below, counted as numpy counts it, before
+    # the grid exists
+    size = math.ceil(((1.0 + grid_step / 2.0) + 1.0) / grid_step)
     n_axes = 2 * n  # per party: axis 2(j-1) is v_z, axis 2(j-1)+1 is v_x
-    cells = grid.size**n_axes
+    cells = size**n_axes
     if cells > MAX_ASSIGNMENT_CELLS:
         raise ValueError(
-            f"assignment budget exceeded: {grid.size}^{n_axes} = {cells} grid cells "
+            f"assignment budget exceeded: {size}^{n_axes} = {cells} grid cells "
             f"exceed {MAX_ASSIGNMENT_CELLS}"
         )
+    grid = np.arange(-1.0, 1.0 + grid_step / 2.0, grid_step)
     mask = np.ones((grid.size,) * n_axes, dtype=bool)
     for item in items:
         term: Array | float = 1.0

@@ -160,8 +160,11 @@ def _prob_table(strategy: ProverStrategy) -> Array:
             e, f = (expectation(rho, Observable((x,))).real for x in line.factors)
             table[k, s] = (1.0 + _A * e + _B * f + _A * _B * expectation(rho, line).real) / 4.0
     else:
-        if any(a not in (-1, 1) for a in strategy.outcomes):
-            raise ValueError(f"fixed outcomes must be +/-1, got {strategy.outcomes}")
+        if len(strategy.outcomes) != 2 or any(a not in (-1, 1) for a in strategy.outcomes):
+            raise ValueError(
+                f"fixed outcomes must be two entries of +/-1 (a for k=0, a for k=1), "
+                f"got {strategy.outcomes}"
+            )
         if strategy.verifier_qubit is None:
             rho_b = as_density(np.eye(2) / 2.0, (2,))
         else:

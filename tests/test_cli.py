@@ -390,6 +390,16 @@ def test_zkp_strategy_errors(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_zkp_fixed_outcomes_are_checked_by_the_library(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    for outcomes in ([1], [1, 1, 1]):
+        path = _write(tmp_path, "fx.json", {"kind": "fixed_outcomes", "outcomes": outcomes})
+        code, out, err = _run(capsys, "zkp", path, "--seed", "1")
+        assert code == 2 and out == ""
+        assert "fixed outcomes must be two entries of +/-1 (a for k=0, a for k=1)" in err
+        assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # network
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qew import oracle
+from qew import oracle, witnesses
 from qew.oracle import (
     SamplerConfig,
     all_bipartitions,
@@ -25,8 +25,6 @@ from qew.oracle import (
 from qew.qmat import uniforms
 from qew.states import MAX_DIM, epr_state, family_basis, ghz_state, werner_mix
 from qew.witnesses import (
-    NOT_WITNESSED,
-    noise_witness,
     witness_epr,
     witness_family,
     witness_ghz,
@@ -47,6 +45,15 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(sites=(2, 2), partition=(1, 2))  # not a proper subset
     SamplerConfig(sites=(2, 2, 2), partition=(1, 3))
+
+
+def test_sampler_config_refuses_oversized_sites_and_repeated_partition_sites():
+    # refused at construction, before any draw is sized from the dimension
+    with pytest.raises(ValueError, match=f"dimension budget exceeded: .* exceed {MAX_DIM}"):
+        SamplerConfig(sites=(2,) * 30)
+    SamplerConfig(sites=(2,) * 12)  # 4096, at the budget
+    with pytest.raises(ValueError, match="partition must be a nonempty proper subset of sites"):
+        SamplerConfig(sites=(2, 2, 2), partition=(1, 1))
 
 
 def test_all_bipartitions_three_sites():
@@ -276,14 +283,9 @@ def test_one_start_searches_are_pinned(witness, sites, seed, value, digest):
     assert hashlib.sha256(state.mat.tobytes()).hexdigest() == digest
 
 
-def test_maximize_noise_reaches_its_bound():
-    val, state = maximize_witness("noise", SamplerConfig(sites=(2, 2), seed=3), 40)
-    assert 1.0 - 1e-3 <= val <= 1.0 + 1e-9
-    rep = noise_witness(state)
-    assert rep.s == pytest.approx(val, abs=1e-12)
-    assert rep.verdict == NOT_WITNESSED
-    with pytest.raises(ValueError, match="needs 2 or more sites of one dimension"):
-        maximize_witness("noise", SamplerConfig(sites=(2, 3)), 1)
+def test_search_sets_are_the_families():
+    # cmd_oracle indexes the set table by family, and the search takes no other name
+    assert set(oracle._WITNESS_SET) == set(witnesses.FAMILY_NAMES)
 
 
 def _no_scoring(*args):
@@ -293,12 +295,11 @@ def _no_scoring(*args):
 @pytest.mark.parametrize(
     "witness, family, sites",
     [("epr", "epr", (2, 2, 2)), ("ghz", "ghz", (3, 3, 3)), ("qudit", "qudit", (2, 3)),
-     ("w", "w", (2, 2)), ("noise", "epr", (2, 3))],
+     ("w", "w", (2, 2))],
 )
 def test_search_refuses_the_sites_its_family_refuses(monkeypatch, witness, family, sites):
-    """The search reads its family's basis (the EPR pair's for ``noise``), so
-    it refuses the sites that basis refuses, with its error, before it scores
-    a start."""
+    """The search reads its family's basis, so it refuses the sites that basis
+    refuses, with its error, before it scores a start."""
     with pytest.raises(ValueError) as refusal:
         family_basis(family, sites)
     monkeypatch.setattr(oracle, "_pure_lhs", _no_scoring)
@@ -343,8 +344,6 @@ def _full_lhs(kind, vec, sites):
     if kind == "w":
         p = vec
         return float(abs(p[1] * p[7]) + abs(p[2] * p[4]) + abs(p[1] * p[2]) + abs(p[4] * p[7]))
-    if kind == "noise":
-        return 2.0 * abs(vec[0] + vec[3]) ** 2 - 1.0
     d = sites[0]
     amps = np.array([vec[np.ravel_multi_index((j,) * len(sites), sites)] for j in range(d)])
     mods = np.abs(amps)
@@ -352,9 +351,8 @@ def _full_lhs(kind, vec, sites):
     return float(2.0 * off + (mods**2).sum() - 1.0)
 
 
-_SEARCHES = [("epr", (2, 2)), ("noise", (2, 2)), ("ghz", (2, 2, 2)), ("ghz", (2, 2, 2, 2)),
-             ("w", (2, 2, 2)), ("qudit", (2, 2)), ("qudit", (3, 3)), ("qudit", (3, 3, 3)),
-             ("qudit", (4, 4))]
+_SEARCHES = [("epr", (2, 2)), ("ghz", (2, 2, 2)), ("ghz", (2, 2, 2, 2)), ("w", (2, 2, 2)),
+             ("qudit", (2, 2)), ("qudit", (3, 3)), ("qudit", (3, 3, 3)), ("qudit", (4, 4))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -565,6 +563,14 @@ def test_ppt_check_werner_threshold():
     rho = epr_state(np.pi / 4)
     assert not ppt_check(werner_mix(rho, 1.0 / 3.0)).npt
     assert ppt_check(werner_mix(rho, 0.34)).npt
+
+
+@pytest.mark.parametrize("subset", [(1, 2), (), (3,), (2, 2)])
+def test_ppt_check_refuses_a_subset_that_is_not_a_cut(subset):
+    """Transposing every site or none keeps the spectrum, so a PPT reading
+    there certifies nothing: a Bell pair is refused, not called PPT."""
+    with pytest.raises(ValueError, match="subset must be a nonempty proper subset of sites"):
+        ppt_check(epr_state(np.pi / 4), subset)
 
 
 def test_ppt_exact_flag_by_dimension():

@@ -51,7 +51,6 @@ ALLOWED_DEFAULTS = {
     "witnesses.classical_assignment_search(eps_nz)",
     "witnesses.evaluate_battery(eps_eq)",
     "witnesses.evaluate_battery(eps_nz)",
-    "witnesses.noise_witness(eps_eq)",
     "witnesses.witness_epr(eps_eq)",
     "witnesses.witness_ghz(eps_eq)",
     "witnesses.witness_qudit(eps_eq)",
@@ -91,8 +90,6 @@ TEST_ONLY_NAMES = {
     "zkp.format_transcript",
     # the round-trip oracle for the network JSON parser that the CLI reads
     "networks.network_to_dict",
-    # a sound bound the oracle audits; whether a command reports it is open
-    "witnesses.noise_witness",
 }
 
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qew.oracle import SamplerConfig, sample_separable
 from qew.qmat import PAULI_X, PAULI_Y, as_density, expectation, obs, pure_density, tensor_product
 from qew.states import (
     BlindChannel,
@@ -26,7 +27,6 @@ from qew.states import (
 )
 from qew.witnesses import (
     ENTANGLED,
-    EPS_EQ,
     NOT_WITNESSED,
     BatteryItem,
     Exact,
@@ -42,7 +42,6 @@ from qew.witnesses import (
     classical_assignment_search,
     critical_visibility,
     evaluate_battery,
-    noise_witness,
     reindex_battery,
     svetlichny_optimal_angles,
     svetlichny_value,
@@ -376,41 +375,22 @@ def test_battery_rejects_qudit_product_state():
 
 
 # ---------------------------------------------------------------------------
-# noise witness and critical visibility
+# the correlation bound and critical visibility
 # ---------------------------------------------------------------------------
 
 
-def test_noise_witness_values():
-    rho = epr_state(np.pi / 4)
-    rep = noise_witness(werner_mix(rho, 0.8))
-    assert rep.s == pytest.approx(2.4)
-    assert rep.verdict == ENTANGLED
-    assert rep.zero_lines_ok
-    assert noise_witness(werner_mix(rho, 1.0 / 3.0)).verdict == NOT_WITNESSED
-    assert noise_witness(werner_mix(rho, 0.0)).s == pytest.approx(0.0)
-
-
-def test_noise_witness_leaves_product_states_unwitnessed():
-    """|++><++| has <XX> = 1 and <YY> = <ZZ> = 0: s = 1, on the bound."""
-    plus = np.full(4, 0.5)
-    rep = noise_witness(pure_density(plus, (2, 2)))
-    assert (rep.xx, rep.yy, rep.zz) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-    assert rep.s == pytest.approx(1.0, abs=1e-12)
-    assert rep.verdict == NOT_WITNESSED
-
-
-def test_noise_witness_bound_holds_on_separable_samples():
-    # one mixture term: pure products, the separable states nearest the bound
-    cfg = SamplerConfig((2, 2), terms=1, seed=11)
-    values = [noise_witness(sample_separable(cfg, i)).s for i in range(200)]
-    assert max(values) <= 1.0 + EPS_EQ
-
-
-def test_noise_witness_refuses_a_bad_tolerance():
-    rho = epr_state(0.7)
-    for eps in (float("nan"), -5.0):
-        with pytest.raises(ValueError, match="eps_eq must be a finite positive number"):
-            noise_witness(rho, eps_eq=eps)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_correlation_sum_never_detects_what_witness_epr_misses(seed, rank):
+    """<XX> - <YY> + <ZZ> - 1 = 2(2 Re rho_00;11 + rho_00;00 + rho_11;11 - 1),
+    at most twice witness_epr's lhs: s > 1 witnesses no two-qubit state that
+    witness_epr leaves unwitnessed, and s <= 1 on separable states follows."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    rho = as_density(m / np.trace(m), (2, 2))
+    xx, yy, zz = (expectation(rho, obs((1, p), (2, p))).real for p in "XYZ")
+    assert xx - yy + zz - 1.0 <= 2.0 * witness_epr(rho).lhs + 1e-12
 
 
 def test_critical_visibility_golden_values():
@@ -587,6 +567,32 @@ def test_assignment_search_cell_budget():
     # four parties at step 0.1 would be 21^8 ~ 3.8e10 cells; refused, not allocated
     with pytest.raises(ValueError, match="budget"):
         classical_assignment_search(battery_ghz(4), 0.1, 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1.0))
+@example(1.0)
+@example(0.25)
+@example(0.1)
+def test_assignment_grid_is_counted_as_numpy_counts_it(step):
+    # eight parties give 16 axes, so even the 3-value grid of step 1 is
+    # refused, and the refusal names the count made before the grid exists
+    with pytest.raises(ValueError, match="assignment budget exceeded") as refusal:
+        classical_assignment_search(battery_ghz(8), step, 1e-6)
+    size = int(re.search(r"exceeded: (\d+)\^16", str(refusal.value)).group(1))
+    assert size == len(np.arange(-1.0, 1.0 + step / 2.0, step))
+
+
+def test_refused_assignment_scan_allocates_no_grid():
+    # at step 1e-12 the grid alone would hold 2e12 values (16 TB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="assignment budget exceeded"):
+            classical_assignment_search(battery_epr(), 1e-12, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_value_assignment_range():

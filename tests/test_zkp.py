@@ -127,6 +127,13 @@ def test_prob_table_fixed_outcomes():
         _prob_table(FixedOutcomesStrategy(outcomes=(1, 0)))
 
 
+@pytest.mark.parametrize("outcomes", [(), (1,), (1, 1, 1)])
+def test_fixed_outcomes_need_exactly_two_entries(outcomes):
+    # one answer per challenge: a short table would fail mid-run, a long one be cut
+    with pytest.raises(ValueError, match=r"two entries of \+/-1 \(a for k=0, a for k=1\)"):
+        run_protocol(FixedOutcomesStrategy(outcomes=outcomes), 10, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # protocol runs and verdicts
 # ---------------------------------------------------------------------------
