@@ -63,8 +63,7 @@ from .states import (
 from .witnesses import (
     battery_epr,
     battery_ghz,
-    battery_qudit_2,
-    battery_qudit_n,
+    battery_qudit,
     battery_w,
     classical_assignment_search,
     critical_visibility,
@@ -118,8 +117,7 @@ __all__ = [
     "battery_epr",
     "battery_ghz",
     "battery_w",
-    "battery_qudit_2",
-    "battery_qudit_n",
+    "battery_qudit",
     "critical_visibility",
     "evaluate_battery",
     "classical_assignment_search",

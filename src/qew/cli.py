@@ -45,6 +45,7 @@ from .states import (
     apply_blind_channel,
     build_state,
     channel_from_dict,
+    family_sites,
     parse_state_spec,
     spec_to_dict,
     werner_mix,
@@ -396,7 +397,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.iters > MAX_ITERS:
         raise InputError(f"search budget exceeded: --iters {args.iters} exceeds {MAX_ITERS}")
     fam = witness_family(kind)
-    sites = fam.sites(args.n, args.d)
+    sites = family_sites(kind, args.n, args.d)
     cfg = SamplerConfig(sites=sites, terms=args.terms, seed=args.seed)
     t0 = time.perf_counter()
     max_lhs, argmax_index, first_violation = -np.inf, None, None

@@ -134,6 +134,7 @@ def qubit_owners(spec: NetworkSpec) -> list[tuple[str, int]]:
 
 def parse_network_spec(data: Mapping) -> NetworkSpec:
     """Parse the JSON network form (parties / sources / cp_gates)."""
+    data = _record("network", data)
     parties = tuple(str(p) for p in _list("parties", _entry("network spec", data, "parties")))
     sources = []
     for s in _list("sources", _entry("network spec", data, "sources")):

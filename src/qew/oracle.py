@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qmat import Array, DensityMatrix, _form_fault, pure_density, uniforms
-from .states import MAX_DIM, BlindChannel, ChannelTerm, _positive, family_basis
+from .states import MAX_DIM, BlindChannel, ChannelTerm, _integer, _positive, family_basis
 
 __all__ = [
     "BLOCK_ENTRIES",
@@ -64,6 +64,10 @@ class SamplerConfig:
     partition: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.sites, tuple):
+            raise ValueError(f"sites must be a tuple, got {self.sites!r}")
+        object.__setattr__(self, "sites", tuple(_integer("sites", d) for d in self.sites))
+        object.__setattr__(self, "terms", _integer("terms", self.terms))
         if not self.sites or any(d < 2 for d in self.sites):
             raise ValueError(f"need one or more sites of dimension >= 2, got {self.sites}")
         if math.prod(self.sites) > MAX_DIM:
@@ -232,12 +236,13 @@ def random_blind_channel(sites: Sequence[int], terms: int, seed: int, index: int
     """Random phase channel with Dirichlet weights and uniform (0, pi) phases.
 
     Term t reads one slot of stream draws: its weight, then one phase per
-    level of every site.
+    level of every site.  Sites and terms are refused as
+    :class:`SamplerConfig` refuses them, before any draw.
     """
-    sites = tuple(int(d) for d in sites)
-    width = 1 + sum(sites)
-    u = uniforms(seed, index, np.arange(terms * width)).reshape(terms, width)
-    ends = list(itertools.accumulate(sites, initial=1))
+    cfg = SamplerConfig(tuple(sites), terms, seed)
+    width = 1 + sum(cfg.sites)
+    u = uniforms(seed, index, np.arange(cfg.terms * width)).reshape(cfg.terms, width)
+    ends = list(itertools.accumulate(cfg.sites, initial=1))
     return BlindChannel(tuple(
         ChannelTerm(w, tuple(tuple(row[a:b]) for a, b in zip(ends, ends[1:])))
         for w, row in zip(_dirichlet(u[:, 0]).tolist(), (np.pi * u).tolist())
@@ -390,6 +395,7 @@ def maximize_witness(witness: str, cfg: SamplerConfig, iters: int) -> tuple[floa
     deterministic for a given ``cfg.seed``; ties keep the lowest start index.
     Returns the best value and the state attaining it.
     """
+    iters = _integer("iters", iters)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if iters > MAX_ITERS:

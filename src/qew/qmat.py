@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -345,6 +346,12 @@ class Observable:
     factors: tuple[Factor, ...]
 
     def __post_init__(self) -> None:
+        for f in self.factors:
+            for key, value in (("site", f.site), ("power", f.power)):
+                # type() first: the ABC check costs more than the rest of this method
+                integral = type(value) is int or isinstance(value, numbers.Integral)
+                if not integral or isinstance(value, bool):
+                    raise ValueError(f"factor {f.name!r} needs an integer {key}, got {value!r}")
         seen = [f.site for f in self.factors]
         if len(set(seen)) != len(seen):
             raise ValueError(f"duplicate site indices in observable: {seen}")

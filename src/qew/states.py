@@ -9,8 +9,8 @@ and can only shrink the modulus of off-diagonal elements, so everything a
 verifier can rely on lives in the populations and the surviving coherences.
 :func:`subspace_elements` extracts exactly those numbers, plus a leakage
 scalar measuring how much population sits outside the family's subspace.
-That subspace is :func:`family_basis`, the one check that sites fit a
-family, and every family builder is its real amplitudes placed on it.
+That subspace is :func:`family_basis`, on the sites :func:`family_sites`
+gives a member, and every family builder is its real amplitudes placed on it.
 
 A blind channel is the Schur multiplier rho -> M o rho (elementwise
 product) with M = sum_j p_j u_j u_j^dag, u_j = exp(i phi_j) the term's
@@ -42,6 +42,7 @@ __all__ = [
     "channel_from_dict",
     "epr_state",
     "family_basis",
+    "family_sites",
     "ghz_state",
     "parse_state_spec",
     "qudit_ghz_state",
@@ -76,8 +77,9 @@ class StateSpec:
     amplitudes: tuple[float, ...] | None = None
 
     def site_dims(self) -> tuple[int, ...]:
-        n, d = _kind(self.kind).shape(self)
-        return (d,) * n
+        fields = _kind(self.kind).fields
+        n, d = _SHAPES[self.family()]
+        return (int(self.d if "d" in fields else d),) * int(self.n if "n" in fields else n)
 
     def family(self) -> str:
         """Name of the witness family that reads this kind of state."""
@@ -98,7 +100,7 @@ def parse_state_spec(data: Mapping) -> StateSpec:
         attr, parse = _FIELDS[key]
         values[attr] = parse(key, _entry("state spec", data, key))
     spec = StateSpec(kind=kind, **values)
-    uniform_sites(*entry.shape(spec))
+    family_sites(entry.family, spec.n, spec.d)
     return spec
 
 
@@ -117,6 +119,26 @@ def uniform_sites(n: int, d: int) -> tuple[int, ...]:
             f"dimension budget exceeded: {n} sites of dimension {d} exceed {MAX_DIM}"
         )
     return (d,) * n
+
+
+# Each family's default site count n and local dimension d.  A member may set
+# n or d where its state kind's JSON record has that field.
+_SHAPES = {"epr": (2, 2), "ghz": (3, 2), "w": (3, 2), "qudit": (2, 3)}
+
+
+def family_sites(family: str, n: int | None, d: int | None) -> tuple[int, ...]:
+    """The sites of a member of ``family``, with None for the family's
+    default n or d: a value the family fixes, sites over the budget of
+    :func:`uniform_sites` and fewer than 2 sites are refused."""
+    fields = _fields(family)
+    shape = _SHAPES[family]
+    for key, arg, default in (("n", n, shape[0]), ("d", d, shape[1])):
+        if arg is not None and key not in fields:
+            raise ValueError(f"the family fixes {key} = {default}; --{key} {arg} does not apply")
+    sites = uniform_sites(shape[0] if n is None else n, shape[1] if d is None else d)
+    if len(sites) < 2:
+        raise ValueError(f"family {family!r} needs 2 or more sites of one dimension, got {sites}")
+    return sites
 
 
 def spec_to_dict(spec: StateSpec) -> dict:
@@ -194,6 +216,8 @@ def _positive(key: str, value: float) -> float:
 
 
 def _integer(key: str, value) -> int:
+    if type(value) is int:  # the common case, without the ABC check below
+        return value
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -245,26 +269,19 @@ _FIELDS: dict[str, tuple[str, Callable]] = {
 
 @dataclass(frozen=True)
 class _Kind:
-    """One state kind: its JSON fields in order, its builder, its shape as
-    (site count, local dimension) and the witness family that reads it."""
+    """One state kind: its JSON fields in order, its builder and its witness family."""
 
     fields: tuple[str, ...]
     build: Callable[[StateSpec], DensityMatrix]
-    shape: Callable[[StateSpec], tuple[int, int]]
     family: str
 
 
 _KINDS = {
-    "epr": _Kind(("theta",), lambda s: epr_state(s.theta), lambda s: (2, 2), "epr"),
-    "ghz": _Kind(
-        ("n", "theta"), lambda s: ghz_state(s.n, s.theta), lambda s: (int(s.n), 2), "ghz"
-    ),
-    "w": _Kind(("a",), lambda s: w_state(s.amplitudes), lambda s: (3, 2), "w"),
+    "epr": _Kind(("theta",), lambda s: epr_state(s.theta), "epr"),
+    "ghz": _Kind(("n", "theta"), lambda s: ghz_state(s.n, s.theta), "ghz"),
+    "w": _Kind(("a",), lambda s: w_state(s.amplitudes), "w"),
     "qudit_ghz": _Kind(
-        ("n", "d", "alpha"),
-        lambda s: qudit_ghz_state(s.n, s.d, s.amplitudes),
-        lambda s: (int(s.n), int(s.d)),
-        "qudit",
+        ("n", "d", "alpha"), lambda s: qudit_ghz_state(s.n, s.d, s.amplitudes), "qudit"
     ),
 }
 
@@ -274,6 +291,14 @@ def _kind(name: str) -> _Kind:
     if entry is None:
         raise ValueError(f"unknown state kind {name!r}")
     return entry
+
+
+def _fields(family: str) -> tuple[str, ...]:
+    """The JSON fields of the state kind that ``family`` reads."""
+    for entry in _KINDS.values():
+        if entry.family == family:
+            return entry.fields
+    raise ValueError(f"unknown family {family!r}")
 
 
 def build_state(spec: StateSpec) -> DensityMatrix:
@@ -411,23 +436,19 @@ class SubspaceView:
 
 
 def family_basis(family: str, sites: Sequence[int]) -> tuple[int, ...]:
-    """Flat indices of the subspace basis for a family on the given sites,
-    and the one check that the sites fit the family."""
+    """Flat indices of the subspace basis for a family on the given sites;
+    sites that are not the :func:`family_sites` of a member are refused."""
     sites = tuple(sites)
-    if family == "w":
-        if sites != (2, 2, 2):
-            raise ValueError(f"family 'w' is a three-qubit family, got sites {sites}")
-        # the odd-excitation block: |001>, |010>, |100>, |111>
-        return (1, 2, 4, 7)
-    if family not in ("epr", "ghz", "qudit"):
-        raise ValueError(f"unknown family {family!r}")
+    fields = _fields(family)
     n = len(sites)
     if n < 2 or len(set(sites)) != 1:
         raise ValueError(f"family {family!r} needs 2 or more sites of one dimension, got {sites}")
-    if family == "epr" and n != 2:
-        raise ValueError(f"family 'epr' is a two-qubit family, got sites {sites}")
-    if family != "qudit" and sites[0] != 2:
-        raise ValueError(f"family {family!r} is a qubit family, got sites {sites}")
+    fit = family_sites(family, n if "n" in fields else None, sites[0] if "d" in fields else None)
+    if fit != sites:
+        raise ValueError(f"family {family!r} needs sites {fit}, got {sites}")
+    if family == "w":
+        # the odd-excitation block: |001>, |010>, |100>, |111>
+        return (1, 2, 4, 7)
     # the ladder |j...j>, j < d, at flat index j (1 + d + ... + d^(n-1))
     step = sum(sites[0] ** k for k in range(n))
     return tuple(j * step for j in range(sites[0]))

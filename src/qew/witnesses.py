@@ -36,9 +36,7 @@ from .states import (
     _positive,
     _subspace_entries,
     _subspace_index,
-    family_basis,
     subspace_elements,
-    uniform_sites,
 )
 
 __all__ = [
@@ -60,8 +58,7 @@ __all__ = [
     "Zero",
     "battery_epr",
     "battery_ghz",
-    "battery_qudit_2",
-    "battery_qudit_n",
+    "battery_qudit",
     "battery_w",
     "classical_assignment_search",
     "critical_visibility",
@@ -187,7 +184,8 @@ def reindex_battery(battery: ParadoxBattery, offset: int) -> ParadoxBattery:
 def _ring_battery(n: int, d: int, z: str, x: str, y: str | None) -> ParadoxBattery:
     """z^k (x) z^(d-k) = 1 for k = 1..d-1 and z/x, x/z zeros on the ring pairs
     (1,n), (1,2), ..., (n-1,n), closed by the all-x NonZero line; with ``y``
-    given, that line's companion has y on site n in place of x."""
+    given, that line's companion has y on site n in place of x.  At n = 2
+    with d > 2 the k = d-1 line is left out: see :func:`battery_qudit`."""
     if n < 2:
         raise ValueError(f"need at least 2 sites, got n={n}")
     if d < 2:
@@ -196,7 +194,7 @@ def _ring_battery(n: int, d: int, z: str, x: str, y: str | None) -> ParadoxBatte
     items = [
         BatteryItem(obs((a, z, k), (b, z, d - k)), Exact(1.0))
         for a, b in pairs
-        for k in range(1, d)
+        for k in range(1, d - 1 if n == 2 and d > 2 else d)
     ]
     items += [BatteryItem(obs((a, z), (b, x)), Zero()) for a, b in pairs]
     items += [BatteryItem(obs((a, x), (b, z)), Zero()) for a, b in pairs]
@@ -241,29 +239,17 @@ def battery_w() -> ParadoxBattery:
     return ParadoxBattery(tuple(items))
 
 
-def battery_qudit_2(d: int) -> ParadoxBattery:
-    """Two-qudit battery: :func:`battery_qudit_n` at n = 2 with one line fewer.
-
-    For d > 2 the k = d-1 clock line clock^(d-1) (x) clock is the adjoint
-    of the k = 1 line, so an Exact(1) contract on one holds exactly when it
-    holds on the other, and the line is dropped.  At d = 2 the two lines are
-    one and it stays: without it the product state |++> would pass.
-    """
-    full = battery_qudit_n(2, d)
-    if d == 2:
-        return full
-    adjoint = BatteryItem(obs((1, "clock", d - 1), (2, "clock", 1)), Exact(1.0))
-    return ParadoxBattery(tuple(i for i in full.items if i != adjoint))
-
-
-def battery_qudit_n(n: int, d: int) -> ParadoxBattery:
+def battery_qudit(n: int, d: int) -> ParadoxBattery:
     """Ring battery for n qudits: clock-power equalities plus shift lines.
 
     Clock-power pairs run over k = 1..d-1 on every ring pair; the mixed
     clock/shift zeros mirror :func:`battery_ghz`; the all-shift line is
-    NonZero.  Duplicate lines collapse at n = 2 (the two ring pairs
-    coincide); note the two-qudit list then keeps the k = d-1 equality that
-    :func:`battery_qudit_2` omits.
+    NonZero, and needs no companion: a clock/shift expectation is complex
+    and its modulus is tested.  At n = 2 the two ring pairs coincide, and
+    for d > 2 the k = d-1 line clock^(d-1) (x) clock is the adjoint of the
+    k = 1 line, so an Exact(1) contract on one holds exactly when it holds
+    on the other, and the line is dropped.  At d = 2 the two lines are one
+    and it stays: without it the product state |++> would pass.
     """
     return _ring_battery(n, d, "clock", "shift", None)
 
@@ -391,9 +377,8 @@ class WitnessFamily:
     ``qew.oracle._WITNESS_SET`` names, and ``alt_bound`` is a secondary
     threshold, or None.  ``battery(sites)`` builds the paradox battery for
     a member on ``sites``; it carries no tolerances, which
-    :func:`evaluate_battery` takes.  A member has ``n`` sites of dimension
-    ``d`` by default, and only the values named in ``settable`` may be
-    given to :meth:`sites`.
+    :func:`evaluate_battery` takes.  The sites a member may have are
+    ``states.family_sites(name, n, d)``.
     """
 
     name: str
@@ -401,9 +386,6 @@ class WitnessFamily:
     bound: float
     alt_bound: float | None
     battery: Callable[[Sequence[int]], ParadoxBattery]
-    n: int
-    d: int
-    settable: str
 
     def witness(self, rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
         """The report of the witness on the family subspace of ``rho``."""
@@ -432,34 +414,14 @@ class WitnessFamily:
         # complex128 is not, and differs in the last bit on some values
         return self.formula(pops.T, np.hypot(cohs.real, cohs.imag).T)
 
-    def sites(self, n: int | None, d: int | None) -> tuple[int, ...]:
-        """The sites of a member, with None for the family's default n or d;
-        a value the family fixes, or sites the family does not fit, are
-        refused."""
-        for key, arg, default in (("n", n, self.n), ("d", d, self.d)):
-            if arg is not None and key not in self.settable:
-                raise ValueError(f"the family fixes {key} = {default}; --{key} {arg} does not apply")
-        sites = uniform_sites(self.n if n is None else n, self.d if d is None else d)
-        family_basis(self.name, sites)
-        return sites
-
-
-def _qudit_battery(sites: Sequence[int]) -> ParadoxBattery:
-    # clock/shift expectations are complex: the modulus needs no companion
-    if len(sites) == 2:
-        return battery_qudit_2(sites[0])
-    return battery_qudit_n(len(sites), sites[0])
-
 
 _FAMILIES = {
-    "epr": WitnessFamily("epr", _ladder_lhs, 0.0, None, lambda sites: battery_epr(),
-                         n=2, d=2, settable=""),
-    "ghz": WitnessFamily("ghz", _ladder_lhs, 0.0, None, lambda sites: battery_ghz(len(sites)),
-                         n=3, d=2, settable="n"),
-    "w": WitnessFamily("w", _w_lhs, 0.5, 0.25, lambda sites: battery_w(),
-                       n=3, d=2, settable=""),
-    "qudit": WitnessFamily("qudit", _ladder_lhs, 0.0, None, _qudit_battery,
-                           n=2, d=3, settable="nd"),
+    "epr": WitnessFamily("epr", _ladder_lhs, 0.0, None, lambda sites: battery_epr()),
+    "ghz": WitnessFamily("ghz", _ladder_lhs, 0.0, None, lambda sites: battery_ghz(len(sites))),
+    "w": WitnessFamily("w", _w_lhs, 0.5, 0.25, lambda sites: battery_w()),
+    "qudit": WitnessFamily(
+        "qudit", _ladder_lhs, 0.0, None, lambda sites: battery_qudit(len(sites), sites[0])
+    ),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)

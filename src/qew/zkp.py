@@ -35,6 +35,7 @@ from .qmat import Array, DensityMatrix, Observable, as_density, expectation, obs
 from .states import (
     BlindChannel,
     StateSpec,
+    _integer,
     _positive,
     apply_blind_channel,
     build_state,
@@ -219,6 +220,8 @@ def run_protocol(
     Pauli pair.  Deterministic in (strategy, n_rounds, seed) and unchanged
     by ``workers``, which is 1 to ``MAX_WORKERS``.
     """
+    n_rounds, seed = _integer("n_rounds", n_rounds), _integer("seed", seed)
+    workers = _integer("workers", workers)
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")
     if n_rounds > MAX_ROUNDS:

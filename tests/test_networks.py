@@ -167,6 +167,12 @@ def test_parse_missing_key():
         parse_network_spec({"sources": []})
 
 
+@pytest.mark.parametrize("data", [[], "abc", None, 3])
+def test_parse_network_spec_refuses_a_non_object(data):
+    with pytest.raises(ValueError, match="'network' must be an object"):
+        parse_network_spec(data)
+
+
 # ---------------------------------------------------------------------------
 # state assembly and gates
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from qew.oracle import (
     sample_separable,
 )
 from qew.qmat import uniforms
-from qew.states import MAX_DIM, epr_state, family_basis, ghz_state, werner_mix
+from qew.states import MAX_DIM, epr_state, family_basis, family_sites, ghz_state, werner_mix
 from qew.witnesses import (
     witness_epr,
     witness_family,
@@ -54,6 +54,35 @@ def test_sampler_config_refuses_oversized_sites_and_repeated_partition_sites():
     SamplerConfig(sites=(2,) * 12)  # 4096, at the budget
     with pytest.raises(ValueError, match="partition must be a nonempty proper subset of sites"):
         SamplerConfig(sites=(2, 2, 2), partition=(1, 1))
+
+
+def test_sampler_config_refuses_non_integer_sites_and_terms():
+    with pytest.raises(ValueError, match="sites must be a tuple"):
+        SamplerConfig(sites=[2, 2])
+    with pytest.raises(ValueError, match="'sites' must be an integer, got 2.5"):
+        SamplerConfig(sites=(2.5, 2))
+    with pytest.raises(ValueError, match="'terms' must be an integer, got 2.5"):
+        SamplerConfig(sites=(2, 2), terms=2.5)
+    with pytest.raises(ValueError, match="'terms' must be an integer, got True"):
+        SamplerConfig(sites=(2, 2), terms=True)
+    assert SamplerConfig(sites=(2.0, np.int64(3)), terms=2.0) == SamplerConfig(sites=(2, 3), terms=2)
+
+
+def _no_draws(*args):
+    raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize(
+    "sites, terms, match",
+    [((2.5, 2), 2, "'sites' must be an integer"), ((1, 2), 2, "dimension >= 2"),
+     ((), 2, "one or more sites"), ((2,) * 13, 1, "budget"),
+     ((2, 2), 0, "terms must be in"), ((2, 2), 10**12, "terms must be in"),
+     ((2, 2), 2.5, "'terms' must be an integer")],
+)
+def test_random_blind_channel_refuses_sizes_before_drawing(monkeypatch, sites, terms, match):
+    monkeypatch.setattr(oracle, "uniforms", _no_draws)
+    with pytest.raises(ValueError, match=match):
+        random_blind_channel(sites, terms, 1)
 
 
 def test_all_bipartitions_three_sites():
@@ -307,6 +336,15 @@ def test_search_refuses_the_sites_its_family_refuses(monkeypatch, witness, famil
         maximize_witness(witness, SamplerConfig(sites=sites), 1)
 
 
+def test_search_reads_iters_as_an_integer(monkeypatch):
+    cfg = SamplerConfig(sites=(2, 2), seed=3)
+    assert maximize_witness("epr", cfg, 2.0)[0] == maximize_witness("epr", cfg, 2)[0]
+    monkeypatch.setattr(oracle, "_pure_lhs", _no_scoring)
+    for iters in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="'iters' must be an integer"):
+            maximize_witness("epr", cfg, iters)
+
+
 def test_search_budget_is_checked_before_scoring(monkeypatch):
     monkeypatch.setattr(oracle, "_pure_lhs", _no_scoring)
     with pytest.raises(ValueError, match=f"search budget exceeded: .* exceed {oracle.MAX_ITERS}"):
@@ -439,7 +477,7 @@ _FAMILIES = [("epr", None, None), ("ghz", 3, None), ("ghz", 4, None), ("w", None
 def test_separable_sets_never_cross_the_bound(family, terms, seed, iters):
     name, n, d = family
     fam = witness_family(name)
-    cfg = SamplerConfig(sites=fam.sites(n, d), terms=terms, seed=seed)
+    cfg = SamplerConfig(sites=family_sites(name, n, d), terms=terms, seed=seed)
     sampler = sample_separable if oracle._WITNESS_SET[name] == "separable" else sample_biseparable
     for i in range(5):
         assert fam.witness(sampler(cfg, i)).lhs <= fam.bound + 1e-9
@@ -462,7 +500,7 @@ def test_separable_sets_never_cross_the_bound(family, terms, seed, iters):
 def test_block_path_equals_per_index_path(family, terms, seed, start, length):
     name, n, d = family
     fam = witness_family(name)
-    cfg = SamplerConfig(sites=fam.sites(n, d), terms=terms, seed=seed)
+    cfg = SamplerConfig(sites=family_sites(name, n, d), terms=terms, seed=seed)
     sampler = sample_separable if oracle._WITNESS_SET[name] == "separable" else sample_biseparable
     indices = np.arange(start, start + length, dtype=np.uint64)
     stack = oracle._sample_block(oracle._WITNESS_SET[name], cfg, indices)

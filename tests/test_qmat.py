@@ -183,6 +183,15 @@ def test_obs_labels_and_duplicates():
         obs((0, "Z"))
 
 
+def test_obs_refuses_non_integer_sites_and_powers():
+    for factor, key in (((1.5, "Z"), "site"), ((1, "X", 2.5), "power"), ((True, "Z"), "site"),
+                        ((1, "clock", False), "power"), (("1", "Z"), "site")):
+        with pytest.raises(ValueError, match=f"needs an integer {key}"):
+            obs(factor)
+    o = obs((np.int64(1), "clock", np.int64(2)))
+    assert o.label() == "clock^2@1"
+
+
 def test_expectations_on_bell_pair():
     rho = bell_phi_plus()
     assert expectation(rho, obs((1, "Z"), (2, "Z"))) == pytest.approx(1.0)

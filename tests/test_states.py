@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qew import states
 from qew.qmat import expectation, obs
 from qew.states import (
+    MAX_DIM,
     BlindChannel,
     ChannelTerm,
     StateSpec,
@@ -19,6 +20,7 @@ from qew.states import (
     channel_from_dict,
     epr_state,
     family_basis,
+    family_sites,
     ghz_state,
     parse_state_spec,
     qudit_ghz_state,
@@ -426,3 +428,79 @@ def test_family_basis_validation():
         with pytest.raises(ValueError, match="2 or more sites"):
             family_basis(family, sites)
     assert family_basis("qudit", (3, 3, 3)) == (0, 13, 26)
+
+
+def _fits(family, sites):
+    """The sites each family lives on, written out as a reference."""
+    n = len(sites)
+    uniform = n >= 2 and len(set(sites)) == 1
+    if family == "epr":
+        return sites == (2, 2)
+    if family == "ghz":
+        return uniform and sites[0] == 2
+    if family == "w":
+        return sites == (2, 2, 2)
+    # (5,) * 6 is over the dimension budget
+    return uniform and sites[0] ** n <= MAX_DIM
+
+
+def test_family_basis_accepts_exactly_the_family_sites():
+    cases = [(d,) * n for n in range(7) for d in range(2, 6)]
+    cases += [(2, 3), (3, 2), (2, 2, 3), (3, 3, 2), (4, 2, 4)]
+    for family in ("epr", "ghz", "w", "qudit"):
+        for sites in cases:
+            if _fits(family, sites):
+                family_basis(family, sites)
+            else:
+                with pytest.raises(ValueError):
+                    family_basis(family, sites)
+
+
+def test_family_sites_defaults_and_refusals():
+    assert family_sites("epr", None, None) == (2, 2)
+    assert family_sites("ghz", None, None) == (2, 2, 2)
+    assert family_sites("ghz", 5, None) == (2,) * 5
+    assert family_sites("w", None, None) == (2, 2, 2)
+    assert family_sites("qudit", None, None) == (3, 3)
+    assert family_sites("qudit", 3, 4) == (4, 4, 4)
+    with pytest.raises(ValueError, match="the family fixes n = 2; --n 3 does not apply"):
+        family_sites("epr", 3, None)
+    with pytest.raises(ValueError, match="the family fixes d = 2; --d 3 does not apply"):
+        family_sites("ghz", None, 3)
+    with pytest.raises(ValueError, match="the family fixes n = 3; --n 3 does not apply"):
+        family_sites("w", 3, None)
+    with pytest.raises(ValueError, match=r"family 'qudit' needs 2 or more sites .* got \(3,\)"):
+        family_sites("qudit", 1, None)
+    with pytest.raises(ValueError, match="budget"):
+        family_sites("ghz", 13, None)
+    with pytest.raises(ValueError, match="unknown family 'bell'"):
+        family_sites("bell", None, None)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "ghz", "n": 1, "theta": 0.7},
+        {"kind": "ghz", "n": 0, "theta": 0.7},
+        {"kind": "qudit_ghz", "n": 1, "d": 3, "alpha": [1.0, 0.0, 0.0]},
+    ],
+)
+def test_parse_state_spec_refuses_fewer_than_two_sites(data):
+    with pytest.raises(ValueError, match="needs 2 or more sites of one dimension"):
+        parse_state_spec(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "epr", "theta": 0.3},
+        {"kind": "ghz", "n": 2, "theta": 0.3},
+        {"kind": "ghz", "n": 5, "theta": 0.3},
+        {"kind": "w", "a": [0.5, 0.5, 0.5, 0.5]},
+        {"kind": "qudit_ghz", "n": 2, "d": 2, "alpha": [0.6, 0.8]},
+        {"kind": "qudit_ghz", "n": 3, "d": 4, "alpha": [0.5, 0.5, 0.5, 0.5]},
+    ],
+)
+def test_site_dims_are_the_built_sites(data):
+    spec = parse_state_spec(data)
+    assert spec.site_dims() == build_state(spec).sites

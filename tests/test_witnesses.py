@@ -36,8 +36,7 @@ from qew.witnesses import (
     Zero,
     battery_epr,
     battery_ghz,
-    battery_qudit_2,
-    battery_qudit_n,
+    battery_qudit,
     battery_w,
     classical_assignment_search,
     critical_visibility,
@@ -223,16 +222,13 @@ def test_battery_w_structure():
 
 
 def test_battery_qudit_two_site_counts():
-    b3 = battery_qudit_2(3)
+    b3 = battery_qudit(2, 3)
     assert [i.observable.label() for i in b3.items] == [
         "clock@1 clock^2@2",
         "clock@1 shift@2",
         "shift@1 clock@2",
         "shift@1 shift@2",
     ]
-    # the n-site list keeps the k = d-1 equality, so at n=2 it is longer
-    bn = battery_qudit_n(2, 3)
-    assert len(bn.items) == len(b3.items) + 1
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -247,22 +243,21 @@ def test_battery_qudit_2_lines(d):
         BatteryItem(obs((1, "shift"), (2, "clock")), Zero()),
         BatteryItem(obs((1, "shift"), (2, "shift")), NonZero()),
     ]
-    assert battery_qudit_2(d).items == tuple(items)
+    assert battery_qudit(2, d).items == tuple(items)
 
 
 def test_battery_qudit_2_rejects_plus_plus():
     # |++> has <shift shift> = 1 and no clock/shift correlation; only the
     # clock (x) clock line tells it from the family
     rho = pure_density(np.full(4, 0.5), (2, 2))
-    rep = evaluate_battery(rho, battery_qudit_2(2))
+    rep = evaluate_battery(rho, battery_qudit(2, 2))
     assert not rep.passed
     assert [r.label for r in rep.failures()] == ["clock@1 clock@2"]
     assert not evaluate_battery(rho, battery_epr()).passed
-    assert not evaluate_battery(rho, battery_qudit_n(2, 2)).passed
 
 
 def test_battery_qudit_n_item_count():
-    b = battery_qudit_n(3, 3)
+    b = battery_qudit(3, 3)
     assert len(b.items) == 3 * 2 + 3 * 2 + 1
 
 
@@ -358,18 +353,17 @@ def test_evaluate_battery_on_ghz_and_w():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_evaluate_battery_qudit(d):
     rho = qudit_ghz_state(2, d, np.full(d, 1.0 / np.sqrt(d)))
-    assert evaluate_battery(rho, battery_qudit_2(d)).passed
-    assert evaluate_battery(rho, battery_qudit_n(2, d)).passed
+    assert evaluate_battery(rho, battery_qudit(2, d)).passed
 
 
 def test_evaluate_battery_qudit_three_sites():
     rho = qudit_ghz_state(3, 3, [W3, W3, W3])
-    assert evaluate_battery(rho, battery_qudit_n(3, 3)).passed
+    assert evaluate_battery(rho, battery_qudit(3, 3)).passed
 
 
 def test_battery_rejects_qudit_product_state():
     rho = qudit_ghz_state(2, 3, [1.0, 0.0, 0.0])
-    rep = evaluate_battery(rho, battery_qudit_2(3))
+    rep = evaluate_battery(rho, battery_qudit(2, 3))
     assert not rep.passed
     assert rep.failures()[-1].label == "shift@1 shift@2"
 

@@ -209,6 +209,22 @@ def test_run_protocol_validation():
             verify_transcript(t, z=z)
 
 
+def test_run_protocol_reads_integer_arguments():
+    for args, key in (((100.5, 1), "n_rounds"), ((True, 1), "n_rounds"), ((10, 1.5), "seed"),
+                      ((10, "1"), "seed")):
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            run_protocol(HonestStrategy(EPR), *args)
+    for workers in (1.5, True):
+        with pytest.raises(ValueError, match="'workers' must be an integer"):
+            run_protocol(HonestStrategy(EPR), 10, 1, workers=workers)
+    t = run_protocol(HonestStrategy(EPR), 100.0, 7.0, workers=2.0)
+    u = run_protocol(HonestStrategy(EPR), 100, 7)
+    assert (t.n_rounds, t.seed) == (100, 7) and np.array_equal(t.b, u.b)
+    # a negative seed still folds into the 64-bit stream
+    assert np.array_equal(run_protocol(HonestStrategy(EPR), 50, -1).b,
+                          run_protocol(HonestStrategy(EPR), 50, 2**64 - 1).b)
+
+
 def test_undersampled_cell_raises():
     t = _flat_transcript(200)  # every round lands in the xx cell
     with pytest.raises(ValueError, match="undersampled cell zz"):
