@@ -68,6 +68,7 @@ class SamplerConfig:
             raise ValueError(f"sites must be a tuple, got {self.sites!r}")
         object.__setattr__(self, "sites", tuple(_integer("sites", d) for d in self.sites))
         object.__setattr__(self, "terms", _integer("terms", self.terms))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not self.sites or any(d < 2 for d in self.sites):
             raise ValueError(f"need one or more sites of dimension >= 2, got {self.sites}")
         if math.prod(self.sites) > MAX_DIM:
@@ -208,7 +209,7 @@ def block_length(cfg: SamplerConfig) -> int:
 
 def _sample(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix:
     """Sample ``index`` alone: the block of one."""
-    mats = _sample_block(shape, cfg, np.array([index], dtype=np.uint64))
+    mats = _sample_block(shape, cfg, np.array([_integer("index", index)], dtype=np.uint64))
     return DensityMatrix(cfg.sites, mats[0])
 
 
@@ -236,12 +237,14 @@ def random_blind_channel(sites: Sequence[int], terms: int, seed: int, index: int
     """Random phase channel with Dirichlet weights and uniform (0, pi) phases.
 
     Term t reads one slot of stream draws: its weight, then one phase per
-    level of every site.  Sites and terms are refused as
-    :class:`SamplerConfig` refuses them, before any draw.
+    level of every site.  Sites, terms and seed are refused as
+    :class:`SamplerConfig` refuses them, and a non-integer index too, before
+    any draw.
     """
     cfg = SamplerConfig(tuple(sites), terms, seed)
     width = 1 + sum(cfg.sites)
-    u = uniforms(seed, index, np.arange(cfg.terms * width)).reshape(cfg.terms, width)
+    u = uniforms(cfg.seed, _integer("index", index), np.arange(cfg.terms * width))
+    u = u.reshape(cfg.terms, width)
     ends = list(itertools.accumulate(cfg.sites, initial=1))
     return BlindChannel(tuple(
         ChannelTerm(w, tuple(tuple(row[a:b]) for a, b in zip(ends, ends[1:])))

@@ -427,13 +427,6 @@ class SubspaceView:
     coherences: dict[tuple[int, int], complex]
     leakage: float
 
-    def coherence(self, a: int, b: int) -> complex:
-        if a == b:
-            raise ValueError("coherence needs two distinct indices")
-        if a < b:
-            return self.coherences[(a, b)]
-        return np.conj(self.coherences[(b, a)])
-
 
 def family_basis(family: str, sites: Sequence[int]) -> tuple[int, ...]:
     """Flat indices of the subspace basis for a family on the given sites;

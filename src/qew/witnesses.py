@@ -182,10 +182,9 @@ def reindex_battery(battery: ParadoxBattery, offset: int) -> ParadoxBattery:
 
 
 def _ring_battery(n: int, d: int, z: str, x: str, y: str | None) -> ParadoxBattery:
-    """z^k (x) z^(d-k) = 1 for k = 1..d-1 and z/x, x/z zeros on the ring pairs
+    """z^k (x) z^(d-k) = 1 for k = 1..d/2 and z/x, x/z zeros on the ring pairs
     (1,n), (1,2), ..., (n-1,n), closed by the all-x NonZero line; with ``y``
-    given, that line's companion has y on site n in place of x.  At n = 2
-    with d > 2 the k = d-1 line is left out: see :func:`battery_qudit`."""
+    given, that line's companion has y on site n in place of x."""
     if n < 2:
         raise ValueError(f"need at least 2 sites, got n={n}")
     if d < 2:
@@ -194,7 +193,7 @@ def _ring_battery(n: int, d: int, z: str, x: str, y: str | None) -> ParadoxBatte
     items = [
         BatteryItem(obs((a, z, k), (b, z, d - k)), Exact(1.0))
         for a, b in pairs
-        for k in range(1, d - 1 if n == 2 and d > 2 else d)
+        for k in range(1, d // 2 + 1)
     ]
     items += [BatteryItem(obs((a, z), (b, x)), Zero()) for a, b in pairs]
     items += [BatteryItem(obs((a, x), (b, z)), Zero()) for a, b in pairs]
@@ -242,14 +241,11 @@ def battery_w() -> ParadoxBattery:
 def battery_qudit(n: int, d: int) -> ParadoxBattery:
     """Ring battery for n qudits: clock-power equalities plus shift lines.
 
-    Clock-power pairs run over k = 1..d-1 on every ring pair; the mixed
+    Clock-power pairs run over k = 1..d/2 on every ring pair; the mixed
     clock/shift zeros mirror :func:`battery_ghz`; the all-shift line is
     NonZero, and needs no companion: a clock/shift expectation is complex
-    and its modulus is tested.  At n = 2 the two ring pairs coincide, and
-    for d > 2 the k = d-1 line clock^(d-1) (x) clock is the adjoint of the
-    k = 1 line, so an Exact(1) contract on one holds exactly when it holds
-    on the other, and the line is dropped.  At d = 2 the two lines are one
-    and it stays: without it the product state |++> would pass.
+    and its modulus is tested.  A line k and its adjoint line d-k are one
+    Exact(1) contract, so only k <= d/2 is listed.
     """
     return _ring_battery(n, d, "clock", "shift", None)
 
@@ -273,9 +269,6 @@ class ItemResult:
 class BatteryReport:
     items: tuple[ItemResult, ...]
     passed: bool
-
-    def failures(self) -> tuple[ItemResult, ...]:
-        return tuple(r for r in self.items if not r.passed)
 
 
 def evaluate_battery(
@@ -435,16 +428,16 @@ def witness_family(name: str) -> WitnessFamily:
         raise ValueError(f"unknown witness family {name!r}") from None
 
 
-def witness_epr(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
+def witness_epr(rho: DensityMatrix) -> WitnessReport:
     """Two-qubit coherence witness: 2|rho_00;11| + rho_00 + rho_11 - 1 <= 0.
 
     Every separable two-qubit state obeys the bound; any state of the
     EPR-type family with surviving |00>/|11> coherence exceeds it.
     """
-    return _FAMILIES["epr"].witness(rho, eps_eq=eps_eq)
+    return _FAMILIES["epr"].witness(rho)
 
 
-def witness_ghz(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
+def witness_ghz(rho: DensityMatrix) -> WitnessReport:
     """n-qubit biseparability witness on the |0..0>/|1..1> pair.
 
     Same functional form as :func:`witness_epr`; the bound 0 holds for
@@ -452,10 +445,10 @@ def witness_ghz(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     certifies genuine multipartite entanglement.  n = 2 coincides with
     :func:`witness_epr`.
     """
-    return _FAMILIES["ghz"].witness(rho, eps_eq=eps_eq)
+    return _FAMILIES["ghz"].witness(rho)
 
 
-def witness_w(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
+def witness_w(rho: DensityMatrix) -> WitnessReport:
     """W-type witness: four coherence moduli of the odd-excitation block.
 
     lhs = |rho_001;111| + |rho_010;100| + |rho_001;010| + |rho_100;111|.
@@ -463,16 +456,16 @@ def witness_w(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
     bound); ``alt_bound`` reports the stricter 1/4 threshold that the
     family's generic members clear.
     """
-    return _FAMILIES["w"].witness(rho, eps_eq=eps_eq)
+    return _FAMILIES["w"].witness(rho)
 
 
-def witness_qudit(rho: DensityMatrix, *, eps_eq: float = EPS_EQ) -> WitnessReport:
+def witness_qudit(rho: DensityMatrix) -> WitnessReport:
     """Qudit witness on the |j..j> ladder: 2 sum |coh| + sum pops - 1 <= 0.
 
     The bound holds for every biseparable state of n uniform d-level
     sites; at d = 2 the expression reduces to :func:`witness_ghz`.
     """
-    return _FAMILIES["qudit"].witness(rho, eps_eq=eps_eq)
+    return _FAMILIES["qudit"].witness(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +553,6 @@ def classical_assignment_search(
     battery: ParadoxBattery | Sequence[BatteryItem],
     grid_step: float,
     tol: float,
-    *,
-    eps_nz: float = EPS_NZ,
 ) -> list[ValueAssignment]:
     """Exhaustive grid scan for classical value assignments satisfying a battery.
 
@@ -569,7 +560,7 @@ def classical_assignment_search(
     [-1, 1] at ``grid_step`` resolution; an item's classical value is the
     product of the assigned values of its factors.  Returns every
     assignment meeting all Exact/Zero items within ``tol`` and all NonZero
-    items above ``eps_nz``, in grid (lexicographic) order.  An empty result
+    items above ``EPS_NZ``, in grid (lexicographic) order.  An empty result
     certifies the battery's classical contradiction at this resolution.
 
     Only X/Z factors are value-assignable here; companion observables are
@@ -583,7 +574,6 @@ def classical_assignment_search(
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     _positive("tol", tol)
-    _positive("eps_nz", eps_nz)
     n = 0
     for item in items:
         for f in item.observable.factors:
@@ -610,7 +600,7 @@ def classical_assignment_search(
             s = [1] * n_axes
             s[2 * (f.site - 1) + (0 if f.name == "Z" else 1)] = grid.size
             term = term * grid.reshape(s)
-        mask &= item.contract.check(term, tol, eps_nz)[1]
+        mask &= item.contract.check(term, tol, EPS_NZ)[1]
     out = []
     for row in np.argwhere(mask):
         vals = tuple(

@@ -65,8 +65,8 @@ __all__ = [
 MIN_CELL_ROUNDS = 30
 # Rounds one run_protocol call may simulate: ten times the 10^6 of the
 # largest documented run.  Peak traced memory per round, measured at 10^6
-# rounds (16 bytes of transcript text each): 80 bytes to simulate, 58 to
-# write the transcript and 145 to read it back.
+# rounds (16 bytes of transcript text each): 80 bytes to simulate on one
+# worker, 58 to write the transcript and 145 to read it back.
 MAX_ROUNDS = 10**7
 # Threads one run_protocol call may start.  Each thread draws its own span of
 # rounds and numpy releases the GIL inside the draw, so threads up to the core
@@ -136,9 +136,7 @@ def strategy_state(strategy: ProverStrategy) -> DensityMatrix | None:
             )
         if strategy.channel is not None:
             rho = apply_blind_channel(rho, strategy.channel)
-        if not 0.0 <= strategy.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {strategy.visibility}")
-        if strategy.visibility < 1.0:
+        if strategy.visibility != 1.0:
             rho = werner_mix(rho, strategy.visibility)
         return rho
     if isinstance(strategy, SeparableDiagStrategy):
@@ -241,17 +239,11 @@ def run_protocol(
         o = np.count_nonzero(cum[k, s] <= u[:, None], axis=1)
         return k, (1 - 2 * (o >> 1)).astype(np.int8), s, (1 - 2 * (o & 1)).astype(np.int8)
 
-    if workers == 1:
-        k, a, s, b = chunk(0, n_rounds)
-    else:
-        bounds = np.linspace(0, n_rounds, workers + 1, dtype=int)
-        spans = [(int(x), int(y)) for x, y in zip(bounds[:-1], bounds[1:]) if y > x]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda xy: chunk(*xy), spans))
-        k = np.concatenate([p[0] for p in parts])
-        a = np.concatenate([p[1] for p in parts])
-        s = np.concatenate([p[2] for p in parts])
-        b = np.concatenate([p[3] for p in parts])
+    bounds = np.linspace(0, n_rounds, workers + 1, dtype=int)
+    spans = [(int(x), int(y)) for x, y in zip(bounds[:-1], bounds[1:]) if y > x]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda xy: chunk(*xy), spans))
+    k, a, s, b = (np.concatenate(f) for f in zip(*parts))
     return Transcript(seed=seed, n_rounds=n_rounds, k=k, a=a, s=s, b=b)
 
 

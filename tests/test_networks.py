@@ -484,7 +484,7 @@ def test_source_batteries_detect_one_dephased_source():
     reports = [evaluate_battery(broken, b) for b in batteries]
     assert reports[0].passed
     assert not reports[1].passed
-    assert [r.label for r in reports[1].failures()] == ["X@3 X@4"]
+    assert [r.label for r in reports[1].items if not r.passed] == ["X@3 X@4"]
 
 
 def test_connectivity_chain_and_split():

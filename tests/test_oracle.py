@@ -68,6 +68,22 @@ def test_sampler_config_refuses_non_integer_sites_and_terms():
     assert SamplerConfig(sites=(2.0, np.int64(3)), terms=2.0) == SamplerConfig(sites=(2, 3), terms=2)
 
 
+def test_sampler_refuses_non_integer_seeds_and_indices(monkeypatch):
+    with pytest.raises(ValueError, match="'seed' must be an integer, got 1.5"):
+        SamplerConfig(sites=(2, 2), seed=1.5)
+    cfg = SamplerConfig(sites=(2, 2), terms=2, seed=3.0)
+    assert cfg == SamplerConfig(sites=(2, 2), terms=2, seed=3)
+    for sample in (sample_separable, sample_biseparable):
+        with pytest.raises(ValueError, match="'index' must be an integer, got 0.5"):
+            sample(cfg, 0.5)
+        assert np.array_equal(sample(cfg, 2.0).mat, sample(cfg, np.int64(2)).mat)
+    monkeypatch.setattr(oracle, "uniforms", _no_draws)
+    with pytest.raises(ValueError, match="'index' must be an integer, got 0.5"):
+        random_blind_channel((2, 2), 2, 1, index=0.5)
+    with pytest.raises(ValueError, match="'seed' must be an integer, got 1.5"):
+        random_blind_channel((2, 2), 2, 1.5)
+
+
 def _no_draws(*args):
     raise AssertionError("a draw was made")
 

@@ -4,7 +4,7 @@ Every parameter with a default is a switch that tests must cover in each of
 its settings.  This list is the whole set: a new option, or a removed one,
 is a deliberate edit here.  Every public name is reached by the library, an
 acceptance gate or a benchmark workload, apart from the few that tests keep
-as references.
+as references, and so is every public method and property of a public class.
 """
 
 from __future__ import annotations
@@ -48,21 +48,15 @@ ALLOWED_DEFAULTS = {
     "zkp.HonestStrategy(visibility)",
     "zkp.SeparableDiagStrategy(p0)",
     # tolerances of an evaluation, which the CLI sets
-    "witnesses.classical_assignment_search(eps_nz)",
     "witnesses.evaluate_battery(eps_eq)",
     "witnesses.evaluate_battery(eps_nz)",
-    "witnesses.witness_epr(eps_eq)",
-    "witnesses.witness_ghz(eps_eq)",
-    "witnesses.witness_qudit(eps_eq)",
-    "witnesses.witness_w(eps_eq)",
     "zkp.verify_transcript(z)",
 }
 
 
-def _public_defaults() -> set[str]:
-    """``module.name(parameter)`` for every defaulted parameter of a function
-    or class that a qew module lists in ``__all__``."""
-    out = set()
+def _public_objects():
+    """``(module, name, object)`` for every function and class that a qew
+    module lists in ``__all__`` and defines itself."""
     for info in pkgutil.iter_modules(qew.__path__):
         module = importlib.import_module(f"qew.{info.name}")
         for name in getattr(module, "__all__", ()):
@@ -71,10 +65,18 @@ def _public_defaults() -> set[str]:
                 continue
             if not obj.__module__.startswith("qew"):
                 continue  # a re-exported alias such as qmat.Array
-            for p in inspect.signature(obj).parameters.values():
-                if p.default is not inspect.Parameter.empty:
-                    out.add(f"{info.name}.{name}({p.name})")
-    return out
+            yield info.name, name, obj
+
+
+def _public_defaults() -> set[str]:
+    """``module.name(parameter)`` for every defaulted parameter of a public
+    function or class."""
+    return {
+        f"{module}.{name}({p.name})"
+        for module, name, obj in _public_objects()
+        for p in inspect.signature(obj).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    }
 
 
 def test_optional_parameters_are_the_allowed_ones():
@@ -119,3 +121,18 @@ def test_public_names_are_reached_outside_the_tests():
         if name not in referenced
     }
     assert unreached == TEST_ONLY_NAMES
+
+
+def test_public_methods_are_reached_outside_the_tests():
+    # every method and property a public class defines, by its own name
+    referenced = _referenced_names()
+    unreached = {
+        f"{module}.{name}.{attr}"
+        for module, name, obj in _public_objects()
+        if inspect.isclass(obj)
+        for attr, member in vars(obj).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, (property, staticmethod, classmethod)))
+        and attr not in referenced
+    }
+    assert unreached == set()

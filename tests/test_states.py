@@ -387,8 +387,7 @@ def test_werner_expectation_linearity(v):
 def test_epr_view():
     view = subspace_elements(epr_state(np.pi / 4), "epr")
     assert view.basis == (0, 3)
-    assert view.coherence(0, 3) == pytest.approx(0.5)
-    assert view.coherence(3, 0) == pytest.approx(0.5)  # conjugated lookup
+    assert view.coherences[(0, 3)] == pytest.approx(0.5)
     assert view.leakage == pytest.approx(0.0)
 
 

@@ -27,6 +27,8 @@ from qew.states import (
 )
 from qew.witnesses import (
     ENTANGLED,
+    EPS_EQ,
+    EPS_NZ,
     NOT_WITNESSED,
     BatteryItem,
     Exact,
@@ -233,10 +235,10 @@ def test_battery_qudit_two_site_counts():
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_battery_qudit_2_lines(d):
-    # clock^k (x) clock^(d-k) for k = 1..d-2, then the clock/shift lines
+    # clock^k (x) clock^(d-k) for k = 1..d/2, then the clock/shift lines
     items = [
         BatteryItem(obs((1, "clock", k), (2, "clock", d - k)), Exact(1.0))
-        for k in range(1, d - 1)
+        for k in range(1, d // 2 + 1)
     ]
     items += [
         BatteryItem(obs((1, "clock"), (2, "shift")), Zero()),
@@ -252,13 +254,34 @@ def test_battery_qudit_2_rejects_plus_plus():
     rho = pure_density(np.full(4, 0.5), (2, 2))
     rep = evaluate_battery(rho, battery_qudit(2, 2))
     assert not rep.passed
-    assert [r.label for r in rep.failures()] == ["clock@1 clock@2"]
+    assert [r.label for r in rep.items if not r.passed] == ["clock@1 clock@2"]
     assert not evaluate_battery(rho, battery_epr()).passed
 
 
 def test_battery_qudit_n_item_count():
     b = battery_qudit(3, 3)
-    assert len(b.items) == 3 * 2 + 3 * 2 + 1
+    assert len(b.items) == 3 * 1 + 3 * 2 + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(3, 5), st.integers(1, 3))
+def test_dropped_clock_lines_read_as_their_kept_adjoints(seed, n, d, rank):
+    # a line k > d/2 is the adjoint of the kept line d-k on the same pair, so
+    # its Exact(1) magnitude is the kept line's on every state
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d**n, rank)) + 1j * rng.normal(size=(d**n, rank))
+    m = g @ g.conj().T
+    rho = as_density(m / np.trace(m), (d,) * n)
+    battery = battery_qudit(n, d)
+    kept = {i.observable for i in battery.items}
+    for a, b in [(1, n)] + [(j, j + 1) for j in range(1, n)]:
+        for k in range(d // 2 + 1, d):
+            adjoint = obs((a, "clock", d - k), (b, "clock", k))
+            assert adjoint in kept
+            dropped = expectation(rho, obs((a, "clock", k), (b, "clock", d - k)))
+            m_dropped = Exact(1.0).check(dropped, EPS_EQ, EPS_NZ)[0]
+            m_kept = Exact(1.0).check(expectation(rho, adjoint), EPS_EQ, EPS_NZ)[0]
+            assert abs(m_dropped - m_kept) <= 1e-12
 
 
 def test_battery_validation():
@@ -271,7 +294,7 @@ def test_battery_validation():
             with pytest.raises(ValueError, match=f"{key} must be a finite positive"):
                 evaluate_battery(epr_state(np.pi / 4), battery_epr(), **{key: bad})
         with pytest.raises(ValueError, match="eps_eq must be a finite positive"):
-            witness_epr(epr_state(np.pi / 4), eps_eq=bad)
+            witness_family("epr").witness(epr_state(np.pi / 4), eps_eq=bad)
     with pytest.raises(ValueError, match="companion"):
         BatteryItem(obs((1, "Z")), Exact(1.0), companion=obs((1, "X")))
 
@@ -284,7 +307,7 @@ def test_tolerances_are_arguments_of_the_evaluation():
     assert not evaluate_battery(rho, battery).passed
     assert evaluate_battery(rho, battery, eps_eq=0.25).passed
     rep = evaluate_battery(rho, battery, eps_eq=0.25, eps_nz=0.9)
-    assert [r.label for r in rep.failures()] == ["X@1 X@2"]
+    assert [r.label for r in rep.items if not r.passed] == ["X@1 X@2"]
 
 
 def test_contract_rule_is_one_for_scalars_and_arrays():
@@ -321,7 +344,7 @@ def test_evaluate_battery_fails_fourth_line_on_mixture():
     rho = as_density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
     rep = evaluate_battery(rho, battery_epr())
     assert not rep.passed
-    bad = rep.failures()
+    bad = [r for r in rep.items if not r.passed]
     assert len(bad) == 1
     assert bad[0].label == "X@1 X@2"
     assert isinstance(bad[0].contract, NonZero)
@@ -365,7 +388,7 @@ def test_battery_rejects_qudit_product_state():
     rho = qudit_ghz_state(2, 3, [1.0, 0.0, 0.0])
     rep = evaluate_battery(rho, battery_qudit(2, 3))
     assert not rep.passed
-    assert rep.failures()[-1].label == "shift@1 shift@2"
+    assert [r for r in rep.items if not r.passed][-1].label == "shift@1 shift@2"
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +572,6 @@ def test_assignment_search_validation():
     # a NaN tolerance would fail every line and certify a contradiction
     with pytest.raises(ValueError, match="tol must be a finite positive"):
         classical_assignment_search(battery_epr(), 0.25, np.nan)
-    with pytest.raises(ValueError, match="eps_nz must be a finite positive"):
-        classical_assignment_search(battery_epr(), 0.25, 1e-6, eps_nz=np.nan)
     with pytest.raises(ValueError, match="only X and Z"):
         classical_assignment_search(
             (BatteryItem(obs((1, "Y"), (2, "Y")), NonZero()),), 0.5, 1e-6
