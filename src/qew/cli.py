@@ -37,11 +37,13 @@ from .oracle import (
     maximize_witness,
 )
 from .states import (
+    MAX_SEED,
     _entry,
     _integer,
     _list,
     _positive,
     _real,
+    _seed as _read_seed,
     apply_blind_channel,
     build_state,
     channel_from_dict,
@@ -64,6 +66,7 @@ from .witnesses import (
     witness_family,
 )
 from .zkp import (
+    DEFAULT_Z,
     FixedOutcomesStrategy,
     HonestStrategy,
     SeparableDiagStrategy,
@@ -75,10 +78,6 @@ from .zkp import (
 
 __all__ = ["main", "build_parser"]
 
-ORACLE_SLACK = 1e-9
-# Seeds are read as unsigned 64-bit integers: the random source folds any
-# other integer into that range, so two different seeds could name one stream.
-MAX_SEED = 2**64 - 1
 # Rows one scan-visibility run may print: 10^6 rows are about 72 MB of CSV.
 MAX_SCAN_ROWS = 10**6
 
@@ -92,16 +91,12 @@ class StdoutError(Exception):
 
 
 def _seed(text: str) -> int:
-    """An argparse type: a seed in 0..2^64-1."""
+    """An argparse type: a seed in 0..2^64-1, the range the library reads."""
     try:
-        seed = int(text)
+        return _read_seed("seed", int(text))
     except ValueError:
-        seed = None
-    if seed is None or not 0 <= seed <= MAX_SEED:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an integer in 0..{MAX_SEED} (2^64 - 1), got {text!r}"
-        )
-    return seed
+        message = f"seed must be an integer in 0..{MAX_SEED} (2^64 - 1), got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _load_json(path: str) -> dict:
@@ -220,14 +215,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
     rho = build_state(spec)
     if args.channel:
         rho = apply_blind_channel(rho, channel_from_dict(_load_json(args.channel)))
-    family = spec.family() if args.family == "auto" else args.family
     if args.noise is not None:
         rho = werner_mix(rho, args.noise)
-    fam = witness_family(family)
+    fam = witness_family(spec.family())
     wrep = fam.witness(rho, eps_eq=args.tol_eq)
     brep = evaluate_battery(rho, fam.battery(rho.sites), eps_eq=args.tol_eq, eps_nz=args.tol_nz)
     report = {
-        "family": family,
+        "family": fam.name,
         "state": spec_to_dict(spec),
         "witness": _witness_dict(wrep),
         "battery": _battery_dict(brep),
@@ -409,12 +403,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         at = int(np.argmax(lhs))  # the lowest index on ties
         if lhs[at] > max_lhs:
             max_lhs, argmax_index = lhs[at], start + at
-        over = np.flatnonzero(lhs > fam.bound + ORACLE_SLACK)
+        # a crossing as the witness report reads one: lhs > bound + EPS_EQ
+        over = np.flatnonzero(lhs > fam.bound + EPS_EQ)
         violations += over.size
         if first_violation is None and over.size:
             first_violation = start + int(over[0])
     search_max, _ = maximize_witness(kind, cfg, args.iters)
-    if search_max > fam.bound + ORACLE_SLACK:
+    if search_max > fam.bound + EPS_EQ:
         violations += 1
     report = {
         "witness": kind,
@@ -458,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--channel", metavar="PATH", help="blind-channel JSON file")
     w.add_argument("--noise", type=float, metavar="V",
                    help="mix in white noise at visibility V in [0, 1]")
-    w.add_argument("--family", choices=("auto", *FAMILY_NAMES), default="auto",
-                   help="witness family (default: the one the state's kind names)")
     _add_tolerances(w)
     w.add_argument("--out", metavar="PATH", help="write the JSON report here")
     w.set_defaults(func=cmd_witness)
@@ -476,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("strategy", help="prover strategy JSON file")
     z.add_argument("--n", type=int, default=10000, help="number of rounds")
     z.add_argument("--seed", type=_seed, required=True, help="protocol randomness seed, 0..2^64-1")
-    z.add_argument("--z", type=float, default=5.0, help="z-test threshold")
+    z.add_argument("--z", type=float, default=DEFAULT_Z, help="z-test threshold")
     z.add_argument("--workers", type=int, default=1)
     z.add_argument("--transcript", metavar="PATH", default="zkp_transcript.txt",
                    help="transcript output file (default %(default)s)")

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qmat import Array, DensityMatrix, _form_fault, pure_density, uniforms
-from .states import MAX_DIM, BlindChannel, ChannelTerm, _integer, _positive, family_basis
+from .states import MAX_DIM, BlindChannel, ChannelTerm, _integer, _positive, _seed, family_basis
 
 __all__ = [
     "BLOCK_ENTRIES",
@@ -55,7 +55,7 @@ class SamplerConfig:
     ``terms`` is the number of mixture terms per sample (1..16);
     ``partition`` (1-based site indices) fixes the bipartition for
     biseparable sampling, or ``None`` to draw a bipartition per term.
-    Sites whose total dimension exceeds ``MAX_DIM`` are refused.
+    Sites over ``MAX_DIM`` and seeds outside 0..2^64 - 1 are refused.
     """
 
     sites: tuple[int, ...]
@@ -64,11 +64,14 @@ class SamplerConfig:
     partition: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.sites, tuple):
-            raise ValueError(f"sites must be a tuple, got {self.sites!r}")
-        object.__setattr__(self, "sites", tuple(_integer("sites", d) for d in self.sites))
+        for key in ("sites", "partition"):
+            value = getattr(self, key)
+            if key == "sites" or value is not None:
+                if not isinstance(value, tuple):
+                    raise ValueError(f"{key} must be a tuple, got {value!r}")
+                object.__setattr__(self, key, tuple(_integer(key, i) for i in value))
         object.__setattr__(self, "terms", _integer("terms", self.terms))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
         if not self.sites or any(d < 2 for d in self.sites):
             raise ValueError(f"need one or more sites of dimension >= 2, got {self.sites}")
         if math.prod(self.sites) > MAX_DIM:

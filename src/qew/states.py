@@ -48,13 +48,14 @@ __all__ = [
     "qudit_ghz_state",
     "spec_to_dict",
     "subspace_elements",
-    "uniform_sites",
     "w_state",
     "werner_mix",
 ]
 
 PROB_TOL = 1e-12
 MAX_DIM = 4096  # 12 qubits
+# Seeds are unsigned 64-bit: qmat.uniforms folds any other integer into the range.
+MAX_SEED = 2**64 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +78,7 @@ class StateSpec:
     amplitudes: tuple[float, ...] | None = None
 
     def site_dims(self) -> tuple[int, ...]:
-        fields = _kind(self.kind).fields
-        n, d = _SHAPES[self.family()]
-        return (int(self.d if "d" in fields else d),) * int(self.n if "n" in fields else n)
+        return family_sites(self.family(), self.n, self.d)
 
     def family(self) -> str:
         """Name of the witness family that reads this kind of state."""
@@ -94,31 +93,13 @@ def parse_state_spec(data: Mapping) -> StateSpec:
     """
     data = _record("state", data)
     kind = _entry("state spec", data, "kind")
-    entry = _kind(kind)
     values = {}
-    for key in entry.fields:
+    for key in _kind(kind).fields:
         attr, parse = _FIELDS[key]
         values[attr] = parse(key, _entry("state spec", data, key))
     spec = StateSpec(kind=kind, **values)
-    family_sites(entry.family, spec.n, spec.d)
+    spec.site_dims()
     return spec
-
-
-def uniform_sites(n: int, d: int) -> tuple[int, ...]:
-    """The sites ``(d,) * n`` of n d-level sites, refused before the tuple is
-    built when n or d is not an integer, n is negative, d is below 2 or their
-    total dimension exceeds ``MAX_DIM``."""
-    n, d = _integer("n", n), _integer("d", d)
-    if n < 0:
-        raise ValueError(f"site count must be non-negative, got n={n}")
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got d={d}")
-    # d ** n is never formed for many sites: 2 ** 13 already exceeds MAX_DIM
-    if n >= MAX_DIM.bit_length() or d**n > MAX_DIM:
-        raise ValueError(
-            f"dimension budget exceeded: {n} sites of dimension {d} exceed {MAX_DIM}"
-        )
-    return (d,) * n
 
 
 # Each family's default site count n and local dimension d.  A member may set
@@ -127,18 +108,28 @@ _SHAPES = {"epr": (2, 2), "ghz": (3, 2), "w": (3, 2), "qudit": (2, 3)}
 
 
 def family_sites(family: str, n: int | None, d: int | None) -> tuple[int, ...]:
-    """The sites of a member of ``family``, with None for the family's
-    default n or d: a value the family fixes, sites over the budget of
-    :func:`uniform_sites` and fewer than 2 sites are refused."""
+    """The sites ``(d,) * n`` of a member of ``family``, with None for the
+    family's default n or d.  Refused before the tuple is built: a value the
+    family fixes, an n or d that is not an integer, d below 2, n below 2,
+    and a total dimension over ``MAX_DIM``."""
     fields = _fields(family)
     shape = _SHAPES[family]
     for key, arg, default in (("n", n, shape[0]), ("d", d, shape[1])):
         if arg is not None and key not in fields:
             raise ValueError(f"the family fixes {key} = {default}; --{key} {arg} does not apply")
-    sites = uniform_sites(shape[0] if n is None else n, shape[1] if d is None else d)
-    if len(sites) < 2:
+    n = _integer("n", shape[0] if n is None else n)
+    d = _integer("d", shape[1] if d is None else d)
+    if d < 2:
+        raise ValueError(f"local dimension must be at least 2, got d={d}")
+    if n < 2:
+        sites = (d,) * max(n, 0)
         raise ValueError(f"family {family!r} needs 2 or more sites of one dimension, got {sites}")
-    return sites
+    # d ** n is never formed for many sites: 2 ** 13 already exceeds MAX_DIM
+    if n >= MAX_DIM.bit_length() or d**n > MAX_DIM:
+        raise ValueError(
+            f"dimension budget exceeded: {n} sites of dimension {d} exceed {MAX_DIM}"
+        )
+    return (d,) * n
 
 
 def spec_to_dict(spec: StateSpec) -> dict:
@@ -161,7 +152,7 @@ def epr_state(theta: float) -> DensityMatrix:
 
 def ghz_state(n: int, theta: float) -> DensityMatrix:
     """cos(theta)|0...0> + sin(theta)|1...1> on n qubits."""
-    return _member("ghz", uniform_sites(n, 2), (np.cos(theta), np.sin(theta)))
+    return _member("ghz", family_sites("ghz", n, None), (np.cos(theta), np.sin(theta)))
 
 
 def w_state(a: Sequence[float]) -> DensityMatrix:
@@ -171,7 +162,7 @@ def w_state(a: Sequence[float]) -> DensityMatrix:
 
 def qudit_ghz_state(n: int, d: int, alpha: Sequence[float]) -> DensityMatrix:
     """sum_j alpha_j |j...j> on n d-level sites with real amplitudes."""
-    return _member("qudit", uniform_sites(n, d), alpha)
+    return _member("qudit", family_sites("qudit", n, d), alpha)
 
 
 def _member(family: str, sites: tuple[int, ...], amplitudes: Sequence[float]) -> DensityMatrix:
@@ -223,6 +214,14 @@ def _integer(key: str, value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+
+
+def _seed(key: str, value) -> int:
+    """An integer seed in 0..``MAX_SEED`` for field ``key``."""
+    seed = _integer(key, value)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"{key} must be an integer in 0..{MAX_SEED} (2^64 - 1), got {seed}")
+    return seed
 
 
 def _list(key: str, value) -> list:

@@ -37,6 +37,7 @@ from .states import (
     StateSpec,
     _integer,
     _positive,
+    _seed,
     apply_blind_channel,
     build_state,
     werner_mix,
@@ -215,10 +216,10 @@ def run_protocol(
 
     Challenges and settings are uniform bits; (a, b) is drawn per round
     from the joint distribution of the strategy's state under the selected
-    Pauli pair.  Deterministic in (strategy, n_rounds, seed) and unchanged
-    by ``workers``, which is 1 to ``MAX_WORKERS``.
+    Pauli pair.  Deterministic in (strategy, n_rounds, seed), a seed in
+    0..2^64 - 1, and unchanged by ``workers`` (1 to ``MAX_WORKERS``).
     """
-    n_rounds, seed = _integer("n_rounds", n_rounds), _integer("seed", seed)
+    n_rounds, seed = _integer("n_rounds", n_rounds), _seed("seed", seed)
     workers = _integer("workers", workers)
     if n_rounds < 1:
         raise ValueError(f"need at least one round, got {n_rounds}")

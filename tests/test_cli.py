@@ -129,14 +129,13 @@ def test_witness_w_family_inferred(tmp_path, capsys):
 
 def test_witness_ambiguous_support_needs_family(tmp_path, capsys):
     # |111> sits in both three-qubit subspaces; the spec's kind still names
-    # one family, so no --family is needed
+    # one family, and qew witness reads that one
     state = _write(tmp_path, "top.json", {"kind": "ghz", "n": 3, "theta": np.pi / 2})
     code, out, _ = _run(capsys, "witness", state)
     assert code == 0
     rep = json.loads(out)
     assert rep["family"] == "ghz"
     assert rep["witness"]["verdict"] == "not-witnessed"
-    assert _run(capsys, "witness", state, "--family", "ghz")[1] == out
 
 
 def test_witness_qudit(tmp_path, capsys):
@@ -476,7 +475,7 @@ def test_network_over_budget_past_64_bits(tmp_path, capsys, monkeypatch):
 # Every option string of every subcommand, help aside: a new or removed flag
 # is a deliberate edit here, as tests/test_signatures.py is for keywords.
 CLI_OPTIONS = {
-    "witness": {"--channel", "--noise", "--family", "--tol-eq", "--tol-nz", "--out"},
+    "witness": {"--channel", "--noise", "--tol-eq", "--tol-nz", "--out"},
     "scan-visibility": {"--start", "--stop", "--step", "--out"},
     "zkp": {"--n", "--seed", "--z", "--workers", "--transcript", "--out"},
     "network": {"--channel", "--tol-eq", "--tol-nz", "--out"},

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qew import oracle, witnesses
+from qew import oracle, witnesses, zkp
 from qew.oracle import (
     SamplerConfig,
     all_bipartitions,
@@ -23,7 +23,9 @@ from qew.oracle import (
     sample_separable,
 )
 from qew.qmat import uniforms
-from qew.states import MAX_DIM, epr_state, family_basis, family_sites, ghz_state, werner_mix
+from qew.states import (
+    MAX_DIM, StateSpec, epr_state, family_basis, family_sites, ghz_state, werner_mix,
+)
 from qew.witnesses import (
     witness_epr,
     witness_family,
@@ -31,6 +33,7 @@ from qew.witnesses import (
     witness_qudit,
     witness_w,
 )
+from qew.zkp import HonestStrategy, run_protocol
 
 
 def test_sampler_config_validation():
@@ -86,6 +89,31 @@ def test_sampler_refuses_non_integer_seeds_and_indices(monkeypatch):
 
 def _no_draws(*args):
     raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_library_seeds_outside_64_bits_are_refused(monkeypatch, seed):
+    # the random source reads a seed mod 2^64, so -1 would draw the stream of
+    # 2^64 - 1 and 2^64 that of 0; each reader refuses both before any draw
+    monkeypatch.setattr(oracle, "uniforms", _no_draws)
+    monkeypatch.setattr(zkp, "uniforms", _no_draws)
+    for call in (lambda: SamplerConfig(sites=(2, 2), seed=seed),
+                 lambda: random_blind_channel((2, 2), 2, seed),
+                 lambda: run_protocol(HonestStrategy(StateSpec("epr", theta=0.7)), 50, seed)):
+        with pytest.raises(ValueError, match=rf"seed must be an integer in 0\.\.{2**64 - 1}"):
+            call()
+    assert SamplerConfig(sites=(2, 2), seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_sampler_config_reads_partition_as_integer_tuple():
+    with pytest.raises(ValueError, match=r"partition must be a tuple, got \[1\]"):
+        SamplerConfig(sites=(2, 2), partition=[1])
+    with pytest.raises(ValueError, match="'partition' must be an integer, got 1.5"):
+        SamplerConfig(sites=(2, 2), partition=(1.5,))
+    cfg = SamplerConfig(sites=(2, 2), terms=2, seed=4, partition=(1.0,))
+    assert cfg.partition == (1,) and type(cfg.partition[0]) is int
+    want = sample_biseparable(SamplerConfig(sites=(2, 2), terms=2, seed=4, partition=(1,)), 3)
+    assert np.array_equal(sample_biseparable(cfg, 3).mat, want.mat)
 
 
 @pytest.mark.parametrize(
@@ -202,7 +230,7 @@ def test_draws_raise_no_runtime_warning():
         warnings.simplefilter("error")
         uniforms(2**63 + 5, 2**40, 3)
         sample_separable(SamplerConfig(sites=(2, 3), terms=3, seed=2**63 + 5), 7)
-        sample_biseparable(SamplerConfig(sites=(2, 2, 2), terms=3, seed=-4), 2**40)
+        sample_biseparable(SamplerConfig(sites=(2, 2, 2), terms=3, seed=2**64 - 4), 2**40)
         random_blind_channel((2, 3), 3, seed=2**64 - 1, index=9)
         maximize_witness("w", SamplerConfig(sites=(2, 2, 2), seed=5), 4)
 

@@ -26,7 +26,6 @@ from qew.states import (
     qudit_ghz_state,
     spec_to_dict,
     subspace_elements,
-    uniform_sites,
     w_state,
     werner_mix,
 )
@@ -143,13 +142,13 @@ def test_parse_state_spec_errors():
             parse_state_spec({"kind": "qudit_ghz", "n": 2, "d": d, "alpha": [1.0]})
     for n, d in ((2, -5), (3, 0), (0, 1)):
         with pytest.raises(ValueError, match="dimension must be at least 2"):
-            uniform_sites(n, d)
+            family_sites("qudit", n, d)
     # a non-integral n or d names its field, for the library builders too
     with pytest.raises(ValueError, match="'d' must be an integer, got 2.5"):
-        uniform_sites(2, 2.5)
+        family_sites("qudit", 2, 2.5)
     with pytest.raises(ValueError, match="'n' must be an integer, got 2.5"):
         ghz_state(2.5, 0.3)
-    assert uniform_sites(2.0, 3) == (3, 3)
+    assert family_sites("qudit", 2.0, 3) == (3, 3)
     with pytest.raises(ValueError, match="4 amplitudes"):
         parse_state_spec({"kind": "w", "a": [0.6, 0.8, 0.0]})
     # wrong types and non-finite or non-integral numbers name the field

@@ -578,6 +578,25 @@ def test_assignment_search_validation():
         )
 
 
+@pytest.mark.parametrize("step", [0.3, 0.7, 0.15, 0.45])
+def test_assignment_search_refuses_steps_that_miss_one(step):
+    # the grid -1, -1 + step, ... would never hold +1, so the ZZ/ZX/XZ lines,
+    # which +/-1 values satisfy, would return [] as a false contradiction
+    equalities = tuple(i for i in battery_epr().items if not isinstance(i.contract, NonZero))
+    with pytest.raises(ValueError, match=f"grid_step must divide 2.*got {step}"):
+        classical_assignment_search(equalities, step, 1e-6)
+
+
+def test_assignment_grid_ends_at_one():
+    # at step 2/11 the last grid point rounds to 1.0000000000000009; it is
+    # read as 1, so the NonZero line alone finds assignments and no value
+    # leaves [-1, 1]
+    xx = tuple(i for i in battery_epr().items if isinstance(i.contract, NonZero))
+    hits = classical_assignment_search(xx, 2.0 / 11.0, 1e-6)
+    assert ValueAssignment(((1.0, 1.0), (1.0, 1.0))) in hits
+    assert max(v for h in hits for party in h.values for v in party) == 1.0
+
+
 def test_assignment_search_cell_budget():
     # four parties at step 0.1 would be 21^8 ~ 3.8e10 cells; refused, not allocated
     with pytest.raises(ValueError, match="budget"):

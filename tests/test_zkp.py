@@ -220,9 +220,10 @@ def test_run_protocol_reads_integer_arguments():
     t = run_protocol(HonestStrategy(EPR), 100.0, 7.0, workers=2.0)
     u = run_protocol(HonestStrategy(EPR), 100, 7)
     assert (t.n_rounds, t.seed) == (100, 7) and np.array_equal(t.b, u.b)
-    # a negative seed still folds into the 64-bit stream
-    assert np.array_equal(run_protocol(HonestStrategy(EPR), 50, -1).b,
-                          run_protocol(HonestStrategy(EPR), 50, 2**64 - 1).b)
+    # a seed outside the 64-bit stream range would alias one inside it
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed must be an integer in 0..{2**64 - 1}"):
+            run_protocol(HonestStrategy(EPR), 50, seed)
 
 
 def test_undersampled_cell_raises():
