@@ -22,12 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .networks import (
-    connectivity_check,
-    generate_cluster,
-    parse_network_spec,
-    source_batteries,
-)
+from .networks import connectivity_check, parse_network_spec, source_reports
 from .oracle import (
     _WITNESS_SET,
     MAX_ITERS,
@@ -352,11 +347,7 @@ def cmd_network(args: argparse.Namespace) -> int:
     _check_tolerances(args)
     spec = parse_network_spec(_load_json(args.spec))
     channel = channel_from_dict(_load_json(args.channel)) if args.channel else None
-    rho = generate_cluster(spec, channel)
-    reports = [
-        evaluate_battery(rho, b, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
-        for b in source_batteries(spec)
-    ]
+    reports = source_reports(spec, channel, eps_eq=args.tol_eq, eps_nz=args.tol_nz)
     connected, components = connectivity_check(spec)
     report = {
         "parties": list(spec.parties),

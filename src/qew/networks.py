@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,18 +32,27 @@ from .qmat import Array, DensityMatrix, _branch, _conjugate, _derived, obs, tens
 from .states import (
     MAX_DIM,
     BlindChannel,
+    ChannelTerm,
     StateSpec,
     _entry,
     _integer,
     _list,
     _real,
     _record,
+    apply_blind_channel,
     build_state,
     parse_state_spec,
     spec_to_dict,
     subspace_elements,
 )
-from .witnesses import LEAKAGE_TOL, ParadoxBattery, reindex_battery, witness_family
+from .witnesses import (
+    LEAKAGE_TOL,
+    BatteryReport,
+    ParadoxBattery,
+    evaluate_battery,
+    reindex_battery,
+    witness_family,
+)
 
 __all__ = [
     "CpGate",
@@ -57,6 +66,7 @@ __all__ = [
     "qubit_owners",
     "reduce_ghz_to_epr",
     "source_batteries",
+    "source_reports",
     "swap_branches",
 ]
 
@@ -190,6 +200,15 @@ def _gates_diagonal(spec: NetworkSpec, dims: tuple[int, ...]) -> Array:
     return diag
 
 
+def _network_sites(spec: NetworkSpec) -> tuple[int, ...]:
+    """Every site's local dimension in global order, refused over ``MAX_DIM``."""
+    dims = tuple(d for _owner, d in qubit_owners(spec))
+    dim = math.prod(dims)  # exact: an int64 product wraps to -2^63 at 63 qubits, 0 at 64
+    if dim > MAX_DIM:
+        raise ValueError(f"qubit budget exceeded: total dimension {dim} > {MAX_DIM}")
+    return dims
+
+
 def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> DensityMatrix:
     """Tensor the source states, apply all controlled-phase gates, then the
     blind channel.
@@ -202,12 +221,10 @@ def generate_cluster(spec: NetworkSpec, ch: BlindChannel | None = None) -> Densi
     Kronecker product of density matrices is PSD, and so is its Schur
     product with the PSD unit-diagonal g g^dag o M (Schur product theorem),
     so it gets the O(D^2) checks and no eigen-decomposition.  A gate may
-    take any finite angle; the standard CZ is the angle pi.
+    take any finite angle; the standard CZ is the angle pi.  The dense
+    reference for :func:`source_reports`.
     """
-    dims = tuple(d for _owner, d in qubit_owners(spec))
-    dim = math.prod(dims)  # exact: an int64 product wraps to -2^63 at 63 qubits, 0 at 64
-    if dim > MAX_DIM:
-        raise ValueError(f"qubit budget exceeded: total dimension {dim} > {MAX_DIM}")
+    dims = _network_sites(spec)
     states = [build_state(src.state) for src in spec.sources]
     phases = _gates_diagonal(spec, dims)
     m = np.outer(phases, phases.conj())
@@ -353,16 +370,44 @@ def source_batteries(spec: NetworkSpec) -> list[ParadoxBattery]:
 
     Each source contributes its family's battery (pairwise ZZ equalities,
     ZX/XZ zeros, and the source-wide X-string NonZero line), shifted onto
-    the source's qubits.  Evaluating them against the network state checks
-    every source independently.
+    the source's qubits.
     """
-    out = []
-    offset = 0
+    out, offset = [], 0
     for src in spec.sources:
         dims = src.state.site_dims()
         battery = witness_family(src.state.family()).battery(dims)
         out.append(reindex_battery(battery, offset))
         offset += len(dims)
+    return out
+
+
+def source_reports(
+    spec: NetworkSpec, ch: BlindChannel | None, *, eps_eq: float, eps_nz: float
+) -> list[BatteryReport]:
+    """Each source's battery read on ch|_s(rho_s), the channel with each term's
+    phases kept on source s's sites, and labelled with global qubit numbers.
+
+    A line P reads there what G P G^dag reads on :func:`generate_cluster`'s
+    state for any gate layer G: G^dag rho G = M o (rho_1 x ... x rho_s), and
+    each term's phase vector has unit modulus, so the other sources trace
+    out to 1.  No network matrix is built.
+    """
+    dims = _network_sites(spec)
+    if ch is not None and ch.site_dims() != dims:
+        raise ValueError(f"channel sites {ch.site_dims()} do not match state sites {dims}")
+    out, offset = [], 0
+    for src in spec.sources:
+        rho = build_state(src.state)
+        k = rho.n_sites
+        if ch is not None:
+            terms = (ChannelTerm(t.p, t.site_phases[offset : offset + k]) for t in ch.terms)
+            rho = apply_blind_channel(rho, BlindChannel(tuple(terms)))
+        battery = witness_family(src.state.family()).battery(rho.sites)
+        rep = evaluate_battery(rho, battery, eps_eq=eps_eq, eps_nz=eps_nz)
+        shifted = reindex_battery(battery, offset).items
+        items = (replace(r, label=i.observable.label()) for r, i in zip(rep.items, shifted))
+        out.append(BatteryReport(tuple(items), rep.passed))
+        offset += k
     return out
 
 

@@ -191,7 +191,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.sites))
+        return math.prod(self.sites)
 
     @property
     def n_sites(self) -> int:

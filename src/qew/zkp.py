@@ -195,6 +195,7 @@ class Transcript:
     b: Array
 
     def __post_init__(self) -> None:
+        _seed("seed", self.seed)
         for name in ("k", "a", "s", "b"):
             arr = getattr(self, name)
             if arr.shape != (self.n_rounds,):

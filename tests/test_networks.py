@@ -22,6 +22,7 @@ from qew.networks import (
     qubit_owners,
     reduce_ghz_to_epr,
     source_batteries,
+    source_reports,
     swap_branches,
 )
 from qew.qmat import pure_density
@@ -36,7 +37,7 @@ from qew.states import (
     w_state,
     werner_mix,
 )
-from qew.witnesses import LEAKAGE_TOL, evaluate_battery
+from qew.witnesses import EPS_EQ, EPS_NZ, LEAKAGE_TOL, evaluate_battery
 
 
 def _epr_spec(theta=np.pi / 4):
@@ -482,6 +483,49 @@ def test_source_batteries_detect_one_dephased_source():
     assert reports[0].passed
     assert not reports[1].passed
     assert [r.label for r in reports[1].items if not r.passed] == ["X@3 X@4"]
+
+
+def _verdicts(spec):
+    return [r.passed for r in source_reports(spec, None, eps_eq=EPS_EQ, eps_nz=EPS_NZ)]
+
+
+def test_source_reports_read_each_source_through_cp_gates():
+    # Read on the gated network state, these healthy sources failed: a CZ at
+    # pi turns X@1 into X@1 Z@3, so <X@1 X@2> there is <Z@3> <X@1 X@2> = 0.
+    pair = SourceSpec(_epr_spec(), ("A", "B"))
+    spec = NetworkSpec(("A", "B"), (pair, pair), (CpGate("A", np.pi, (1, 3)),))
+    assert _verdicts(spec) == [True, True]
+    ghz = SourceSpec(_ghz_spec(4), ("A", "B", "C", "D"))
+    gates = (CpGate("A", np.pi, (1, 5)), CpGate("B", np.pi, (6, 10)))
+    assert _verdicts(NetworkSpec(("A", "B", "C", "D"), (ghz,) * 3, gates)) == [True, True, True]
+
+
+def test_source_reports_keep_global_labels_and_find_one_dephased_source():
+    spec = _two_pair_network()
+    ch = BlindChannel(
+        (
+            ChannelTerm(0.5, ((0.0, 0.0),) * 4),
+            ChannelTerm(0.5, ((0.0, 0.0), (0.0, 0.0), (0.0, np.pi), (0.0, 0.0))),
+        )
+    )
+    first, second = source_reports(spec, ch, eps_eq=EPS_EQ, eps_nz=EPS_NZ)
+    assert [r.label for r in second.items] == ["Z@3 Z@4", "Z@3 X@4", "X@3 Z@4", "X@3 X@4"]
+    assert first.passed and not second.passed
+    assert [r.label for r in second.items if not r.passed] == ["X@3 X@4"]
+
+
+def test_source_reports_refuse_before_building(monkeypatch):
+    def no_build(spec):
+        raise AssertionError("a source was built before the refusal")
+
+    monkeypatch.setattr(networks, "build_state", no_build)
+    spec = _two_pair_network()
+    short = BlindChannel((ChannelTerm(1.0, ((0.0, 0.0),) * 3),))
+    with pytest.raises(ValueError, match=r"^channel sites \(2, 2, 2\) do not match state sites \(2, 2, 2, 2\)$"):
+        source_reports(spec, short, eps_eq=EPS_EQ, eps_nz=EPS_NZ)
+    huge = NetworkSpec(("A",), (SourceSpec(_epr_spec(), ("A", "A")),) * 7)
+    with pytest.raises(ValueError, match=r"^qubit budget exceeded: total dimension 16384 > 4096$"):
+        source_reports(huge, short, eps_eq=EPS_EQ, eps_nz=EPS_NZ)
 
 
 def test_connectivity_chain_and_split():

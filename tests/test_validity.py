@@ -143,6 +143,27 @@ def test_network_states_pass_the_full_check(case):
 
 
 @settings(max_examples=40, deadline=None)
+@given(_networks())
+def test_per_source_reads_equal_the_gated_network_state(case):
+    # <P> on ch|_s(rho_s) is <G P G^dag> on the network state rho, which is
+    # <P> on G^dag rho G for the diagonal gate layer G
+    spec, ch = case
+    rho = generate_cluster(spec, ch)
+    g = networks._gates_diagonal(spec, rho.sites)
+    ungated = qmat._derived(g.conj()[:, None] * rho.mat * g, rho.sites)
+    tolerances = {"eps_eq": witnesses.EPS_EQ, "eps_nz": witnesses.EPS_NZ}
+    reports = networks.source_reports(spec, ch, **tolerances)
+    for rep, battery in zip(reports, networks.source_batteries(spec), strict=True):
+        want = witnesses.evaluate_battery(ungated, battery, **tolerances)
+        assert rep.passed == want.passed
+        for got, ref in zip(rep.items, want.items, strict=True):
+            assert (got.label, got.passed) == (ref.label, ref.passed)
+            assert abs(got.value - ref.value) <= 1e-12
+            if ref.companion_value is not None:
+                assert abs(got.companion_value - ref.companion_value) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
 @given(_state_specs(), st.data(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
 def test_states_channels_and_noise_pass_the_full_check(spec, data, v):
     rho = build_state(spec)  # pure_density

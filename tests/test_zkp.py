@@ -321,6 +321,9 @@ def test_transcript_validation():
         Transcript(0, n, good.k + 2, good.a, good.s, good.b)
     with pytest.raises(ValueError, match=r"\+/-1"):
         Transcript(0, n, good.k, good.a * 0, good.s, good.b)
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(ValueError, match="seed.* must be an integer"):
+            Transcript(seed, n, good.k, good.a, good.s, good.b)
 
 
 @st.composite
@@ -330,7 +333,7 @@ def _transcripts(draw):
     signs = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
     k, s = (np.array(draw(bits), dtype=np.uint8) for _ in range(2))
     a, b = (np.array(draw(signs), dtype=np.int8) for _ in range(2))
-    return Transcript(draw(st.integers(-(2**70), 2**70)), n, k, a, s, b)
+    return Transcript(draw(st.integers(0, 2**64 - 1)), n, k, a, s, b)
 
 
 @given(_transcripts())
@@ -366,6 +369,18 @@ def test_transcript_round_trip(tmp_path):
     first = format_transcript(t).splitlines()
     assert first[0] == "# seed=77 N=500"
     assert first[1] == "round,k,a,s,b"
+
+
+def test_read_transcript_refuses_a_seed_outside_the_stream_range(tmp_path):
+    # an edited header: run_protocol never writes such a seed, and each one
+    # would alias the stream of a seed inside 0..2^64-1
+    text = format_transcript(run_protocol(HonestStrategy(EPR), 20, seed=2**64 - 1))
+    assert parse_transcript(text).seed == 2**64 - 1
+    path = tmp_path / "t.txt"
+    for seed in (-1, 2**64):
+        path.write_text(text.replace(f"# seed={2**64 - 1} ", f"# seed={seed} ", 1), encoding="ascii")
+        with pytest.raises(ValueError, match=rf"seed must be an integer in 0\.\.{2**64 - 1} .*got {seed}$"):
+            read_transcript(path)
 
 
 def test_read_transcript_names_a_non_ascii_row(tmp_path):
