@@ -566,7 +566,7 @@ def classical_assignment_search(
     Only X/Z factors are value-assignable here; companion observables are
     ignored (they exist for the quantum NonZero check only).  A scan of
     more than ``MAX_ASSIGNMENT_CELLS`` grid cells is refused before any
-    of them is allocated, and so is a step that does not divide 2.
+    of them is allocated, and so is a step that does not divide 1.
     """
     items = tuple(battery.items) if isinstance(battery, ParadoxBattery) else tuple(battery)
     if not items:
@@ -592,9 +592,13 @@ def classical_assignment_search(
             f"assignment budget exceeded: {size}^{n_axes} = {cells} grid cells "
             f"exceed {MAX_ASSIGNMENT_CELLS}"
         )
-    # a grid without +1 certifies false contradictions; rounding overshoots 1 at step 2/11
-    if abs(2.0 / grid_step - round(2.0 / grid_step)) > 1e-9:
-        raise ValueError(f"grid_step must divide 2 (2 / step an integer), got {grid_step}")
+    # a grid without -1, 0 and +1 certifies false contradictions (the ZX = 0
+    # line needs 0); rounding overshoots 1 at step 1/11
+    if abs(1.0 / grid_step - round(1.0 / grid_step)) > 1e-9:
+        raise ValueError(
+            f"grid_step must divide 1 (1 / step an integer, so the grid holds -1, 0 and +1), "
+            f"got {grid_step}"
+        )
     grid = np.clip(np.arange(-1.0, 1.0 + grid_step / 2.0, grid_step), -1.0, 1.0)
     mask = np.ones((grid.size,) * n_axes, dtype=bool)
     for item in items:

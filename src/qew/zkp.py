@@ -67,7 +67,7 @@ MIN_CELL_ROUNDS = 30
 # Rounds one run_protocol call may simulate: ten times the 10^6 of the
 # largest documented run.  Peak traced memory per round, measured at 10^6
 # rounds (16 bytes of transcript text each): 80 bytes to simulate on one
-# worker, 58 to write the transcript and 145 to read it back.
+# worker, 55 to write the transcript and 103 to read it back.
 MAX_ROUNDS = 10**7
 # Threads one run_protocol call may start.  Each thread draws its own span of
 # rounds and numpy releases the GIL inside the draw, so threads up to the core
@@ -230,16 +230,20 @@ def run_protocol(
         raise ValueError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"worker budget exceeded: {workers} workers exceed {MAX_WORKERS}")
-    cum = np.cumsum(_prob_table(strategy), axis=-1)
-    cum[..., -1] = 1.0
+    # cols[j][2k + s]: entry j of cell (k, s)'s cumulative row
+    cols = np.cumsum(_prob_table(strategy), axis=-1).reshape(4, 4).T.copy()
 
     def chunk(lo: int, hi: int) -> tuple[Array, Array, Array, Array]:
         k, s, u = uniforms(seed, np.arange(lo, hi), np.arange(3)[:, None])
         k = (k >= 0.5).astype(np.uint8)
         s = (s >= 0.5).astype(np.uint8)
-        # Outcome index = entries of the round's cumulative row <= u (the row is nondecreasing).
-        o = np.count_nonzero(cum[k, s] <= u[:, None], axis=1)
-        return k, (1 - 2 * (o >> 1)).astype(np.int8), s, (1 - 2 * (o & 1)).astype(np.int8)
+        # Outcome index = entries of the round's cumulative row <= u (the row
+        # is nondecreasing), one column at a time.  The last entry, the row's
+        # total, is read as 1, which no uniform in [0, 1) reaches.
+        cell = 2 * k + s
+        o = np.add(cols[0].take(cell) <= u, cols[1].take(cell) <= u, dtype=np.int8)
+        o += cols[2].take(cell) <= u
+        return k, 1 - 2 * (o >> 1), s, 1 - 2 * (o & 1)
 
     bounds = np.linspace(0, n_rounds, workers + 1, dtype=int)
     spans = [(int(x), int(y)) for x, y in zip(bounds[:-1], bounds[1:]) if y > x]
@@ -365,33 +369,78 @@ def leakage_view(t: Transcript) -> LeakageView:
 # ---------------------------------------------------------------------------
 
 
-# Row tails ",k,a,s,b\n" by the code 8k + 4[a = -1] + 2s + [b = -1], NUL-padded
-# to one width.
-_TAILS = np.array(
-    [
-        list(f",{k},{a},{s},{b}\n".encode("ascii").ljust(11, b"\0"))
-        for k in (0, 1) for a in (1, -1) for s in (0, 1) for b in (1, -1)
-    ],
-    dtype=np.uint8,
-)
+# A data row's tail ",k,a,s,b\n" for k = s = 0 and a = b = -1; the writer
+# raises a digit for a bit that is 1 and blanks the sign of an outcome that is
+# +1 with a NUL byte.
+_TAIL = b",0,-1,0,-1\n"
+_DIGITS = np.arange(48, 58, dtype=np.uint8)
+
+
+def _render(seed: int, k1: Array, a_neg: Array, s1: Array, b_neg: Array) -> bytes:
+    """The transcript file's bytes for rounds given as boolean arrays: k = 1,
+    a = -1, s = 1 and b = -1.  Each row is laid out in a fixed-width table:
+    the round index right-aligned behind NUL bytes, then its tail; dropping
+    every NUL byte leaves the rows in order."""
+    n = len(k1)
+    width = len(str(max(n - 1, 0)))
+    row = np.frombuffer(bytes(width) + _TAIL, dtype=np.uint8)
+    table = np.empty((n, len(row)), dtype=np.uint8)
+    table[:] = row
+    for p in range(width):
+        # digit p from the right holds for 10^p rows and repeats every 10^(p + 1)
+        col, period = width - 1 - p, 10 ** (p + 1)
+        digits = np.repeat(_DIGITS, 10**p)
+        m = n // period
+        table[: m * period].reshape(m, period, len(row))[:, :, col] = digits
+        table[m * period :, col] = digits[: n - m * period]
+        if p:
+            table[: 10**p, col] = 0  # the leading zeros of the rounds below 10^p
+    tails = table[:, width:]
+    tails[:, 1] += k1
+    tails[:, 3] *= a_neg
+    tails[:, 6] += s1
+    tails[:, 8] *= b_neg
+    head = f"# seed={seed} N={n}\nround,k,a,s,b\n".encode("ascii")
+    return head + table.tobytes().replace(b"\0", b"")
 
 
 def _transcript_bytes(t: Transcript) -> bytes:
-    """The transcript file's bytes.  Each row is laid out in a fixed-width
-    table: the round index right-aligned behind NUL bytes, then its tail;
-    dropping every NUL byte leaves the rows in order."""
-    n = t.n_rounds
-    width = len(str(max(n - 1, 0)))
-    table = np.zeros((n, width + _TAILS.shape[1]), dtype=np.uint8)
-    q = np.arange(n)
-    for col in range(width - 1, -1, -1):
-        table[:, col] = q % 10 + 48
-        q //= 10
-    for col in range(width - 1):  # leading zeros: the rounds below 10^(digits to the right)
-        table[: 10 ** (width - 1 - col), col] = 0
-    table[:, width:] = _TAILS[8 * (t.k == 1) + 4 * (t.a == -1) + 2 * (t.s == 1) + (t.b == -1)]
-    head = f"# seed={t.seed} N={n}\nround,k,a,s,b\n".encode("ascii")
-    return head + table[table != 0].tobytes()
+    return _render(t.seed, t.k == 1, t.a == -1, t.s == 1, t.b == -1)
+
+
+# The two header lines as the writer writes them.
+_HEAD = re.compile(rb"# seed=([0-9]{1,20}) N=([0-9]{1,19})\nround,k,a,s,b\n")
+
+
+def _recognize(data: bytes) -> Transcript | None:
+    """The transcript whose file is exactly ``data``, or None for any other
+    bytes; it never raises.  Each row's bits are read at fixed offsets back
+    from its line end, and the rows are accepted only when ``_render`` gives
+    the same bytes back, so the result is the one ``_parse_rows`` would give."""
+    head = _HEAD.match(data)
+    if head is None:
+        return None
+    seed, n = int(head[1]), int(head[2])
+    body = np.frombuffer(data, dtype=np.uint8, offset=head.end())
+    ends = np.flatnonzero(body == 10)
+    if seed >= 2**64 or len(ends) != n:
+        return None
+    # ",k,[-]a,s,[-]b\n" back from each line end; "clip" keeps a short row in range
+    b_neg = body.take(ends - 2, mode="clip") == 45
+    s_at = ends - 3 - b_neg
+    s1 = body.take(s_at, mode="clip") == 49
+    a_neg = body.take(s_at - 3, mode="clip") == 45
+    k1 = body.take(s_at - 4 - a_neg, mode="clip") == 49
+    if _render(seed, k1, a_neg, s1, b_neg) != data:
+        return None
+    return Transcript(
+        seed=seed,
+        n_rounds=n,
+        k=k1.view(np.uint8),
+        a=1 - 2 * a_neg.view(np.int8),
+        s=s1.view(np.uint8),
+        b=1 - 2 * b_neg.view(np.int8),
+    )
 
 
 def format_transcript(t: Transcript) -> str:
@@ -413,6 +462,13 @@ def _fields_ok(row: str) -> bool:
 def parse_transcript(text: str) -> Transcript:
     """Read the text ``format_transcript`` writes.  Lines of only whitespace
     are skipped, and each data row is five ``_FIELD`` fields."""
+    t = _recognize(text.encode("ascii")) if text.isascii() else None
+    return t if t is not None else _parse_rows(text)
+
+
+def _parse_rows(text: str) -> Transcript:
+    """``parse_transcript`` for any text: the header checks, then the data
+    rows through ``np.loadtxt``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("#"):
         raise ValueError("transcript must start with a '# seed=... N=...' header")
@@ -475,6 +531,7 @@ def write_transcript(t: Transcript, path) -> None:
 
 def read_transcript(path) -> Transcript:
     # A non-ASCII byte decodes to a lone surrogate, which is neither a line
-    # break nor whitespace, so parse_transcript names the row that holds it.
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return parse_transcript(fh.read())
+    # break nor whitespace, so parse_transcript names the row that holds it;
+    # splitlines() ends a line at "\r\n" and at "\r" as text mode would.
+    with open(path, "rb") as fh:
+        return parse_transcript(fh.read().decode("ascii", errors="surrogateescape"))

@@ -496,16 +496,17 @@ def test_network_has_no_leakage_flag():
     assert options == CLI_OPTIONS
 
 
-# Reports at two set tolerance pairs.  Each witness pair moves a different
-# set of battery verdicts away from the defaults, so the digests pin where the
-# tolerances reach as well as the report bytes.  Both network pairs fail the
-# GHZ source's X@3 X@4 X@5 line and nothing else, so their reports are one:
-# the gate on qubits 1 and 3 moves no line of a per-source read.
+# Reports at two set tolerance pairs.  Each pair moves a different set of
+# battery verdicts away from the defaults, so the digests pin where the
+# tolerances reach as well as the report bytes.  The network's NonZero lines
+# read 0.394 (GHZ X@3 X@4 X@5), 0.932 (EPR X@1 X@2), 0.960 (W X@6 X@8) and
+# 0.984 (W X@6 X@7), and its Exact and Zero lines are exact: (0.25, 0.5) fails
+# the GHZ line alone, and (1e-3, 0.97) fails the first three.
 _PINNED_REPORTS = {
     ("witness", "0.25", "0.5"): "8908e76fb9ec1cc9de2a19d3abe5c9c3e3602ab2a03f1e187d96c35e722683f2",
     ("witness", "1e-3", "0.9"): "3ca80c5ffd93db44bd1bf532c455c7879dfae5662fc599ee7e2458ffe7cde600",
     ("network", "0.25", "0.5"): "cb603353f34652426304e9798a6076fb72e6cd737a10d35aeb6386fe76e132a3",
-    ("network", "1e-3", "0.9"): "cb603353f34652426304e9798a6076fb72e6cd737a10d35aeb6386fe76e132a3",
+    ("network", "1e-3", "0.97"): "f7695ea4d7dd0cdbbbf25657c11533d596936201cfda58d4b97851a07d5c430e",
 }
 
 

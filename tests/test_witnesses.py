@@ -578,21 +578,23 @@ def test_assignment_search_validation():
         )
 
 
-@pytest.mark.parametrize("step", [0.3, 0.7, 0.15, 0.45])
+@pytest.mark.parametrize("step", [0.3, 0.7, 0.15, 0.45, 0.4, 2.0 / 3.0, 2.0 / 11.0])
 def test_assignment_search_refuses_steps_that_miss_one(step):
-    # the grid -1, -1 + step, ... would never hold +1, so the ZZ/ZX/XZ lines,
-    # which +/-1 values satisfy, would return [] as a false contradiction
+    # the grid -1, -1 + step, ... would never hold +1 (0.3, 0.7, 0.15, 0.45),
+    # or would hold +/-1 but not 0 (0.4, 2/3, 2/11); either way the ZZ/ZX/XZ
+    # lines, which the values 1 and 0 satisfy, would return [] as a false
+    # contradiction
     equalities = tuple(i for i in battery_epr().items if not isinstance(i.contract, NonZero))
-    with pytest.raises(ValueError, match=f"grid_step must divide 2.*got {step}"):
+    with pytest.raises(ValueError, match=f"grid_step must divide 1 .*got {step}"):
         classical_assignment_search(equalities, step, 1e-6)
 
 
 def test_assignment_grid_ends_at_one():
-    # at step 2/11 the last grid point rounds to 1.0000000000000009; it is
+    # at step 1/11 the last grid point rounds to 1.0000000000000009; it is
     # read as 1, so the NonZero line alone finds assignments and no value
     # leaves [-1, 1]
     xx = tuple(i for i in battery_epr().items if isinstance(i.contract, NonZero))
-    hits = classical_assignment_search(xx, 2.0 / 11.0, 1e-6)
+    hits = classical_assignment_search(xx, 1.0 / 11.0, 1e-6)
     assert ValueAssignment(((1.0, 1.0), (1.0, 1.0))) in hits
     assert max(v for h in hits for party in h.values for v in party) == 1.0
 

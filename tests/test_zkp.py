@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -24,6 +26,7 @@ from qew.zkp import (
     SeparableDiagStrategy,
     Transcript,
     _prob_table,
+    _recognize,
     format_transcript,
     leakage_view,
     parse_transcript,
@@ -539,6 +542,12 @@ def _edited_transcripts(draw):
 @example("# seed=1 N=1\nround,k,a,s,b\n1" + "0" * 19 + ",1,1,0,1\n")
 @example("# seed=1 N=3\nround,k,a,s,b\n0,1,1,0,1\n1,0,1\n2,0,1,1,1,1,1\n")
 @example(f"# seed=1 N=1\nround,k,a,s,b\n0,1,-{2**63},0,1\n")
+# near-canonical texts, which the recognizer hands to the row parser
+@example("# seed=1 N=2\r\nround,k,a,s,b\r\n0,1,1,0,1\r\n1,0,-1,1,-1\r\n")
+@example("# seed=1 N=2\nround,k,a,s,b\n0,1,1,0,1\n1,0,-1,1,-1\n\n")
+@example("# seed=+1 N=2\nround,k,a,s,b\n0,1,1,0,1\n1,0,-1,1,-1\n")
+@example("# seed=1 N=007\nround,k,a,s,b\n" + "".join(f"{i},1,1,0,-1\n" for i in range(7)))
+@example("# seed=1 N=2\nround,k,a,s,b\n0,1,-01,0,1\n1,0,-1,1,-1\n")
 def test_columnar_parser_matches_the_row_parser(text):
     """Every text gives the same transcript (values and dtypes) or the same
     error as the row-by-row parser, line numbers included."""
@@ -568,6 +577,51 @@ def test_out_of_range_fields_never_reach_loadtxt(field):
     with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
         with pytest.raises(ValueError, match="^line 4: data row fields must be 64-bit integers"):
             parse_transcript(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 100, 1001, 10**5])
+def test_writer_transcripts_never_reach_the_row_parser(n, tmp_path):
+    """The reader recognizes every transcript the writer writes, so a
+    canonical file is never read through np.loadtxt."""
+    t = _flat_transcript(0) if n == 0 else run_protocol(HonestStrategy(EPR, visibility=0.9), n, seed=n)
+    path = tmp_path / "t.txt"
+    write_transcript(t, path)
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
+        for back in (read_transcript(path), parse_transcript(format_transcript(t))):
+            assert (back.seed, back.n_rounds) == (t.seed, t.n_rounds)
+            for name in ("k", "a", "s", "b"):
+                want, got = getattr(t, name), getattr(back, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 + 5), st.text("0123456789,-+ \n", max_size=60))
+@example(1, "\n")
+@example(1, ",\n")
+@example(1, "0,1,1,0,1\n")
+@example(2**64, "0,1,1,0,1\n")
+def test_recognizer_never_raises_and_agrees_with_the_row_parser(seed, body):
+    """Any bytes behind a header with the right row count: the recognizer
+    returns nothing, or the transcript the row parser reads."""
+    n = body.count("\n")
+    text = f"# seed={seed} N={n}\nround,k,a,s,b\n{body}"
+    t = _recognize(text.encode("ascii"))
+    if t is not None:
+        assert _outcome(lambda _: t, text) == _outcome(_reference_parse, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edited_transcripts())
+def test_read_transcript_reads_a_file_as_text_mode_does(text):
+    """read_transcript reads bytes; it gives the transcript or error that
+    parsing the file's text-mode read (universal newlines) gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        with open(path, encoding="ascii", errors="surrogateescape") as fh:
+            want = _outcome(parse_transcript, fh.read())
+        assert _outcome(read_transcript, path) == want
 
 
 def test_transcript_io_memory_budget():
