@@ -264,7 +264,9 @@ def random_blind_channel(sites: Sequence[int], terms: int, seed: int, index: int
 # biseparable convex hulls sit at extreme points: pure product states.  The
 # search climbs one flat vector of factor angles and phases per start, one
 # coordinate at a time: the REFINE_TOP best starts, SWEEPS passes each.  A
-# coordinate belongs to one block, so a probe rebuilds that block alone and
+# coordinate belongs to one block and moves only some of its entries, so each
+# line search first computes what its probe point does not move; a probe then
+# computes the read entries its point moves, builds no block vector, and
 # multiplies out only the amplitudes the witness reads.
 
 SWEEPS = 3
@@ -339,30 +341,53 @@ def _probe(witness: str, table: tuple[Array, ...], parts: list[Array], b: int, y
            k: int) -> Callable[[float], float]:
     """The witness value along coordinate ``k`` of block ``b``, whose slice of
     the search point is ``y``; ``parts`` holds each block's entries at
-    ``table``.  Only block b moves: a probe rebuilds its read entries alone
-    and multiplies them out with the product of the blocks before it and the
-    entries of the blocks after it."""
+    ``table``.
+
+    Coordinate k moves entries of block b alone: a phase its one entry,
+    angle k the entries k..d-1.  What the probe point v does not move is
+    computed here, once per line search: the block's cosines, sines and
+    phase factors, the running product of the sines before k, and the read
+    entries k moves.  A probe computes those entries alone, builds no block
+    vector, and multiplies them out with the product of the blocks before b
+    and the entries of the blocks after it.
+
+    Every value has the bits of the full product's.  Sines, cosines, phase
+    factors and the multiply-out stay numpy calls; the running product and
+    each real modulus times its phase factor are Python float products,
+    IEEE-identical to numpy's (a zero imaginary part leaves no rounding to
+    order), taken in ``_moduli``'s left-to-right order."""
     t, h, own = table[b], y.size // 2, parts[b]
     head, tail = [_multiply_out(parts[:b])] if b else [], parts[b + 1 :]
+    first = k - h + 1 if k >= h else k  # the first entry coordinate k moves
+    rows = np.flatnonzero(t == first if k >= h else t >= first)
+    if not rows.size:  # it moves no entry the witness reads: the value stays
+        amps = _multiply_out(parts)
+        return lambda v: _pure_lhs(witness, amps)
     if k >= h:
-        # A phase moves one entry of its block: its real modulus times its
-        # phase factor.  A zero imaginary part leaves no rounding to order,
-        # so this scalar product has the bits of _angles_to_vector's.
-        at, mod = t == k - h + 1, _moduli(y[:h])[k - h + 1]
-        if not at.any():  # an entry the witness does not read: the value stays
-            amps = _multiply_out(parts)
-            return lambda v: _pure_lhs(witness, amps)
+        mod = float(_moduli(y[:h])[first])
 
         def probe(v: float) -> float:
             part = own.copy()
-            part[at] = mod * np.exp(1j * v)
+            part[rows] = mod * np.exp(1j * v)
             return _pure_lhs(witness, _multiply_out([*head, part, *tail]))
-    else:
 
-        def probe(v: float) -> float:
-            z = y.copy()
-            z[k] = v
-            return _pure_lhs(witness, _multiply_out([*head, _angles_to_vector(z)[t], *tail]))
+        return probe
+    cos, sin = np.cos(y[:h]).tolist(), np.sin(y[:h]).tolist()
+    factors = [1.0, *np.exp(1j * y[h:]).tolist()]  # entry 0 has no phase
+    before = math.prod(sin[:k])  # left to right from 1, as cumprod; 1 when k = 0
+    after = list(zip(cos[k + 1 :], sin[k + 1 :]))
+    moved = [(j - k, factors[j]) for j in t[rows].tolist()]
+
+    def probe(v: float) -> float:
+        run = before * float(np.sin(v))
+        mods = [float(np.cos(v)) * before]  # moduli of entries k..d-1
+        for c, s in after:
+            mods.append(c * run)
+            run *= s
+        mods.append(run)
+        part = own.copy()
+        part[rows] = [mods[i] * f for i, f in moved]
+        return _pure_lhs(witness, _multiply_out([*head, part, *tail]))
 
     return probe
 
@@ -371,11 +396,11 @@ def _pure_lhs(kind: str, amps: Array) -> float:
     """Witness left-hand side of a pure state, from the amplitudes at its
     ``_read_table`` indices, in basis order."""
     if kind in ("epr", "ghz"):
-        a, b = amps
+        a, b = amps.tolist()
         return 2.0 * abs(a * b) + abs(a) ** 2 + abs(b) ** 2 - 1.0
     if kind == "w":
-        p1, p2, p4, p7 = amps
-        return float(abs(p1 * p7) + abs(p2 * p4) + abs(p1 * p2) + abs(p4 * p7))
+        p1, p2, p4, p7 = amps.tolist()
+        return abs(p1 * p7) + abs(p2 * p4) + abs(p1 * p2) + abs(p4 * p7)
     if kind == "qudit":
         mods = np.abs(amps)
         total, squares = np.add.reduce(mods), np.add.reduce(mods**2)

@@ -157,13 +157,16 @@ def uniforms(seed: int, index, stream) -> Array:
     and ``stream`` are non-negative integers or integer arrays that broadcast."""
     with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64 on purpose
         key = np.asarray(stream, dtype=np.uint64) * np.uint64(_KEY_B)
-        key = key + np.uint64(((seed & _MASK64) * _KEY_A + _GAMMA) & _MASK64)
+        key += np.uint64(((seed & _MASK64) * _KEY_A + _GAMMA) & _MASK64)
         x = (np.asarray(index, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA) + key
-        # splitmix64 finalizer
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_B)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_C)
-        x = x ^ (x >> np.uint64(31))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        # splitmix64 finalizer, in place on x: only each shift is a temporary
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_MIX_B)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_MIX_C)
+        x ^= x >> np.uint64(31)
+        x >>= np.uint64(11)
+    return x * 2.0**-53  # float64, as x converts exactly below 2**53
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,37 @@ def test_network_has_no_leakage_flag():
     assert options == CLI_OPTIONS
 
 
+def _masked(out):
+    rep = json.loads(out)
+    rep.pop("runtime_s", None)
+    return rep
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process, and no option of one call
+    # carries over to the next: the first oracle run sets --n and --d, the
+    # last sets neither
+    runs = [
+        ["oracle", "--witness", "qudit", "--n", "2", "--d", "3", "--samples", "20", "--iters", "2",
+         "--seed", "5"],
+        ["network", _chain_network(tmp_path)],
+        ["oracle", "--witness", "epr", "--samples", "20", "--iters", "2", "--seed", "5"],
+    ]
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    shared = [_run(capsys, *argv) for argv in runs]
+    assert len(builds) == 1
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(_run(capsys, *argv))
+    assert len(builds) == 1 + len(runs)
+    for (code, out, err), (code_f, out_f, err_f) in zip(shared, fresh):
+        assert (code, err) == (code_f, err_f) == (0, "")
+        assert _masked(out) == _masked(out_f)
+
+
 # Reports at two set tolerance pairs.  Each pair moves a different set of
 # battery verdicts away from the defaults, so the digests pin where the
 # tolerances reach as well as the report bytes.  The network's NonZero lines

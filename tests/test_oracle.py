@@ -433,8 +433,11 @@ def _full_lhs(kind, vec, sites):
     return float(2.0 * off + (mods**2).sum() - 1.0)
 
 
-_SEARCHES = [("epr", (2, 2)), ("ghz", (2, 2, 2)), ("ghz", (2, 2, 2, 2)), ("w", (2, 2, 2)),
-             ("qudit", (2, 2)), ("qudit", (3, 3)), ("qudit", (3, 3, 3)), ("qudit", (4, 4))]
+# ghz on five qubits has a 16-dimensional block, a long run of sines; qudit
+# on (8, 8) sums 8 moduli, where numpy's sum is no longer left to right.
+_SEARCHES = [("epr", (2, 2)), ("ghz", (2, 2, 2)), ("ghz", (2, 2, 2, 2)), ("ghz", (2, 2, 2, 2, 2)),
+             ("w", (2, 2, 2)), ("qudit", (2, 2)), ("qudit", (3, 3)), ("qudit", (3, 3, 3)),
+             ("qudit", (4, 4)), ("qudit", (8, 8))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -490,13 +493,11 @@ def test_probe_rebuilds_only_its_block(monkeypatch):
     assert counts["assemble"] == 1
     line_probes = refined * oracle.SWEEPS * coords * 50
     assert counts["probes"] == iters + line_probes
-    # at most one block per line probe, besides every block of each start,
-    # of each refined start and of the returned state, and one block per
-    # accepted move (at most one per line search)
+    # no line probe builds a block: blocks are built for each start, each
+    # refined start and the returned state, and once per accepted move (at
+    # most one per line search)
     overhead = (iters + refined + 1) * blocks + refined * oracle.SWEEPS * coords
-    assert counts["blocks"] <= line_probes + overhead
-    # a phase probe moves one entry and builds no block, so most probes build one block at most
-    assert counts["blocks"] < line_probes
+    assert counts["blocks"] <= overhead
 
 
 def test_structure_table_is_built_once():
