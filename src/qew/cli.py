@@ -66,9 +66,9 @@ from .zkp import (
     FixedOutcomesStrategy,
     HonestStrategy,
     SeparableDiagStrategy,
+    _verdict,
     leakage_view,
     run_protocol,
-    verify_transcript,
     write_transcript,
 )
 
@@ -319,8 +319,8 @@ def cmd_zkp(args: argparse.Namespace) -> int:
     tpath = _out_path(args.transcript)
     with _writing(tpath):
         write_transcript(transcript, tpath)
-    verdict = verify_transcript(transcript, z=args.z)
     leak = leakage_view(transcript)
+    verdict = _verdict(leak.cells, args.z)
     report = {
         "accepted": verdict.accepted,
         "failed": list(verdict.failed),

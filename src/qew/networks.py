@@ -17,10 +17,17 @@ Two LOCC reductions connect the multipartite families back to shared pairs:
 
 Each reduction is a list of (outcome label, projection vector, corrections)
 rows run through one project-and-correct loop; a zero branch is dropped.
+
+The one memo, ``_global_labels``, holds the global line labels of a family's
+battery on given sites at a qubit offset, built on first use from the
+memoized batteries of :mod:`qew.witnesses`, so :func:`source_reports` builds
+no shifted battery per report.  It is keyed on those small tuples, never on
+a battery: a frozen battery hashes every line on each lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -381,6 +388,14 @@ def source_batteries(spec: NetworkSpec) -> list[ParadoxBattery]:
     return out
 
 
+@functools.cache
+def _global_labels(family: str, sites: tuple[int, ...], offset: int) -> tuple[str, ...]:
+    """The label of each line of ``family``'s battery on ``sites`` with every
+    site index shifted by ``offset``, in line order.  Built once per key."""
+    battery = reindex_battery(witness_family(family).battery(sites), offset)
+    return tuple(item.observable.label() for item in battery.items)
+
+
 def source_reports(
     spec: NetworkSpec, ch: BlindChannel | None, *, eps_eq: float, eps_nz: float
 ) -> list[BatteryReport]:
@@ -402,10 +417,11 @@ def source_reports(
         if ch is not None:
             terms = (ChannelTerm(t.p, t.site_phases[offset : offset + k]) for t in ch.terms)
             rho = apply_blind_channel(rho, BlindChannel(tuple(terms)))
-        battery = witness_family(src.state.family()).battery(rho.sites)
+        family = src.state.family()
+        battery = witness_family(family).battery(rho.sites)
         rep = evaluate_battery(rho, battery, eps_eq=eps_eq, eps_nz=eps_nz)
-        shifted = reindex_battery(battery, offset).items
-        items = (replace(r, label=i.observable.label()) for r, i in zip(rep.items, shifted))
+        labels = _global_labels(family, rho.sites, offset)
+        items = (replace(r, label=label) for r, label in zip(rep.items, labels))
         out.append(BatteryReport(tuple(items), rep.passed))
         offset += k
     return out

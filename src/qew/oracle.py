@@ -11,6 +11,18 @@ Reproducibility contract: every sampled object is a pure function of
 split across processes without changing a single sample.  Object
 ``index`` reads :func:`qew.qmat.uniforms` at ``(seed, index, stream)``, and
 the config alone fixes which stream slot each of its draws reads.
+
+Memos, each filled on first use and never at import: ``_blocks_for`` and
+``_read_table`` hold the factor structures and read indices of a shape, and
+``_live_block`` holds one live block of samples per ``(shape, cfg)``, for
+the ``LIVE_BLOCKS`` latest keys.  :func:`sample_separable` and
+:func:`sample_biseparable` read index i from the aligned block of
+min(``SAMPLE_BLOCK``, :func:`block_length`) samples that holds it, drawn
+whole on the first read of one of its indices, so a loop over indices pays
+one draw per block.  A block holds at most ``BLOCK_ENTRIES`` complex
+entries, or one sample, and only blocks of two or more are kept.  A block
+is read-only and so is each sample's matrix, a row of it; a sample has the
+same bits in any block.
 """
 
 from __future__ import annotations
@@ -46,6 +58,10 @@ MAX_TERMS = 16
 # Complex entries that one array of a sample block may hold (32 MB); a block
 # holds at least one sample, however large.
 BLOCK_ENTRIES = 2**21
+# Samples per block that sample_separable and sample_biseparable draw at once,
+# at most, and how many (shape, cfg) keys keep their live block.
+SAMPLE_BLOCK = 256
+LIVE_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -210,10 +226,39 @@ def block_length(cfg: SamplerConfig) -> int:
     return max(1, BLOCK_ENTRIES // (dim * max(dim, 2 * cfg.terms)))
 
 
+@functools.lru_cache(maxsize=LIVE_BLOCKS)
+def _live_block(shape: str, cfg: SamplerConfig) -> list[tuple[int, Array]]:
+    """The slot of the one live block of ``(shape, cfg)``: a list holding
+    (first index, read-only stack), replaced whole when another block is
+    drawn.  Made empty on first use, for the ``LIVE_BLOCKS`` latest keys."""
+    return [(0, np.empty((0, 0, 0), dtype=complex))]
+
+
 def _sample(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix:
-    """Sample ``index`` alone: the block of one."""
-    mats = _sample_block(shape, cfg, np.array([_integer("index", index)], dtype=np.uint64))
-    return DensityMatrix(cfg.sites, mats[0])
+    """Sample ``index``, read from the aligned block of
+    min(``SAMPLE_BLOCK``, ``block_length(cfg)``) samples that holds it.
+
+    The block is drawn on first use and kept as the live block of
+    ``(shape, cfg)``; a sample has the same bits in any block.  A block that
+    holds a faulty sample other than this one is not kept, and this sample
+    is drawn alone, so a refusal always names the sample asked for."""
+    # numpy refuses an index outside 0..2^64 - 1 here, as the block of one did
+    i = int(np.array([_integer("index", index)], dtype=np.uint64)[0])
+    slot = _live_block(shape, cfg)
+    start, mats = slot[0]
+    if not 0 <= i - start < len(mats):
+        b = min(SAMPLE_BLOCK, block_length(cfg))
+        start = i - i % b
+        # the last block may end early, at 2^64 - 1
+        indices = np.uint64(start) + np.arange(min(b, 2**64 - start), dtype=np.uint64)
+        try:
+            mats = _sample_block(shape, cfg, indices)
+        except ValueError:
+            mats, start = _sample_block(shape, cfg, indices[i - start : i - start + 1]), i
+        mats.flags.writeable = False  # rows are handed out as views
+        if len(mats) > 1:  # a block of one serves no other index
+            slot[0] = (start, mats)
+    return DensityMatrix(cfg.sites, mats[i - start])
 
 
 def sample_separable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:

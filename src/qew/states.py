@@ -17,6 +17,9 @@ product) with M = sum_j p_j u_j u_j^dag, u_j = exp(i phi_j) the term's
 phase vector.  M is PSD with unit diagonal, which is the whole reason
 populations stay fixed and coherences only shrink.  The channel hands out
 M through ``multiplier(sites)``, and :func:`apply_blind_channel` applies it.
+``multiplier`` builds every u_j in one pass over a (terms, D) array and
+adds the terms in order, with the bits of one ``tensor_product`` and one
+outer product per term.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .qmat import Array, DensityMatrix, _derived, pure_density, tensor_product
+from .qmat import Array, DensityMatrix, _derived, pure_density
 
 __all__ = [
     "BlindChannel",
@@ -348,10 +351,8 @@ class BlindChannel:
         widths = {tuple(len(p) for p in t.site_phases) for t in self.terms}
         if len(widths) != 1:
             raise ValueError("all terms must carry phases for the same sites")
-        for t in self.terms:
-            for phases in t.site_phases:
-                if not all(np.isfinite(phases)):
-                    raise ValueError("phases must be finite reals")
+        if not np.isfinite(_phase_table(self.terms)).all():
+            raise ValueError("phases must be finite reals")
 
     def site_dims(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.terms[0].site_phases)
@@ -361,11 +362,21 @@ class BlindChannel:
         sites = tuple(sites)
         if self.site_dims() != sites:
             raise ValueError(f"channel sites {self.site_dims()} do not match state sites {sites}")
-        out = np.zeros((math.prod(sites),) * 2, dtype=complex)
-        for t in self.terms:
-            u = tensor_product(*(np.exp(1j * np.asarray(p, dtype=float)) for p in t.site_phases))
-            out += t.p * np.outer(u, u.conj())
+        e = np.exp(1j * _phase_table(self.terms, dtype=float))
+        # row j is u_j, built site by site with tensor_product's products
+        u = np.ones((len(e), 1), dtype=complex)
+        for a, b in itertools.pairwise(itertools.accumulate(sites, initial=0)):
+            u = (u[:, :, None] * e[:, None, a:b]).reshape(len(e), -1)
+        # np.outer's products, added into zeros one term at a time, in order
+        out = np.zeros((u.shape[1],) * 2, dtype=complex)
+        for t, col, row in zip(self.terms, u[:, :, None], u.conj()[:, None, :]):
+            out += t.p * (col * row)
         return out
+
+
+def _phase_table(terms: Sequence[ChannelTerm], dtype=None) -> Array:
+    """Every term's phases, site after site, as one (terms, phases) array."""
+    return np.array([[x for p in t.site_phases for x in p] for t in terms], dtype=dtype)
 
 
 def channel_from_dict(data: Mapping) -> BlindChannel:

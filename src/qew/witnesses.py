@@ -19,10 +19,18 @@ Two complementary verification devices live here:
 The noise-threshold helpers (:func:`critical_visibility`,
 :func:`svetlichny_value`) quantify how much white noise each verification
 route tolerates.
+
+A battery is a pure function of its shape, and a frozen one, so each is
+built once and shared: the ring batteries of :func:`battery_epr`,
+:func:`battery_ghz` and :func:`battery_qudit` through the memo
+``_ring_battery``, keyed on (n, d) and the operator names (the 64 latest
+shapes), and :func:`battery_w` through its own.  Every caller of
+``battery_ghz(4)`` gets the same object.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -181,10 +189,14 @@ def reindex_battery(battery: ParadoxBattery, offset: int) -> ParadoxBattery:
     )
 
 
+# typed: a float n or d keys its own entry, and fails as it did unmemoized;
+# bounded, since no budget caps n here
+@functools.lru_cache(maxsize=64, typed=True)
 def _ring_battery(n: int, d: int, z: str, x: str, y: str | None) -> ParadoxBattery:
     """z^k (x) z^(d-k) = 1 for k = 1..d/2 and z/x, x/z zeros on the ring pairs
     (1,n), (1,2), ..., (n-1,n), closed by the all-x NonZero line; with ``y``
-    given, that line's companion has y on site n in place of x."""
+    given, that line's companion has y on site n in place of x.  Built once
+    per key."""
     if n < 2:
         raise ValueError(f"need at least 2 sites, got n={n}")
     if d < 2:
@@ -219,8 +231,9 @@ def battery_ghz(n: int) -> ParadoxBattery:
     return _ring_battery(n, 2, "Z", "X", "Y")
 
 
+@functools.cache
 def battery_w() -> ParadoxBattery:
-    """Six-line battery for the three-qubit W-type family.
+    """Six-line battery for the three-qubit W-type family, built once.
 
     ZZZ = -1 pins the odd-excitation subspace, three single-X zeros kill
     the cross-subspace elements, and two two-site XX lines are the

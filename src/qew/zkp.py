@@ -311,7 +311,13 @@ def verify_transcript(t: Transcript, z: float = DEFAULT_Z) -> Verdict:
     producing an unstable verdict.
     """
     _positive("z", z)
-    cells = _cell_stats(t)
+    return _verdict(_cell_stats(t), z)
+
+
+def _verdict(cells: Mapping[str, CellStats], z: float) -> Verdict:
+    """The verdict of :func:`verify_transcript` from a transcript's cell
+    statistics, as :func:`leakage_view` carries them, so that a proof that
+    reports both computes them once."""
     for name, c in cells.items():
         if c.count < MIN_CELL_ROUNDS:
             raise ValueError(

@@ -127,7 +127,7 @@ def test_witness_w_family_inferred(tmp_path, capsys):
     assert rep["witness"]["verdict"] == "entangled"
 
 
-def test_witness_ambiguous_support_needs_family(tmp_path, capsys):
+def test_witness_spec_kind_picks_the_family_on_shared_support(tmp_path, capsys):
     # |111> sits in both three-qubit subspaces; the spec's kind still names
     # one family, and qew witness reads that one
     state = _write(tmp_path, "top.json", {"kind": "ghz", "n": 3, "theta": np.pi / 2})
@@ -341,6 +341,27 @@ def test_zkp_report_names_failed_cells_and_z_scores(tmp_path, capsys, monkeypatc
     fixed = _write(tmp_path, "fx.json", {"kind": "fixed_outcomes", "outcomes": [1, 1]})
     rep = json.loads(_run(capsys, "zkp", fixed, "--n", "4000", "--seed", "5")[1])
     assert rep["failed"] == ["zz", "xx"] and rep["cells"]["zz"]["z"] < -5
+
+
+def test_zkp_computes_the_cell_statistics_once_per_proof(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    calls = []
+    stats = zkp._cell_stats
+    monkeypatch.setattr(zkp, "_cell_stats", lambda t: calls.append(t) or stats(t))
+    for strategy, z in (({"kind": "separable_diag", "p0": 0.5}, "5"), ({"kind": "fixed_outcomes", "outcomes": [1, 1]}, "2.5")):
+        code, out, _ = _run(capsys, "zkp", _write(tmp_path, "s.json", strategy), "--n", "3000", "--seed", "7", "--z", z)
+        assert code == 0 and len(calls) == 1
+        # the report is the one the two public calls give on the transcript
+        rep, t = json.loads(out), read_transcript(json.loads(out)["transcript"])
+        verdict, leak = zkp.verify_transcript(t, z=float(z)), zkp.leakage_view(t)
+        assert rep["failed"] == list(verdict.failed) and rep["accepted"] is verdict.accepted
+        assert rep["cells"] == cli._cells_dict(verdict.cells)
+        assert rep["leakage_view"] == {
+            "populations": list(leak.populations),
+            "re_offdiag": leak.re_offdiag,
+            "im_offdiag_bound": leak.im_offdiag_bound,
+        }
+        calls.clear()
 
 
 def test_zkp_seed_required(tmp_path, capsys):

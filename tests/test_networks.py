@@ -514,6 +514,21 @@ def test_source_reports_keep_global_labels_and_find_one_dephased_source():
     assert [r.label for r in second.items if not r.passed] == ["X@3 X@4"]
 
 
+def test_source_report_labels_are_the_source_battery_labels():
+    ghz = SourceSpec(_ghz_spec(4), ("A", "B", "C", "D"))
+    w = SourceSpec(StateSpec(kind="w", amplitudes=(0.5, 0.5, 0.5, 0.5)), ("B", "C", "D"))
+    qudit = SourceSpec(StateSpec(kind="qudit_ghz", n=2, d=3, amplitudes=(0.6, 0.64, 0.48)), ("A", "D"))
+    pair = SourceSpec(_epr_spec(), ("A", "B"))
+    parties = ("A", "B", "C", "D")
+    for sources, last in (((pair, qudit, w, pair), "Z@8 Z@9"), ((ghz, w, pair), "Z@8 Z@9")):
+        spec = NetworkSpec(parties, sources)
+        reports = source_reports(spec, None, eps_eq=EPS_EQ, eps_nz=EPS_NZ)
+        for rep, battery in zip(reports, source_batteries(spec), strict=True):
+            assert [r.label for r in rep.items] == [i.observable.label() for i in battery.items]
+        # the pair at its own offset reads its own global labels
+        assert reports[-1].items[0].label == last
+
+
 def test_source_reports_refuse_before_building(monkeypatch):
     def no_build(spec):
         raise AssertionError("a source was built before the refusal")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -616,6 +618,100 @@ def test_negative_sample_index_is_refused():
     cfg = SamplerConfig(sites=(2, 2), terms=2)
     with pytest.raises(OverflowError):
         sample_separable(cfg, -1)
+    with pytest.raises(OverflowError):
+        sample_separable(cfg, 2**64)
+
+
+def _alone(shape, cfg, i):
+    """Sample ``i`` drawn as a block of one."""
+    return oracle._sample_block(shape, cfg, np.array([i], dtype=np.uint64))[0]
+
+
+@pytest.mark.parametrize("block", [oracle.SAMPLE_BLOCK, 7])
+def test_per_index_samples_are_read_from_their_block(monkeypatch, block):
+    monkeypatch.setattr(oracle, "SAMPLE_BLOCK", block)
+    sep = SamplerConfig(sites=(2, 3), terms=3, seed=424242 + block)
+    bis = SamplerConfig(sites=(2, 2, 2), terms=2, seed=424242 + block)
+    # across block edges, backwards, and interleaving two live blocks
+    indices = [0, 1, block - 1, block, block + 1, 3 * block + 2, block - 1, 2**64 - 1, 2**64 - 2, 5]
+    for i in indices:
+        for shape, cfg, sampler in (("separable", sep, sample_separable), ("biseparable", bis, sample_biseparable)):
+            rho = sampler(cfg, i)
+            assert rho.mat.tobytes() == _alone(shape, cfg, i).tobytes()
+            assert rho.sites == cfg.sites
+            assert not rho.mat.flags.writeable  # a caller cannot write into the block
+    start, mats = oracle._live_block("separable", sep)[0]
+    assert (start, len(mats)) == (0, block)  # index 5 is back in the first block
+
+
+def test_per_index_sampler_draws_one_block_per_block(monkeypatch):
+    calls = []
+
+    def counted(shape, cfg, indices):
+        calls.append((int(indices[0]), len(indices)))
+        return block(shape, cfg, indices)
+
+    block = oracle._sample_block
+    monkeypatch.setattr(oracle, "_sample_block", counted)
+    cfg = SamplerConfig(sites=(2, 2), terms=4, seed=515151)
+    b = oracle.SAMPLE_BLOCK
+    for i in range(2 * b + 1):
+        sample_separable(cfg, i)
+    assert calls == [(0, b), (b, b), (2 * b, b)]
+    # the block rule's own cap: (3, 3, 3, 3, 3) holds 35 samples a block
+    big = SamplerConfig(sites=(3,) * 5, terms=1, seed=515151)
+    assert oracle.block_length(big) == 35
+    sample_separable(big, 36)
+    assert calls[-1] == (35, 35)
+
+
+def test_threads_sharing_live_blocks_read_the_right_samples(monkeypatch):
+    # one slot per (shape, cfg) is shared, and each thread walks the indices
+    # from its own point in blocks of 3, so the threads keep replacing each
+    # other's block; every row a thread hands out must still be its index's
+    monkeypatch.setattr(oracle, "SAMPLE_BLOCK", 3)
+    cfg = SamplerConfig(sites=(2, 2), terms=2, seed=717171)
+    keys = list(range(600))
+    want = {i: _alone("separable", cfg, i).tobytes() for i in keys}
+    bad = []
+
+    def worker(w):
+        at = w * len(keys) // 6
+        for i in keys[at:] + keys[:at]:
+            if sample_separable(cfg, i).mat.tobytes() != want[i]:
+                bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_a_faulty_neighbour_does_not_refuse_a_sample(monkeypatch):
+    draw = oracle.uniforms
+
+    def nan_at_12(seed, index, stream):
+        # NaN amplitude draws for sample 12: each term of a (2, 2) sample
+        # reads 10 draws, its weight and pick first
+        u = draw(seed, index, stream)
+        u[(np.asarray(index) == 12) & (np.asarray(stream) % 10 >= 2)] = np.nan
+        return u
+
+    cfg = SamplerConfig(sites=(2, 2), terms=3, seed=616161)
+    want = _alone("separable", cfg, 10)
+    monkeypatch.setattr(oracle, "uniforms", nan_at_12)
+    with np.errstate(invalid="ignore"):  # 0/0 normalizing sample 12's NaN vectors
+        assert sample_separable(cfg, 10).mat.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=r"^sample 12: "):
+            sample_separable(cfg, 12)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qew import states
-from qew.qmat import expectation, obs
+from qew.qmat import expectation, obs, tensor_product
 from qew.states import (
     MAX_DIM,
     BlindChannel,
@@ -239,6 +239,65 @@ def test_channel_validation():
     for sites in ((2, 2, 2), (3, 3)):
         with pytest.raises(ValueError, match="do not match state sites"):
             apply_blind_channel(epr_state(0.7), _identity_channel(sites))
+
+
+def test_channel_refusals_keep_their_messages_and_order():
+    ok = ((0.0, 0.0), (0.0, 0.0, 0.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        for term in range(3):
+            for site in range(2):
+                phases = [list(p) for p in ok]
+                phases[site][1] = bad
+                terms = [ChannelTerm(1 / 3, ok)] * 3
+                terms[term] = ChannelTerm(1 / 3, tuple(tuple(p) for p in phases))
+                with pytest.raises(ValueError, match=r"^phases must be finite reals$"):
+                    BlindChannel(tuple(terms))
+    # widths are checked before finiteness, and probabilities before both
+    short = ChannelTerm(0.5, ((0.0, np.nan),))
+    with pytest.raises(ValueError, match=r"^all terms must carry phases for the same sites$"):
+        BlindChannel((ChannelTerm(0.5, ok), short))
+    with pytest.raises(ValueError, match=r"^all terms must carry phases for the same sites$"):
+        BlindChannel((ChannelTerm(0.5, ok), ChannelTerm(0.5, ((0.0, 0.0), (0.0, 0.0)))))
+    with pytest.raises(ValueError, match=r"^term probabilities sum to 0.9"):
+        BlindChannel((ChannelTerm(0.4, ok), ChannelTerm(0.5, ((0.0, np.nan),))))
+
+
+def _per_term_multiplier(ch, sites):
+    """sum_j p_j u_j u_j^dag, one term at a time with tensor_product: the
+    form the batched multiplier replaced."""
+    out = np.zeros((int(np.prod(sites)),) * 2, dtype=complex)
+    for t in ch.terms:
+        u = tensor_product(*(np.exp(1j * np.asarray(p, dtype=float)) for p in t.site_phases))
+        out += t.p * np.outer(u, u.conj())
+    return out
+
+
+_PHASES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 1e300, -1e300, 5e-324]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _sited_channels(draw):
+    sites = draw(st.sampled_from([(2,), (5,), (2, 2), (3, 3), (2, 3), (2, 2, 2), (2, 2, 2, 2)]))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).filter(lambda w: sum(w) > 0))
+    probs = [w / sum(raw) for w in raw]
+    probs[-1] = 1.0 - sum(probs[:-1])  # within PROB_TOL, and never below 0 by more
+    probs[-1] = max(probs[-1], 0.0)
+    terms = tuple(
+        ChannelTerm(p, tuple(tuple(draw(_PHASES) for _ in range(d)) for d in sites)) for p in probs
+    )
+    return sites, BlindChannel(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sited_channels())
+def test_multiplier_has_the_per_term_bits(case):
+    sites, ch = case
+    m = ch.multiplier(sites)
+    assert m.tobytes() == _per_term_multiplier(ch, sites).tobytes()  # signed zeros too
 
 
 def _identity_channel(sites):

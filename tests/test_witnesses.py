@@ -204,6 +204,20 @@ def test_battery_ghz_two_sites_deduplicates_to_epr():
     assert battery_ghz(2).items == battery_epr().items
 
 
+def test_batteries_are_built_once_per_shape():
+    assert battery_ghz(4) is battery_ghz(4)
+    assert battery_epr() is battery_ghz(2)
+    assert battery_qudit(3, 3) is battery_qudit(3, 3)
+    assert battery_w() is battery_w()
+    assert witness_family("ghz").battery((2, 2, 2)) is battery_ghz(3)
+    # a float shape keys its own entry: it fails as before, never served the
+    # battery of the equal integer
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            battery_ghz(4.0)
+    assert battery_ghz(4) is battery_ghz(4)
+
+
 def test_battery_ghz_item_count():
     # ring pairs (1,n),(1,2),...,(n-1,n): n equalities + 2n zeros + 1 nonzero
     for n in (3, 4, 5):
