@@ -27,7 +27,7 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NoReturn, Union
 
 import numpy as np
 
@@ -414,22 +414,26 @@ def _transcript_bytes(t: Transcript) -> bytes:
     return _render(t.seed, t.k == 1, t.a == -1, t.s == 1, t.b == -1)
 
 
-# The two header lines as the writer writes them.
-_HEAD = re.compile(rb"# seed=([0-9]{1,20}) N=([0-9]{1,19})\nround,k,a,s,b\n")
+# The header line: seed and N in decimal, no sign or leading zeros.
+_HEADER = r"# seed=(0|[1-9][0-9]{0,19}) N=(0|[1-9][0-9]{0,18})\n"
+_COLUMNS = "round,k,a,s,b\n"
+_HEAD = re.compile((_HEADER + _COLUMNS).encode("ascii"))
+# A data row: its round, then bit k, outcome a, bit s and outcome b.
+_ROW = re.compile(r"([0-9]+),[01],-?1,[01],-?1\n")
 
 
 def _recognize(data: bytes) -> Transcript | None:
     """The transcript whose file is exactly ``data``, or None for any other
-    bytes; it never raises.  Each row's bits are read at fixed offsets back
-    from its line end, and the rows are accepted only when ``_render`` gives
-    the same bytes back, so the result is the one ``_parse_rows`` would give."""
+    bytes.  Each row's bits are read at fixed offsets back from its line end,
+    and the rows are accepted only when ``_render`` gives the same bytes back.
+    A header seed above 2^64 - 1 is refused by ``Transcript``."""
     head = _HEAD.match(data)
     if head is None:
         return None
     seed, n = int(head[1]), int(head[2])
     body = np.frombuffer(data, dtype=np.uint8, offset=head.end())
     ends = np.flatnonzero(body == 10)
-    if seed >= 2**64 or len(ends) != n:
+    if len(ends) != n:
         return None
     # ",k,[-]a,s,[-]b\n" back from each line end; "clip" keeps a short row in range
     b_neg = body.take(ends - 2, mode="clip") == 45
@@ -454,80 +458,36 @@ def format_transcript(t: Transcript) -> str:
     return _transcript_bytes(t).decode("ascii")
 
 
-# A data row field: optional spaces or tabs, an optional sign, ASCII digits,
-# optional spaces or tabs, with a value in int64's range.
-_FIELD = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
-# The bytes of data rows; np.loadtxt also takes other whitespace in a field.
-_ROW_BYTES = b"0123456789+-, \t"
-
-
-def _fields_ok(row: str) -> bool:
-    return all(_FIELD.fullmatch(x) and -(2**63) <= int(x) < 2**63 for x in row.split(","))
-
-
 def parse_transcript(text: str) -> Transcript:
-    """Read the text ``format_transcript`` writes.  Lines of only whitespace
-    are skipped, and each data row is five ``_FIELD`` fields."""
+    """Read the text ``format_transcript`` writes and no other: rows 0..N-1 as
+    ``<round>,<0|1>,<1|-1>,<0|1>,<1|-1>`` behind the two header lines, each
+    line ended by ``\\n``, integers with no sign, padding or leading zeros.
+    Any other text raises ValueError naming its first line off this form."""
     t = _recognize(text.encode("ascii")) if text.isascii() else None
-    return t if t is not None else _parse_rows(text)
+    return t if t is not None else _refuse(text)
 
 
-def _parse_rows(text: str) -> Transcript:
-    """``parse_transcript`` for any text: the header checks, then the data
-    rows through ``np.loadtxt``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("#"):
-        raise ValueError("transcript must start with a '# seed=... N=...' header")
-    try:
-        # a token without "=" is a pair of length 1, which dict() refuses
-        pairs = [part.split("=") for part in lines[0].lstrip("# ").split()]
-        header = dict(pairs)
-        if len(pairs) != 2:  # a repeated key, or a key besides seed and N
-            raise ValueError
-        seed, n = int(header["seed"]), int(header["N"])
-    except (KeyError, ValueError):
-        raise ValueError(f"bad transcript header: {lines[0]!r}, want '# seed=<int> N=<int>'") from None
-    if lines[1] != "round,k,a,s,b":
-        raise ValueError(f"bad column header: {lines[1]!r}")
-    body = lines[2:]
-    try:  # UnicodeEncodeError is a ValueError
-        if "".join(body).encode("ascii").translate(None, _ROW_BYTES):
-            raise ValueError
-        # older numpy reads a field out of int64's range through a float, with a
-        # DeprecationWarning; only a row of 19 or more bytes can hold one
-        if max(map(len, body), default=0) >= 19 and not all(map(_fields_ok, body)):
-            raise ValueError
-        # no rows at all is the N = 0 table, not a table of no columns
-        rows = (
-            np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-            if body
-            else np.empty((0, 5), dtype=np.int64)
-        )
-    except ValueError:
-        raise ValueError(_bad_row(text)) from None
-    if rows.shape != (n, 5):
-        raise ValueError(f"expected {n} data rows of 5 fields, got shape {rows.shape}")
-    if not np.array_equal(rows[:, 0], np.arange(n)):
-        raise ValueError("round indices must be 0..N-1 in order")
-    return Transcript(
-        seed=seed,
-        n_rounds=n,
-        k=rows[:, 1].astype(np.uint8),
-        a=rows[:, 2].astype(np.int8),
-        s=rows[:, 3].astype(np.uint8),
-        b=rows[:, 4].astype(np.int8),
-    )
-
-
-def _bad_row(text: str) -> str:
-    """Name the first data row that is not 5 int64 fields by its line number
-    (blank lines count); only a table that failed to parse is searched."""
-    for i, ln in [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()][2:]:
-        if not _fields_ok(ln):
-            return f"line {i}: data row fields must be 64-bit integers, got {ln!r}"
-        if ln.count(",") != 4:
-            return f"line {i}: data row needs 5 fields, got {ln!r}"
-    return "malformed data rows"
+def _refuse(text: str) -> NoReturn:
+    """Refuse a text the writer does not write.  It walks the lines once and
+    names the first one that is not the writer's, with its newline ('' past
+    the end of the text), as ``line <i>: want <form>, got <repr>``, quoting
+    at most 80 characters of the line."""
+    head = re.match(_HEADER, text)
+    if head is None:
+        i, pos, want = 1, 0, r"'# seed=<int> N=<int>\n'"
+    elif not text.startswith(_COLUMNS, head.end()):
+        i, pos, want = 2, head.end(), repr(_COLUMNS)
+    else:
+        n, pos = int(head[2]), head.end() + len(_COLUMNS)
+        i, want = n + 3, f"the end of the file after {n} rows"
+        for j in range(n):
+            row = _ROW.match(text, pos)
+            if row is None or row[1] != str(j):
+                i, want = j + 3, rf"'{j},<0|1>,<1|-1>,<0|1>,<1|-1>\n' (row {j} of {n})"
+                break
+            pos = row.end()
+    line = text[pos : text.find("\n", pos) + 1 or len(text)]
+    raise ValueError(f"line {i}: want {want}, got {line[:80]!r}{'...' if len(line) > 80 else ''}")
 
 
 def write_transcript(t: Transcript, path) -> None:
@@ -536,8 +496,7 @@ def write_transcript(t: Transcript, path) -> None:
 
 
 def read_transcript(path) -> Transcript:
-    # A non-ASCII byte decodes to a lone surrogate, which is neither a line
-    # break nor whitespace, so parse_transcript names the row that holds it;
-    # splitlines() ends a line at "\r\n" and at "\r" as text mode would.
+    # a non-ASCII byte decodes to a lone surrogate, which the refusal names
+    # by its line
     with open(path, "rb") as fh:
         return parse_transcript(fh.read().decode("ascii", errors="surrogateescape"))
