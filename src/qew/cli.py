@@ -78,10 +78,6 @@ __all__ = ["main", "build_parser"]
 MAX_SCAN_ROWS = 10**6
 
 
-class InputError(ValueError):
-    """Bad file, malformed JSON, or out-of-range argument (exit code 2)."""
-
-
 class StdoutError(Exception):
     """The report could not be written to stdout (exit code 3)."""
 
@@ -96,16 +92,18 @@ def _seed(text: str) -> int:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file ``path``; a file that cannot be read,
+    decoded or parsed is refused by its path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"malformed JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise InputError(f"{path}: top-level JSON value must be an object")
+        raise ValueError(f"{path}: top-level JSON value must be an object")
     return data
 
 
@@ -126,7 +124,7 @@ def _writing(path: Path):
         path.parent.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -234,13 +232,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_scan_visibility(args: argparse.Namespace) -> int:
     start, stop, step = args.start, args.stop, _positive("--step", args.step)
     if not (0.0 <= start <= stop <= 0.5 + 1e-12):
-        raise InputError(
+        raise ValueError(
             f"offdiag range must lie within [0, 1/2], got start={start} stop={stop}"
         )
     # compared as a float: a tiny step makes the row count overflow an int
     count = np.floor((stop - start) / step + 1e-9) + 1
     if count > MAX_SCAN_ROWS:
-        raise InputError(f"row budget exceeded: --step {step} gives over {MAX_SCAN_ROWS} rows")
+        raise ValueError(f"row budget exceeded: --step {step} gives over {MAX_SCAN_ROWS} rows")
     count = int(count)
     values = np.minimum(start + step * np.arange(count), 0.5)
     lines = ["offdiag,v_witness,v_chsh,v_svetlichny3"]
@@ -269,7 +267,7 @@ def cmd_scan_visibility(args: argparse.Namespace) -> int:
 def _as_complex(x) -> complex:
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
-            raise InputError(f"complex entries are [re, im] pairs, got {x!r}")
+            raise ValueError(f"complex entries are [re, im] pairs, got {x!r}")
         return complex(_real("verifier_qubit", x[0]), _real("verifier_qubit", x[1]))
     return complex(_real("verifier_qubit", x))
 
@@ -295,7 +293,7 @@ def _parse_strategy(data: Mapping) -> HonestStrategy | SeparableDiagStrategy | F
                 for row in _list("verifier_qubit", vq)
             )
         return FixedOutcomesStrategy(outcomes=outcomes, verifier_qubit=vq)
-    raise InputError(f"unknown strategy kind {kind!r}")
+    raise ValueError(f"unknown strategy kind {kind!r}")
 
 
 def _cells_dict(cells) -> dict:
@@ -377,11 +375,11 @@ def cmd_network(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     kind = args.witness
     if args.samples < 1:
-        raise InputError(f"need at least one sample, got {args.samples}")
+        raise ValueError(f"need at least one sample, got {args.samples}")
     if args.iters < 1:
-        raise InputError("iters must be >= 1")
+        raise ValueError("iters must be >= 1")
     if args.iters > MAX_ITERS:
-        raise InputError(f"search budget exceeded: --iters {args.iters} exceeds {MAX_ITERS}")
+        raise ValueError(f"search budget exceeded: --iters {args.iters} exceeds {MAX_ITERS}")
     fam = witness_family(kind)
     sites = family_sites(kind, args.n, args.d)
     cfg = SamplerConfig(sites=sites, terms=args.terms, seed=args.seed)

@@ -12,17 +12,19 @@ split across processes without changing a single sample.  Object
 ``index`` reads :func:`qew.qmat.uniforms` at ``(seed, index, stream)``, and
 the config alone fixes which stream slot each of its draws reads.
 
+One block rule, :func:`block_length`, cuts the stream into aligned blocks
+of at most ``SAMPLE_BLOCK`` samples whose arrays each hold at most
+``BLOCK_ENTRIES`` complex entries, or one sample; the ``qew oracle``
+campaign and the per-index samplers draw the same blocks, and a sample has
+the same bits in any block.
+
 Memos, each filled on first use and never at import: ``_blocks_for`` and
 ``_read_table`` hold the factor structures and read indices of a shape, and
-``_live_block`` holds one live block of samples per ``(shape, cfg)``, for
-the ``LIVE_BLOCKS`` latest keys.  :func:`sample_separable` and
-:func:`sample_biseparable` read index i from the aligned block of
-min(``SAMPLE_BLOCK``, :func:`block_length`) samples that holds it, drawn
-whole on the first read of one of its indices, so a loop over indices pays
-one draw per block.  A block holds at most ``BLOCK_ENTRIES`` complex
-entries, or one sample, and only blocks of two or more are kept.  A block
-is read-only and so is each sample's matrix, a row of it; a sample has the
-same bits in any block.
+``_block`` keeps the ``LIVE_BLOCKS`` latest blocks of two or more samples.
+:func:`sample_separable` and :func:`sample_biseparable` read index i from
+the block that holds it, drawn whole on the first read of one of its
+indices, so a loop over indices pays one draw per block.  A block is
+read-only and so is each sample's matrix, a row of it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qmat import Array, DensityMatrix, _form_fault, pure_density, uniforms
-from .states import MAX_DIM, BlindChannel, ChannelTerm, _integer, _positive, _seed, family_basis
+from .states import MAX_DIM, MAX_SEED, BlindChannel, ChannelTerm, _integer, _positive, _seed, family_basis
 
 __all__ = [
     "BLOCK_ENTRIES",
@@ -58,8 +60,7 @@ MAX_TERMS = 16
 # Complex entries that one array of a sample block may hold (32 MB); a block
 # holds at least one sample, however large.
 BLOCK_ENTRIES = 2**21
-# Samples per block that sample_separable and sample_biseparable draw at once,
-# at most, and how many (shape, cfg) keys keep their live block.
+# Samples per block at most, and how many of the latest blocks stay drawn.
 SAMPLE_BLOCK = 256
 LIVE_BLOCKS = 4
 
@@ -216,49 +217,46 @@ def _sample_block(shape: str, cfg: SamplerConfig, indices: Array) -> Array:
 
 
 def block_length(cfg: SamplerConfig) -> int:
-    """Samples per block of a ``cfg`` campaign: as many as keep each array of
-    the block within ``BLOCK_ENTRIES`` complex entries, and at least one.
+    """Samples per block of the ``cfg`` stream: at most ``SAMPLE_BLOCK``, as
+    many as keep each array of the block within ``BLOCK_ENTRIES`` complex
+    entries, and at least one.
 
     A sample holds a D x D matrix, T x D term vectors and T (2 + 2 D) draws,
     so none of its arrays is larger than D max(D, 2 T) complex entries.
     """
     dim = math.prod(cfg.sites)
-    return max(1, BLOCK_ENTRIES // (dim * max(dim, 2 * cfg.terms)))
+    return min(BLOCK_ENTRIES // (dim * max(dim, 2 * cfg.terms)), SAMPLE_BLOCK) or 1
 
 
 @functools.lru_cache(maxsize=LIVE_BLOCKS)
-def _live_block(shape: str, cfg: SamplerConfig) -> list[tuple[int, Array]]:
-    """The slot of the one live block of ``(shape, cfg)``: a list holding
-    (first index, read-only stack), replaced whole when another block is
-    drawn.  Made empty on first use, for the ``LIVE_BLOCKS`` latest keys."""
-    return [(0, np.empty((0, 0, 0), dtype=complex))]
+def _block(shape: str, cfg: SamplerConfig, start: int, length: int) -> Array:
+    """Samples start..start + length - 1 of the ``shape`` stream, cut at
+    2^64 - 1, as one read-only stack; the ``LIVE_BLOCKS`` latest are kept."""
+    n = min(length, 2**64 - start)
+    mats = _sample_block(shape, cfg, np.uint64(start) + np.arange(n, dtype=np.uint64))
+    mats.flags.writeable = False  # rows are handed out as views
+    return mats
 
 
 def _sample(shape: str, cfg: SamplerConfig, index: int) -> DensityMatrix:
-    """Sample ``index``, read from the aligned block of
-    min(``SAMPLE_BLOCK``, ``block_length(cfg)``) samples that holds it.
+    """Sample ``index``, read from the aligned block of ``block_length(cfg)``
+    samples that holds it.
 
-    The block is drawn on first use and kept as the live block of
-    ``(shape, cfg)``; a sample has the same bits in any block.  A block that
-    holds a faulty sample other than this one is not kept, and this sample
-    is drawn alone, so a refusal always names the sample asked for."""
-    # numpy refuses an index outside 0..2^64 - 1 here, as the block of one did
-    i = int(np.array([_integer("index", index)], dtype=np.uint64)[0])
-    slot = _live_block(shape, cfg)
-    start, mats = slot[0]
-    if not 0 <= i - start < len(mats):
-        b = min(SAMPLE_BLOCK, block_length(cfg))
+    Blocks of one serve no other index and are drawn without being kept.
+    A block that holds a faulty sample other than this one is not kept,
+    and this sample is drawn alone, so a refusal always names the sample
+    asked for."""
+    i = _integer("index", index)
+    if not 0 <= i <= MAX_SEED:  # the uint64 range of the stream's indices
+        raise OverflowError(f"index must be an integer in 0..{MAX_SEED} (2^64 - 1), got {i}")
+    b = block_length(cfg)
+    if b > 1:
         start = i - i % b
-        # the last block may end early, at 2^64 - 1
-        indices = np.uint64(start) + np.arange(min(b, 2**64 - start), dtype=np.uint64)
         try:
-            mats = _sample_block(shape, cfg, indices)
-        except ValueError:
-            mats, start = _sample_block(shape, cfg, indices[i - start : i - start + 1]), i
-        mats.flags.writeable = False  # rows are handed out as views
-        if len(mats) > 1:  # a block of one serves no other index
-            slot[0] = (start, mats)
-    return DensityMatrix(cfg.sites, mats[i - start])
+            return DensityMatrix(cfg.sites, _block(shape, cfg, start, b)[i - start])
+        except ValueError:  # a faulty sample in the block: draw this one alone
+            pass
+    return DensityMatrix(cfg.sites, _block.__wrapped__(shape, cfg, i, 1)[0])
 
 
 def sample_separable(cfg: SamplerConfig, index: int = 0) -> DensityMatrix:

@@ -168,7 +168,12 @@ def _prob_table(strategy: ProverStrategy) -> Array:
         if strategy.verifier_qubit is None:
             rho_b = as_density(np.eye(2) / 2.0, (2,))
         else:
-            rho_b = as_density(np.array(strategy.verifier_qubit, dtype=complex), (2,))
+            vq = strategy.verifier_qubit
+            try:
+                mat = np.array(vq, dtype=complex)
+            except ValueError:  # numpy's refusal of ragged rows names no field
+                raise ValueError(f"field 'verifier_qubit' must be a 2x2 matrix, got {vq!r}") from None
+            rho_b = as_density(mat, (2,))
         for name, (k, s) in CELLS.items():
             # the verifier's factor of the line, on the qubit's site 1
             f = expectation(rho_b, obs((1, _LINES[name].observable.factors[1].name))).real

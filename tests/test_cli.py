@@ -403,6 +403,7 @@ def test_zkp_strategy_errors(tmp_path, capsys, monkeypatch):
         ("outcomes", {"kind": "fixed_outcomes", "outcomes": 5}),
         ("p0", {"kind": "separable_diag", "p0": "half"}),
         ("verifier_qubit", {"kind": "fixed_outcomes", "outcomes": [1, 1], "verifier_qubit": 5}),
+        ("verifier_qubit", {"kind": "fixed_outcomes", "outcomes": [1, 1], "verifier_qubit": [[1, 0], [0]]}),
     ):
         path = _write(tmp_path, "typed.json", strategy)
         code, out, err = _run(capsys, "zkp", path, "--seed", "1")
@@ -987,3 +988,28 @@ def test_missing_entry_exits_2_naming_it(tmp_path, capsys, monkeypatch, command,
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
     assert re.fullmatch(rf"error: [a-z ]+ needs a '{path[-1]}' entry\n", err), err
+
+
+# Each input file a subcommand reads, as the argv that reads a file at ``path``
+_READERS = {
+    "state": lambda tmp, path: ["witness", path],
+    "channel": lambda tmp, path: ["witness", _epr_file(tmp), "--channel", path],
+    "strategy": lambda tmp, path: ["zkp", path, "--seed", "1"],
+    "network-spec": lambda tmp, path: ["network", path],
+    "network-channel": lambda tmp, path: ["network", _chain_network(tmp), "--channel", path],
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+@pytest.mark.parametrize(
+    "content, refusal",
+    [(b"[" * 100_000, "malformed JSON in"), (b"\xff{}", "cannot read")],
+    ids=["nested-too-deep", "not-utf8"],
+)
+def test_unreadable_input_files_exit_2_naming_them(tmp_path, capsys, monkeypatch, reader, content, refusal):
+    monkeypatch.setenv("QEW_OUT_DIR", str(tmp_path))
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = _run(capsys, *_READERS[reader](tmp_path, str(path)))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {refusal} {path}: ") and err.count("\n") == 1, err

@@ -627,9 +627,10 @@ def _alone(shape, cfg, i):
     return oracle._sample_block(shape, cfg, np.array([i], dtype=np.uint64))[0]
 
 
-@pytest.mark.parametrize("block", [oracle.SAMPLE_BLOCK, 7])
+@pytest.mark.parametrize("block", [oracle.SAMPLE_BLOCK, 7, 1])
 def test_per_index_samples_are_read_from_their_block(monkeypatch, block):
     monkeypatch.setattr(oracle, "SAMPLE_BLOCK", block)
+    oracle._block.cache_clear()
     sep = SamplerConfig(sites=(2, 3), terms=3, seed=424242 + block)
     bis = SamplerConfig(sites=(2, 2, 2), terms=2, seed=424242 + block)
     # across block edges, backwards, and interleaving two live blocks
@@ -640,8 +641,14 @@ def test_per_index_samples_are_read_from_their_block(monkeypatch, block):
             assert rho.mat.tobytes() == _alone(shape, cfg, i).tobytes()
             assert rho.sites == cfg.sites
             assert not rho.mat.flags.writeable  # a caller cannot write into the block
-    start, mats = oracle._live_block("separable", sep)[0]
-    assert (start, len(mats)) == (0, block)  # index 5 is back in the first block
+    kept = oracle._block.cache_info()
+    if block == 1:
+        # no block of one is kept: LIVE_BLOCKS samples of D = 4096 would pin 1 GB
+        assert kept.currsize == kept.hits == kept.misses == 0
+    else:
+        assert kept.currsize == oracle.LIVE_BLOCKS
+        sample_separable(sep, 5)  # index 5 is back in the first block, which is kept
+        assert oracle._block.cache_info()[:2] == (kept.hits + 1, kept.misses)
 
 
 def test_per_index_sampler_draws_one_block_per_block(monkeypatch):

@@ -127,6 +127,10 @@ def test_prob_table_fixed_outcomes():
     assert np.allclose(biased[1, 1], [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"\+/-1"):
         _prob_table(FixedOutcomesStrategy(outcomes=(1, 0)))
+    # ragged rows are refused by the field's name, which numpy's refusal lacks
+    ragged = FixedOutcomesStrategy(outcomes=(1, 1), verifier_qubit=((1.0, 0.0), (0.0,)))
+    with pytest.raises(ValueError, match=r"^field 'verifier_qubit' must be a 2x2 matrix, got \(\(1\.0, 0\.0\), \(0\.0,\)\)$"):
+        _prob_table(ragged)
 
 
 @pytest.mark.parametrize("outcomes", [(), (1,), (1, 1, 1)])
