@@ -19,10 +19,23 @@ Randomness comes from :func:`qew.qmat.uniforms`, the package's one
 counter-based source: round ``i`` reads streams 0 (challenge), 1 (setting)
 and 2 (outcome) at index ``i``, so transcripts are bit-identical no matter
 how the rounds are batched or parallelized.
+
+One block rule: rounds are simulated and rendered in aligned blocks of
+``ROUND_BLOCK`` = 10^4 rounds, block j holding rounds j·10^4 up to the next
+multiple, so every temporary is of one block's size and fits in cache.
+:func:`run_protocol` fills each block's slice of preallocated arrays with
+its own draw, ``workers`` threads taking blocks in turn, and the writer
+renders and joins one block's rows at a time.
+
+Memo, filled on first use and never at import: ``_template`` holds, per
+(index width, first block or not), a read-only block of rows with the low
+four digits of the round index laid out and the tail of a row with every
+bit 0; a block's higher digits are the same on all its rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -66,18 +79,25 @@ __all__ = [
 MIN_CELL_ROUNDS = 30
 # Rounds one run_protocol call may simulate: ten times the 10^6 of the
 # largest documented run.  Peak traced memory per round, measured at 10^6
-# rounds (16 bytes of transcript text each): 80 bytes to simulate on one
-# worker, 55 to write the transcript and 103 to read it back.
+# rounds (16 bytes of transcript text each): 6 bytes to simulate on one
+# worker or two (the four one-byte fields and two bit masks of Transcript's
+# check; a block's draw holds about 0.6 MB per worker), 36 to write the
+# transcript and 84 to read it back.
 MAX_ROUNDS = 10**7
-# Threads one run_protocol call may start.  Each thread draws its own span of
-# rounds and numpy releases the GIL inside the draw, so threads up to the core
-# count divide the time (2 workers about halve 10^5 and 10^6 rounds on 2 vCPUs);
-# the bit-identity gate runs 1, 2 and 5.
+# Threads one run_protocol call may start.  The threads take the round
+# blocks in turn, and numpy releases the GIL inside each of a block's calls,
+# but those calls are short: on 2 vCPUs, 2 workers take 10^5 and 10^6 rounds
+# in about the time of one (10^6: 29 ms on one, 28-32 ms on two).  The
+# bit-identity gate runs 1, 2 and 5.
 MAX_WORKERS = 64
+# Rounds per block of the simulation and the writer (see the module
+# docstring); a power of ten, so a block's rows share every index digit
+# above its low four.
+ROUND_BLOCK = 10**4
 DEFAULT_Z = 5.0
 
 # Cell outcome order: (a, b) = (+,+), (+,-), (-,+), (-,-).
-_A, _B = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1))).T
+_A, _B = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)), dtype=np.int8).T
 # The cells are battery_epr()'s lines in battery order, named by their Paulis
 # (zz, zx, xz, xx); (k, s) are the bits that measure them, 0 for x and 1 for z.
 # The protocol has no Y setting, so the xx line's XY companion is never read.
@@ -237,24 +257,24 @@ def run_protocol(
         raise ValueError(f"worker budget exceeded: {workers} workers exceed {MAX_WORKERS}")
     # cols[j][2k + s]: entry j of cell (k, s)'s cumulative row
     cols = np.cumsum(_prob_table(strategy), axis=-1).reshape(4, 4).T.copy()
+    k, s = np.empty(n_rounds, np.uint8), np.empty(n_rounds, np.uint8)
+    a, b = np.empty(n_rounds, np.int8), np.empty(n_rounds, np.int8)
 
-    def chunk(lo: int, hi: int) -> tuple[Array, Array, Array, Array]:
-        k, s, u = uniforms(seed, np.arange(lo, hi), np.arange(3)[:, None])
-        k = (k >= 0.5).astype(np.uint8)
-        s = (s >= 0.5).astype(np.uint8)
+    def block(lo: int) -> None:
+        hi = min(lo + ROUND_BLOCK, n_rounds)
+        uk, us, u = uniforms(seed, np.arange(lo, hi), np.arange(3)[:, None])
+        kb, sb = np.greater_equal(uk, 0.5, out=k[lo:hi]), np.greater_equal(us, 0.5, out=s[lo:hi])
         # Outcome index = entries of the round's cumulative row <= u (the row
         # is nondecreasing), one column at a time.  The last entry, the row's
         # total, is read as 1, which no uniform in [0, 1) reaches.
-        cell = 2 * k + s
+        cell = 2 * kb + sb
         o = np.add(cols[0].take(cell) <= u, cols[1].take(cell) <= u, dtype=np.int8)
         o += cols[2].take(cell) <= u
-        return k, 1 - 2 * (o >> 1), s, 1 - 2 * (o & 1)
+        _A.take(o, out=a[lo:hi])
+        _B.take(o, out=b[lo:hi])
 
-    bounds = np.linspace(0, n_rounds, workers + 1, dtype=int)
-    spans = [(int(x), int(y)) for x, y in zip(bounds[:-1], bounds[1:]) if y > x]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda xy: chunk(*xy), spans))
-    k, a, s, b = (np.concatenate(f) for f in zip(*parts))
+        list(pool.map(block, range(0, n_rounds, ROUND_BLOCK)))
     return Transcript(seed=seed, n_rounds=n_rounds, k=k, a=a, s=s, b=b)
 
 
@@ -288,10 +308,15 @@ class Verdict:
     failed: tuple[str, ...]
 
 
+def _cell_code(t: Transcript) -> Array:
+    """Each round's cell, 2k + s."""
+    return 2 * (t.k == 1) + (t.s == 1)
+
+
 def _cell_stats(t: Transcript) -> dict[str, CellStats]:
     # A sum of +/-1 is exact in float64, so each mean is the same float as
     # the mean over the cell's rounds taken one cell at a time.
-    code = 2 * (t.k == 1) + (t.s == 1)
+    code = _cell_code(t)
     counts = np.bincount(code, minlength=4)
     sums = np.bincount(code, weights=t.a * t.b, minlength=4)
     out = {}
@@ -355,9 +380,10 @@ class LeakageView:
 def leakage_view(t: Transcript) -> LeakageView:
     """Summarize the state information contained in a transcript."""
     cells = _cell_stats(t)
-    m = t.s == 1
-    if m.any():
-        zb = float(t.b[m].astype(float).mean())
+    # the mean of b over the rounds with s = 1, cells 2k + 1, exact as above
+    n_z = cells["xz"].count + cells["zz"].count
+    if n_z:
+        zb = float(np.bincount(_cell_code(t), weights=t.b, minlength=4)[1::2].sum() / n_z)
     else:
         zb = float("nan")
     p00 = min(1.0, max(0.0, (1.0 + zb) / 2.0)) if np.isfinite(zb) else float("nan")
@@ -385,34 +411,52 @@ def leakage_view(t: Transcript) -> LeakageView:
 # +1 with a NUL byte.
 _TAIL = b",0,-1,0,-1\n"
 _DIGITS = np.arange(48, 58, dtype=np.uint8)
+# The index digits a block's rows do not share: ROUND_BLOCK = 10^_LOW.
+_LOW = len(str(ROUND_BLOCK)) - 1
+
+
+@functools.cache  # two keys per index width, and a header N has at most 19 digits
+def _template(width: int, first: bool) -> Array:
+    """A block's rows in the writer's fixed-width table for a round index of
+    ``width`` digits: the index right-aligned behind NUL bytes, then the
+    tail.  The low ``_LOW`` digit columns count the rows from 0; the rest
+    are NUL, for the block to fill with its shared digits.  In the first
+    block the leading zeros are NUL too."""
+    low = min(width, _LOW)
+    row = np.frombuffer(bytes(width) + _TAIL, dtype=np.uint8)
+    table = np.empty((10**low, len(row)), dtype=np.uint8)
+    table[:] = row
+    for p in range(low):
+        # digit p from the right holds for 10^p rows and repeats every 10^(p + 1)
+        col, period = width - 1 - p, 10 ** (p + 1)
+        table.reshape(-1, period, len(row))[:, :, col] = np.repeat(_DIGITS, 10**p)
+        if first and p:
+            table[: 10**p, col] = 0  # the leading zeros of the rounds below 10^p
+    table.flags.writeable = False
+    return table
 
 
 def _render(seed: int, k1: Array, a_neg: Array, s1: Array, b_neg: Array) -> bytes:
     """The transcript file's bytes for rounds given as boolean arrays: k = 1,
-    a = -1, s = 1 and b = -1.  Each row is laid out in a fixed-width table:
-    the round index right-aligned behind NUL bytes, then its tail; dropping
-    every NUL byte leaves the rows in order."""
+    a = -1, s = 1 and b = -1.  Each block's rows are laid out from
+    ``_template``, their bits set, and its NUL bytes dropped, which leaves
+    the rows in order."""
     n = len(k1)
     width = len(str(max(n - 1, 0)))
-    row = np.frombuffer(bytes(width) + _TAIL, dtype=np.uint8)
-    table = np.empty((n, len(row)), dtype=np.uint8)
-    table[:] = row
-    for p in range(width):
-        # digit p from the right holds for 10^p rows and repeats every 10^(p + 1)
-        col, period = width - 1 - p, 10 ** (p + 1)
-        digits = np.repeat(_DIGITS, 10**p)
-        m = n // period
-        table[: m * period].reshape(m, period, len(row))[:, :, col] = digits
-        table[m * period :, col] = digits[: n - m * period]
-        if p:
-            table[: 10**p, col] = 0  # the leading zeros of the rounds below 10^p
-    tails = table[:, width:]
-    tails[:, 1] += k1
-    tails[:, 3] *= a_neg
-    tails[:, 6] += s1
-    tails[:, 8] *= b_neg
-    head = f"# seed={seed} N={n}\nround,k,a,s,b\n".encode("ascii")
-    return head + table.tobytes().replace(b"\0", b"")
+    parts = [f"# seed={seed} N={n}\n{_COLUMNS}".encode("ascii")]
+    for lo in range(0, n, ROUND_BLOCK):
+        hi = min(lo + ROUND_BLOCK, n)
+        table = _template(width, lo == 0)[: hi - lo].copy()
+        if lo:
+            high = str(lo // ROUND_BLOCK).encode("ascii")
+            table[:, width - _LOW - len(high) : width - _LOW] = np.frombuffer(high, dtype=np.uint8)
+        tails = table[:, width:]
+        tails[:, 1] += k1[lo:hi]
+        tails[:, 3] *= a_neg[lo:hi]
+        tails[:, 6] += s1[lo:hi]
+        tails[:, 8] *= b_neg[lo:hi]
+        parts.append(table.tobytes().replace(b"\0", b""))
+    return b"".join(parts)
 
 
 def _transcript_bytes(t: Transcript) -> bytes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -21,6 +22,7 @@ from qew.zkp import (
     DEFAULT_Z,
     MAX_WORKERS,
     MIN_CELL_ROUNDS,
+    ROUND_BLOCK,
     FixedOutcomesStrategy,
     HonestStrategy,
     SeparableDiagStrategy,
@@ -73,6 +75,21 @@ def test_transcript_stream_is_pinned():
     t = run_protocol(HonestStrategy(EPR, visibility=0.9), 2000, seed=2024)
     digest = hashlib.sha256(format_transcript(t).encode("ascii")).hexdigest()
     assert digest == "aad8c8199ff11cd90b6f029924a0113c7e9c5916a5739d6170b38f19745df973"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_multi_block_transcript_is_pinned(workers):
+    """Two full round blocks and a partial one hash to pinned bytes on any
+    worker count, so a move at a block edge shows here."""
+    t = run_protocol(HonestStrategy(EPR, visibility=0.9), 25_007, seed=2025, workers=workers)
+    digest = hashlib.sha256(format_transcript(t).encode("ascii")).hexdigest()
+    assert digest == "b4982ee71adfd70130d76bddd958e1d6c36a75bc5f8c3be2e7b00b6fc79b88e3"
+
+
+def test_round_block_is_a_power_of_ten():
+    """The writer sets a block's index digits above its low ones as
+    constants, which holds only when no block straddles a power of ten."""
+    assert ROUND_BLOCK > 1 and str(ROUND_BLOCK) == "1" + "0" * (len(str(ROUND_BLOCK)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +268,17 @@ def test_runs_are_deterministic_and_worker_independent():
 
 def test_outcomes_are_the_per_round_inverse_cdf():
     """Each round's (a, b) is the cumulative-table entry its uniform falls in,
-    as a per-round ``searchsorted`` reads it."""
+    as a per-round ``searchsorted`` reads it, in one round block and across
+    three."""
     fixed = FixedOutcomesStrategy((1, -1), ((0.7, 0.2 + 0.1j), (0.2 - 0.1j, 0.3)))
-    for strategy in (HonestStrategy(EPR, visibility=0.7), SeparableDiagStrategy(0.3), fixed):
-        t = run_protocol(strategy, 2000, seed=11)
+    cases = ((HonestStrategy(EPR, visibility=0.7), SeparableDiagStrategy(0.3), fixed), (2000, 2 * ROUND_BLOCK + 7))
+    for strategy, n in itertools.product(*cases):
+        t = run_protocol(strategy, n, seed=11, workers=2)
         cum = np.cumsum(_prob_table(strategy), axis=-1)
         cum[..., -1] = 1.0
-        u = uniforms(11, np.arange(2000), 2)
+        assert np.array_equal(t.k, uniforms(11, np.arange(n), 0) >= 0.5)
+        assert np.array_equal(t.s, uniforms(11, np.arange(n), 1) >= 0.5)
+        u = uniforms(11, np.arange(n), 2)
         o = np.array([np.searchsorted(cum[k, s], x, side="right") for k, s, x in zip(t.k, t.s, u)])
         assert np.array_equal(t.a, 1 - 2 * (o >> 1))
         assert np.array_equal(t.b, 1 - 2 * (o & 1))
@@ -614,6 +635,13 @@ def test_columnar_writer_matches_the_row_writer(t):
     assert format_transcript(t) == _reference_format(t)
 
 
+@pytest.mark.parametrize("n", [ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 2 * ROUND_BLOCK + 7])
+def test_block_writer_matches_the_row_writer_across_blocks(n):
+    t = run_protocol(HonestStrategy(EPR, visibility=0.5), n, seed=n)
+    # compared line by line, so that a failure names the first line that differs
+    assert format_transcript(t).split("\n") == _reference_format(t).split("\n")
+
+
 @pytest.mark.parametrize("field", ["0_1", "\u0661", "\xa01", "1\u3000"])
 def test_parser_takes_only_ascii_decimal_fields(field):
     """int() also reads underscores, non-ASCII digits and non-ASCII spaces;
@@ -660,22 +688,33 @@ def test_read_transcript_reads_any_bytes_or_refuses_them(data):
             assert format_transcript(t).encode("ascii") == data
 
 
+def _peak_traced(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_transcript_io_memory_budget():
     """Writing, reading or refusing 10^5 rounds peaks at no more than 10
-    times the text's length in traced allocations."""
-    t = run_protocol(HonestStrategy(EPR), 10**5, seed=3)
+    times the text's length in traced allocations, and simulating them at
+    no more than 24 bytes a round on one worker or two: the four one-byte
+    fields and a round block's draw per worker."""
+    n = 10**5
+    strategy = HonestStrategy(EPR)
+    for workers in (1, 2):
+        peak = _peak_traced(run_protocol, strategy, n, seed=3, workers=workers)
+        assert peak <= 24 * n, ("run_protocol", workers, peak)
+    t = run_protocol(strategy, n, seed=3)
     text = format_transcript(t)
     bad = text[:-2] + "2\n"  # the last row's outcome b is 2
 
     def refuse(text):
-        with pytest.raises(ValueError, match=f"^line {10**5 + 2}: "):
+        with pytest.raises(ValueError, match=f"^line {n + 2}: "):
             parse_transcript(text)
 
     for fn, arg in ((format_transcript, t), (parse_transcript, text), (refuse, bad)):
-        tracemalloc.start()
-        try:
-            fn(arg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak_traced(fn, arg)
         assert peak <= 10 * len(text), (fn.__name__, peak, len(text))
